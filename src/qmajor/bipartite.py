@@ -2,8 +2,9 @@
 
 A bipartite pure state can be rewritten as sum_i sqrt(q_i) |i_A'> |psi_i>
 with an orthonormal A-side basis exactly when q is majorized by its Schmidt
-coefficients.  The constructive path goes through an ensemble for the B-side
-reduced density matrix and the unitary relating two purifications.
+coefficients.  The constructive path takes one SVD of the amplitude matrix and
+mixes its singular vectors through a Horn witness.  Purifications and the
+unitary relating two of them are provided as well.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
+    _PHASE_FLOOR,
     TOL_NORM,
     DensityMatrix,
     DomainError,
@@ -21,8 +23,8 @@ from .numkernel import (
     hermitian_eig,
     validate_density,
 )
-from .majorize import MajorizationError, as_prob_vector, majorization_violation
-from .ensembles import Ensemble, mixture_matrix, synthesize_ensemble
+from .majorize import MajorizationError, as_prob_vector, horn_orthogonal, majorization_violation
+from .ensembles import Ensemble, mixture_matrix
 
 # Schmidt coefficients below this are treated as zero when deciding rank.
 SCHMIDT_RANK_CUTOFF = 1e-12
@@ -95,24 +97,41 @@ class SchmidtDecomposition:
         return (self.basis_a * np.sqrt(self.coefficients)) @ self.basis_b.T
 
 
-def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
-    """Schmidt decomposition via the A-side reduced density matrix.
+def _canonical_svd(m: np.ndarray):
+    """Full SVD m = u diag(sigma) vh with canonical column phases.
 
-    Coefficients are the shared spectrum of the two reduced density matrices;
-    phases and tie order are inherited from the deterministic eigensolver.
+    Each column of ``u`` is multiplied by the unit phase that makes its first
+    component above 1e-12 real positive (the eigenvector convention of
+    ``hermitian_eig``); the matching rows of ``vh`` take the conjugate phase,
+    so the product is unchanged.
+    """
+    u, sigma, vh = np.linalg.svd(m)
+    first = np.argmax(np.abs(u) > _PHASE_FLOOR, axis=0)
+    pivots = u[first, np.arange(u.shape[1])]
+    phases = pivots.conj() / np.abs(pivots)
+    u = u * phases
+    vh[: sigma.size] *= phases[: sigma.size, None].conj()
+    return u, sigma, vh
+
+
+def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
+    """Schmidt decomposition from one SVD of the amplitude matrix.
+
+    Coefficients are the squared singular values; ``basis_a`` columns are the
+    left singular vectors with canonical phases and ``basis_b`` columns the
+    matching right singular vectors.  Taking the SVD of the amplitudes rather
+    than an eigensolve of the reduced density matrix resolves small
+    coefficients to relative accuracy.
     """
     _require_unit(psi)
     m = psi.amplitudes
-    rho_a = m @ m.conj().T
-    spect = hermitian_eig((rho_a + rho_a.conj().T) / 2.0)
-    lam = spect.eigenvalues
-    keep = lam > SCHMIDT_RANK_CUTOFF
-    dropped = float(np.sum(np.clip(lam[~keep], 0.0, None)))
-    lam = lam[keep]
-    basis_a = spect.eigenvectors[:, keep]
-    # B-side partners follow from the A-side basis: <i_A| psi / sqrt(p_i).
-    basis_b = (m.T @ basis_a.conj()) / np.sqrt(lam)
-    decomp = SchmidtDecomposition(coefficients=lam, basis_a=basis_a, basis_b=basis_b)
+    u, sigma, vh = _canonical_svd(m)
+    lam = sigma**2
+    rank = int(np.sum(lam > SCHMIDT_RANK_CUTOFF))
+    dropped = float(np.sum(lam[rank:]))
+    decomp = SchmidtDecomposition(
+        coefficients=lam[:rank], basis_a=u[:, :rank], basis_b=vh[:rank].T
+    )
     err = float(np.linalg.norm(decomp.reconstruct() - m))
     # Weight below the rank cutoff is honestly unreconstructable; budget for it.
     allowance = float(np.sqrt(dropped + 1e-15 * m.shape[0]))
@@ -263,6 +282,47 @@ class Cor4Decomposition:
         return (self.basis_a * np.sqrt(self.weights)) @ self.states_b
 
 
+def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
+    """Corollary 4 from the factors of target = u diag(sigma) vh.
+
+    With a Horn witness W, (W o W) sigma^2 = q, the identity
+    u diag(sigma) vh = (u W^T) (W diag(sigma) vh) puts an orthonormal A-side
+    basis on the left and, on the right, rows whose squared norms are q.
+    The witness is restricted to weights and coefficients above the rank
+    cutoff: a zero target would otherwise absorb the ~1e-16 total-mass
+    mismatch of the witness, which the square root turns into ~1e-8 of
+    amplitude.  Weights at or below the cutoff take the unused columns of the
+    rotated basis and a placeholder B-side state.
+    """
+    lam = sigma**2
+    rank = int(np.sum(lam > SCHMIDT_RANK_CUTOFF))
+    live = np.flatnonzero(weights > SCHMIDT_RANK_CUTOFF)
+    idle = np.flatnonzero(weights <= SCHMIDT_RANK_CUTOFF)
+    w = horn_orthogonal(weights[live], lam[:rank]).orthogonal
+    n = w.shape[0]
+    rotated = u.copy()
+    rotated[:, :n] = u[:, :n] @ w.T
+
+    basis_a = np.empty((u.shape[0], weights.size), dtype=np.complex128)
+    basis_a[:, live] = rotated[:, : live.size]
+    basis_a[:, idle] = rotated[:, live.size : weights.size]
+    mixed = (w[: live.size, :rank] * sigma[:rank]) @ vh[:rank]
+    norms = np.linalg.norm(mixed, axis=1)
+    if np.any(norms <= 0.0):
+        i = int(live[np.argmin(norms)])
+        raise ValidationError(f"degenerate mix for member {i} with weight {weights[i]!r}")
+    states_b = np.zeros((weights.size, vh.shape[1]), dtype=np.complex128)
+    states_b[live] = mixed / norms[:, None]
+    states_b[idle, 0] = 1.0
+    decomp = Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
+
+    err = float(np.linalg.norm(decomp.reconstruct() - target))
+    slack = float(np.sqrt(max(0.0, 1.0 - lam[:rank].sum()) + 1e-15 * u.shape[0]))
+    if err > 1e-8 + slack:
+        raise ValidationError(f"decomposition reconstruction defect {err:.3e}")
+    return decomp
+
+
 def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
     """Rewrite psi as sum_i sqrt(q_i) |i_A'> |psi_i> for prescribed weights q.
 
@@ -273,27 +333,13 @@ def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
     """
     _require_unit(psi)
     weights = as_prob_vector(q, name="weights")
-    p = schmidt(psi).coefficients
-    violation = majorization_violation(weights, p)
+    m = embed_state(psi, max(psi.dim_a, weights.size), psi.dim_b).amplitudes
+    u, sigma, vh = _canonical_svd(m)
+    lam = sigma**2
+    violation = majorization_violation(weights, lam[lam > SCHMIDT_RANK_CUTOFF])
     if violation is not None:
         raise MajorizationError(*violation)
-
-    n_a = max(psi.dim_a, weights.size)
-    psi_e = embed_state(psi, n_a, psi.dim_b)
-    rho_b = reduced_density(psi_e, "B")
-    ens = synthesize_ensemble(rho_b, weights)
-    phi = embed_state(purify(rho_b, ens.weights, ens.states), n_a, psi.dim_b)
-    u = relate_purifications(phi, psi_e)
-    decomp = Cor4Decomposition(
-        weights=weights,
-        basis_a=u[:, : weights.size],
-        states_b=ens.states,
-    )
-    err = float(np.linalg.norm(decomp.reconstruct() - psi_e.amplitudes))
-    slack = float(np.sqrt(max(0.0, 1.0 - p.sum()) + 1e-15 * n_a))
-    if err > 1e-8 + slack:
-        raise ValidationError(f"decomposition reconstruction defect {err:.3e}")
-    return decomp
+    return _cor4_from_svd(u, sigma, vh, weights, m)
 
 
 __all__ = [

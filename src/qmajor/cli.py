@@ -234,13 +234,12 @@ def _run(command: str, inputs: tuple[str, ...], output: str | None, tols: dict,
     try:
         base["inputs"] = [_digest(p) for p in inputs]
         values = [parse_input(p, tols) for p in inputs]
+        base["result"] = job(values)
     except (InputError, ValidationError) as exc:
         base["status"] = "error"
         base["reason"] = {"class": "input", "detail": str(exc)}
         _emit(base, output)
         raise SystemExit(EXIT_INPUT)
-    try:
-        base["result"] = job(values)
     except DomainError as exc:
         base["status"] = "rejected"
         reason = {"class": "domain", "detail": str(exc)}

@@ -248,12 +248,16 @@ def entropy_report(ensemble: Ensemble, tol: float = 1e-9) -> EntropyReport:
     Schur-convex comparison of weights against the spectrum.
 
     The mixing entropy can never fall below the state entropy; a violation
-    beyond tol raises.
+    beyond tol raises.  Eigenvalues at or below the rank floor are compared
+    as exact zeros: roundoff of ~1e-17 would otherwise shift non-Lipschitz
+    functions such as sum(-sqrt(x)) by more than tol.
     """
     rho = density_from_ensemble(ensemble)
     h = shannon_entropy(ensemble.weights)
     s = von_neumann_entropy(rho)
     if h < s - tol:
         raise ValidationError(f"mixing entropy {h!r} fell below state entropy {s!r}")
-    schur = check_schur_inequalities(ensemble.weights, rho.eigenvalues(), tol=tol)
+    lam = rho.eigenvalues()
+    lam = np.where(lam > _RANK_FLOOR, lam, 0.0)
+    schur = check_schur_inequalities(ensemble.weights, lam, tol=tol)
     return EntropyReport(shannon=h, von_neumann=s, schur=schur)

@@ -17,10 +17,16 @@ from .numkernel import (
     TOL_NORM,
     DomainError,
     ValidationError,
-    complete_basis,
     fix_global_phase,
 )
-from .bipartite import BipartiteState, corollary4_decompose, embed_state, schmidt
+from .bipartite import (
+    SCHMIDT_RANK_CUTOFF,
+    BipartiteState,
+    _canonical_svd,
+    _cor4_from_svd,
+    _require_unit,
+    embed_state,
+)
 
 
 def shift_op(d: int) -> np.ndarray:
@@ -99,14 +105,12 @@ class MeasurementSet:
         return self.operators[s, t]
 
 
-def build_measurement(target_states_b, d: int) -> MeasurementSet:
-    """Measurement whose outcomes all steer |i> onto the target states.
+def _measurement_operator(target_states_b, d: int) -> np.ndarray:
+    """The operator E of the measurement: column i is target state i, scaled.
 
-    ``target_states_b`` must be d unit states supported on the first d
-    coordinates of Bob's space (the Schmidt support of the maximally
-    entangled source).  F maps |i> to the i-th target state; E is F scaled
-    so that the d^2 twirled operators E X^s Z^t resolve the identity, and on
-    any extra Bob dimensions each operator acts as identity/d.
+    The scale 1/sqrt(d * sum_i |psi_i|^2) makes the twirled operators
+    E X^s Z^t resolve the identity on the first d coordinates.  Columns past
+    d are zero.
     """
     states = np.array(target_states_b, dtype=np.complex128)
     if states.ndim != 2:
@@ -124,17 +128,48 @@ def build_measurement(target_states_b, d: int) -> MeasurementSet:
     f = np.zeros((dim_b, dim_b), dtype=np.complex128)
     f[:, :d] = states.T
     weight = float(np.trace(f.conj().T @ f).real)
-    e = f / np.sqrt(d * weight)
+    return f / np.sqrt(d * weight)
 
+
+def _twirled(e: np.ndarray, d: int, s: int, t: int) -> np.ndarray:
+    """The first d columns of E X^s Z^t: column j is omega^(j t) E[:, (j+s) mod d]."""
+    j = np.arange(d)
+    return e[:, (j + s) % d] * np.exp(2j * np.pi / d) ** (j * t)
+
+
+def _completeness_defect(e: np.ndarray, d: int) -> float:
+    """Frobenius defect of sum_{s,t} E_st^dagger E_st - I for E_st = E X^s Z^t + tail.
+
+    The twirl identity gives d * tr(E_d^dagger E_d) * I on the first d
+    coordinates and d^2 * (1/d)^2 * I on the tail.  The cross block between
+    them is sum_{s,t} (X^s Z^t)^dagger = d |0><1...1| applied to the tail rows
+    of E_d, which vanish when the target states live on the first d
+    coordinates.
+    """
+    dim_b = e.shape[0]
+    e_d = e[:, :d]
+    block = d * float(np.vdot(e_d, e_d).real) - 1.0
+    tail = d * d * (1.0 / d) ** 2 - 1.0
+    cross = np.linalg.norm(e_d[d:].sum(axis=1))
+    return float(np.sqrt(d * block**2 + (dim_b - d) * tail**2 + 2.0 * cross**2))
+
+
+def build_measurement(target_states_b, d: int) -> MeasurementSet:
+    """Measurement whose outcomes all steer |i> onto the target states.
+
+    ``target_states_b`` must be d unit states supported on the first d
+    coordinates of Bob's space (the Schmidt support of the maximally
+    entangled source).  F maps |i> to the i-th target state; E is F scaled
+    so that the d^2 twirled operators E X^s Z^t resolve the identity, and on
+    any extra Bob dimensions each operator acts as identity/d.
+    """
+    e = _measurement_operator(target_states_b, d)
+    dim_b = e.shape[0]
     ops = np.zeros((d, d, dim_b, dim_b), dtype=np.complex128)
-    tail = np.zeros((dim_b, dim_b))
-    if dim_b > d:
-        tail[d:, d:] = np.eye(dim_b - d) / d
+    ops[:, :, d:, d:] = np.eye(dim_b - d) / d
     for s in range(d):
         for t in range(d):
-            u = np.eye(dim_b, dtype=np.complex128)
-            u[:d, :d] = weyl_op(WeylPair(d=d, s=s, t=t))
-            ops[s, t] = e @ u + tail
+            ops[s, t, :, :d] = _twirled(e, d, s, t)
     return MeasurementSet(d=d, dim_b=dim_b, operators=ops)
 
 
@@ -191,8 +226,13 @@ class ProtocolTranscript:
 
 @dataclass(frozen=True)
 class _ProtocolSetup:
-    source: BipartiteState
-    measurement: MeasurementSet
+    """One protocol instance; outcome (s, t) applies E X^s Z^t + tail to the source.
+
+    The source is sum_{j<d} |j>|j> / sqrt(d), so the tail never contributes
+    and the measurement is kept as the single operator E.
+    """
+
+    operator: np.ndarray
     alice_basis: np.ndarray
     bob_basis: np.ndarray
     target: BipartiteState
@@ -205,51 +245,65 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     n_a = max(phi_target.dim_a, d)
     n_b = max(phi_target.dim_b, d)
     target = embed_state(phi_target, n_a, n_b)
-    dec = schmidt(target)
-    if dec.rank > d:
+    _require_unit(target)
+    u, sigma, vh = _canonical_svd(target.amplitudes)
+    rank = int(np.sum(sigma**2 > SCHMIDT_RANK_CUTOFF))
+    if rank > d:
         raise DomainError(
-            f"target Schmidt rank {dec.rank} exceeds source rank {d}; "
+            f"target Schmidt rank {rank} exceeds source rank {d}; "
             "more entanglement is required"
         )
 
-    # Rotate Bob so the target support sits on the source's Schmidt support
-    # (the first d coordinates); the rotation is undone at the end of every
-    # branch as a free local operation.
-    bob_basis = complete_basis(dec.basis_b, n_b)
-    aligned = BipartiteState(amplitudes=target.amplitudes @ bob_basis.conj())
-
-    rewrite = corollary4_decompose(aligned, np.full(d, 1.0 / d))
-    meas = build_measurement(rewrite.states_b, d)
-    alice_basis = complete_basis(rewrite.basis_a, n_a)
-
-    source_amps = np.zeros((n_a, n_b), dtype=np.complex128)
-    source_amps[np.arange(d), np.arange(d)] = 1.0 / np.sqrt(d)
-    source = BipartiteState(amplitudes=source_amps)
+    # Rotate Bob onto the right singular vectors so the target support sits
+    # on the source's Schmidt support (the first d coordinates); the rotation
+    # is undone at the end of every branch as a free local operation.  In
+    # that frame the target is u diag(sigma), so Corollary 4 reuses the SVD.
+    aligned = target.amplitudes @ vh.conj().T
+    rewrite = _cor4_from_svd(u, sigma, np.eye(n_b), np.full(d, 1.0 / d), aligned)
+    e = _measurement_operator(rewrite.states_b, d)
+    defect = _completeness_defect(e, d)
+    if defect > 1e-10:
+        raise ValidationError(f"measurement completeness defect {defect:.3e}")
     return _ProtocolSetup(
-        source=source,
-        measurement=meas,
-        alice_basis=alice_basis,
-        bob_basis=bob_basis,
-        target=target,
-        d=d,
+        operator=e, alice_basis=rewrite.basis_a, bob_basis=vh.T, target=target, d=d
     )
+
+
+def _branch_rows(setup: _ProtocolSetup, s: int, t: int) -> np.ndarray:
+    """Rows 0..d-1 of the unnormalized post-measurement amplitudes for outcome (s, t).
+
+    Row j is the j-th column of E X^s Z^t over sqrt(d), that is
+    omega^(j t) / sqrt(d) times E[:, (j+s) mod d]; rows past d are zero.
+    """
+    return _twirled(setup.operator, setup.d, s, t).T / np.sqrt(setup.d)
+
+
+def _outcome_probabilities(setup: _ProtocolSetup) -> np.ndarray:
+    """Squared norms of the branch rows for every outcome, indexed s*d + t.
+
+    Row j of branch (s, t) has squared norm |omega^(j t)|^2 c_{(j+s) mod d} / d,
+    with c_i the squared norm of column i of E; all d^2 sums are one product.
+    """
+    d = setup.d
+    j = np.arange(d)
+    col_sq = np.sum(np.abs(setup.operator[:, :d]) ** 2, axis=0)
+    phase_sq = np.abs(np.exp(2j * np.pi / d) ** np.outer(j, j)) ** 2
+    return (col_sq[(j[:, None] + j[None, :]) % d] @ phase_sq.T / d).reshape(-1)
 
 
 def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None) -> ProtocolTranscript:
     d = setup.d
-    n_a = setup.source.dim_a
-    post = _apply_bob(setup.source, setup.measurement.operators[s, t])
+    post = _branch_rows(setup, s, t)
     prob = float(np.linalg.norm(post) ** 2)
     post = post / np.sqrt(prob)
 
-    # Alice undoes the outcome twirl with X^s Z^-t on her Schmidt support,
-    # then rotates into the target's A basis; Bob undoes his alignment.
-    omega = np.exp(2j * np.pi / d)
-    correction = np.eye(n_a, dtype=np.complex128)
-    block = weyl_op(WeylPair(d=d, s=s, t=0)) @ np.diag(omega ** (-t * np.arange(d)))
-    correction[:d, :d] = block
-    final = setup.alice_basis @ correction @ post
-    final = final @ setup.bob_basis.T
+    # Alice undoes the outcome twirl with X^s Z^-t on her Schmidt support
+    # (Z^-t scales row j by omega^(-j t), X^s moves row j to j+s mod d), then
+    # rotates into the target's A basis; Bob undoes his alignment.
+    j = np.arange(d)
+    corrected = np.empty_like(post)
+    corrected[(j + s) % d] = post * (np.exp(2j * np.pi / d) ** (-t * j))[:, None]
+    final = setup.alice_basis @ corrected @ setup.bob_basis.T
 
     fidelity = min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2))
     final_state = BipartiteState(amplitudes=fix_global_phase(final))
@@ -272,7 +326,7 @@ def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTrans
     roundoff; replaying the same seed reproduces the transcript exactly.
     """
     setup = _prepare(phi_target, d)
-    probs = outcome_distribution(setup.measurement, setup.source)
+    probs = _outcome_probabilities(setup)
     rng = np.random.default_rng(seed)
     draw = rng.random()
     idx = int(np.searchsorted(np.cumsum(probs), draw, side="right"))

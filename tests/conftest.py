@@ -31,6 +31,14 @@ def random_bipartite(dim_a, dim_b, rng):
     return BipartiteState(amplitudes=m / np.linalg.norm(m))
 
 
+def rank_deficient_bipartite(dim_a, dim_b, rank, rng):
+    """Unit state of the given Schmidt rank; its tail coefficients are ~1e-33."""
+    left = rng.normal(size=(dim_a, rank)) + 1j * rng.normal(size=(dim_a, rank))
+    right = rng.normal(size=(rank, dim_b)) + 1j * rng.normal(size=(rank, dim_b))
+    m = left @ right
+    return BipartiteState(amplitudes=m / np.linalg.norm(m))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

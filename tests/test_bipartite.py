@@ -14,11 +14,22 @@ from qmajor.ensembles import synthesize_ensemble, uniform_ensemble
 from qmajor.majorize import MajorizationError, is_majorized_by
 from qmajor.numkernel import DomainError, ValidationError, random_density, validate_density
 
-from conftest import mix_down, random_bipartite
+from conftest import mix_down, random_bipartite, rank_deficient_bipartite
 
 
 def state(rows):
     return BipartiteState(amplitudes=np.array(rows, dtype=complex))
+
+
+def assert_rewrites(psi, q, dec):
+    """Reconstruction at 1e-8, orthonormal A basis, unit B states, weights exactly q."""
+    q = np.asarray(q, dtype=float)
+    target = embed_state(psi, max(psi.dim_a, q.size), psi.dim_b)
+    assert np.linalg.norm(dec.reconstruct() - target.amplitudes) <= 1e-8
+    gram = dec.basis_a.conj().T @ dec.basis_a
+    assert np.linalg.norm(gram - np.eye(q.size)) <= 1e-10
+    assert np.max(np.abs(np.linalg.norm(dec.states_b, axis=1) - 1.0)) <= 1e-9
+    assert np.array_equal(dec.weights, q)
 
 
 BELL = state(np.eye(2) / np.sqrt(2))
@@ -57,6 +68,28 @@ class TestSchmidt:
                 gram = basis.conj().T @ basis
                 assert np.linalg.norm(gram - np.eye(dec.rank)) <= 1e-9
             assert np.linalg.norm(dec.reconstruct() - psi.amplitudes) <= 1e-9
+
+
+    def test_one_by_one_state(self):
+        dec = schmidt(state([[1j]]))
+        assert dec.coefficients == pytest.approx([1.0], abs=1e-15)
+        assert np.array_equal(dec.basis_a, [[1.0]])
+        assert np.allclose(dec.basis_b, [[1j]], atol=1e-15)
+
+    def test_rank_deficient_tail_is_cut(self, rng):
+        psi = rank_deficient_bipartite(8, 6, 3, rng)
+        assert np.linalg.svd(psi.amplitudes, compute_uv=False)[-1] ** 2 < 1e-25
+        dec = schmidt(psi)
+        assert dec.rank == 3
+        assert np.linalg.norm(dec.reconstruct() - psi.amplitudes) <= 1e-9
+
+    def test_canonical_phase(self, rng):
+        # first component above 1e-12 of each A-side vector is real positive
+        for _ in range(10):
+            dec = schmidt(random_bipartite(int(rng.integers(1, 7)), int(rng.integers(1, 7)), rng))
+            for col in dec.basis_a.T:
+                pivot = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
+                assert abs(pivot.imag) <= 1e-15 and pivot.real > 0.0
 
 
 class TestReducedDensity:
@@ -218,6 +251,45 @@ class TestCorollary4:
             rho_b = reduced_density(psi, "B")
             assert np.linalg.norm(mix - rho_b.matrix) <= 1e-9
             assert is_majorized_by(dec.weights, p)
+
+
+    def test_rank_deficient_target_with_tiny_tail(self, rng):
+        # q mixed down from coefficients whose tail is ~1e-33 keeps entries
+        # of that size; the witness must not leave ~1e-16 of weight on them
+        for _ in range(20):
+            psi = rank_deficient_bipartite(8, 8, 4, rng)
+            coeffs = np.linalg.svd(psi.amplitudes, compute_uv=False) ** 2
+            head, tail = mix_down(coeffs[:4], rng), mix_down(coeffs[4:], rng)
+            q = rng.permutation(np.concatenate([head, tail]))
+            assert 0.0 < np.min(q) < 1e-30
+            assert_rewrites(psi, q, corollary4_decompose(psi, q))
+
+    def test_exactly_zero_padded_weights(self, rng):
+        for dim_a, dim_b in ((3, 3), (2, 5), (5, 2)):
+            psi = random_bipartite(dim_a, dim_b, rng)
+            q = np.concatenate([mix_down(schmidt(psi).coefficients, rng), np.zeros(3)])
+            dec = corollary4_decompose(psi, q)
+            assert dec.basis_a.shape == (max(dim_a, q.size), q.size)
+            assert_rewrites(psi, q, dec)
+            assert np.all(dec.states_b[-3:] == np.eye(1, dim_b))
+
+    def test_maximally_entangled_d8(self, rng):
+        u = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+        psi = BipartiteState(amplitudes=u / np.sqrt(8))
+        padded = mix_down(np.concatenate([np.full(8, 1 / 8), np.zeros(4)]), rng)
+        for q in (np.full(8, 1 / 8), padded):
+            assert_rewrites(psi, q, corollary4_decompose(psi, q))
+
+    def test_one_by_one_state(self):
+        psi = state([[1.0]])
+        for q in ([1.0], [0.5, 0.5]):
+            assert_rewrites(psi, q, corollary4_decompose(psi, q))
+
+    def test_unequal_dimensions(self, rng):
+        for dim_a, dim_b in ((2, 7), (7, 2), (1, 4), (4, 1)):
+            psi = random_bipartite(dim_a, dim_b, rng)
+            q = mix_down(np.concatenate([schmidt(psi).coefficients, np.zeros(2)]), rng)
+            assert_rewrites(psi, q, corollary4_decompose(psi, q))
 
 
 class TestEmbedState:

@@ -125,6 +125,18 @@ class TestExitCodes:
         ])
         assert res.exit_code == EXIT_INPUT
 
+    def test_input_error_raised_inside_job(self, runner, files, tmp_path):
+        # the input parses, the job itself rejects d=0 with a ValidationError
+        out = tmp_path / "rep.json"
+        res = runner.invoke(main, [
+            "protocol-run", "-i", files["bell"], "--d", "0", "-o", str(out),
+        ])
+        assert res.exit_code == EXIT_INPUT
+        report = json.loads(out.read_text())
+        assert report["status"] == "error"
+        assert report["reason"]["class"] == "input"
+        assert "dimension must be positive" in report["reason"]["detail"]
+
 
 class TestCommands:
     def test_majorize_check_holds(self, runner, files):

@@ -189,6 +189,19 @@ class TestEntropyReport:
         assert report.shannon == 0.0
         assert report.von_neumann == pytest.approx(0.0, abs=1e-9)
 
+    def test_weights_equal_rank_deficient_spectrum(self):
+        # roundoff eigenvalues of ~1e-17 must not move sum(-sqrt(x)) past tol
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=5) + 1j * rng.normal(size=5)
+        pure = validate_density(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        assert pure.eigenvalues()[1] > 0.0
+        report = entropy_report(synthesize_ensemble(pure, [1.0]))
+        assert report.schur.passed
+        rho = random_density(6, 3, seed=4)
+        report = entropy_report(synthesize_ensemble(rho, rho.eigenvalues()[:3]))
+        assert report.schur.passed
+        assert report.schur.tol == 1e-9
+
     def test_mixing_entropy_dominates_on_synthesized(self, rng):
         for _ in range(20):
             dim = int(rng.integers(2, 9))

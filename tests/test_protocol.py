@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
+import qmajor.bipartite
+import qmajor.numkernel
+import qmajor.protocol
 from qmajor.bipartite import BipartiteState, schmidt
-from qmajor.numkernel import DomainError, ValidationError, random_unitary
+from qmajor.numkernel import DomainError, ValidationError, fix_global_phase, random_unitary
 from qmajor.protocol import (
     MeasurementSet,
     WeylPair,
+    _branch_rows,
+    _completeness_defect,
+    _measurement_operator,
+    _outcome_probabilities,
+    _prepare,
+    _run_branch,
     build_measurement,
     clock_op,
     comm_cost,
@@ -16,7 +25,7 @@ from qmajor.protocol import (
     weyl_op,
 )
 
-from conftest import random_bipartite
+from conftest import random_bipartite, rank_deficient_bipartite
 
 
 def maximally_entangled(d):
@@ -223,6 +232,116 @@ class TestRunProtocol:
         (tr,) = enumerate_protocol(target, 1)
         assert tr.fidelity == pytest.approx(1.0, abs=1e-12)
         assert tr.bits_sent == 0
+
+
+class TestStructuredMeasurement:
+    """The protocol keeps the single operator E; the dense d^2 stack is the oracle."""
+
+    @staticmethod
+    def dense_stack(e, d):
+        # E (X^s Z^t + identity on the tail) + identity/d on the tail, from weyl_op
+        dim_b = e.shape[0]
+        ops = np.zeros((d, d, dim_b, dim_b), dtype=complex)
+        for s in range(d):
+            for t in range(d):
+                u = np.eye(dim_b, dtype=complex)
+                u[:d, :d] = weyl_op(WeylPair(d=d, s=s, t=t))
+                ops[s, t] = e @ u
+                ops[s, t, d:, d:] += np.eye(dim_b - d) / d
+        return ops
+
+    def test_build_measurement_matches_weyl_construction(self, rng):
+        for d in (1, 2, 3, 4):
+            for dim_b in (d, d + 2):
+                states = np.zeros((d, dim_b), dtype=complex)
+                states[:, :d] = random_unitary(d, seed=int(rng.integers(2**31)))
+                meas = build_measurement(states, d)
+                e = _measurement_operator(states, d)
+                assert np.max(np.abs(meas.operators - self.dense_stack(e, d))) <= 1e-15
+
+    def test_branches_match_dense_operators(self, rng):
+        for d in (1, 2, 3, 4):
+            for dim_a, dim_b in ((d, d), (d, d + 2), (d + 2, d), (1, d + 1)):
+                setup = _prepare(random_bipartite(dim_a, dim_b, rng), d)
+                # E = F / d for unit target states, so E * d recovers them
+                meas = build_measurement(setup.operator[:, :d].T * d, d)
+                source = np.zeros((setup.alice_basis.shape[0], meas.dim_b), dtype=complex)
+                j = np.arange(d)
+                source[j, j] = 1 / np.sqrt(d)
+                dense_probs = outcome_distribution(meas, BipartiteState(amplitudes=source))
+                assert np.max(np.abs(_outcome_probabilities(setup) - dense_probs)) <= 1e-15
+                omega = np.exp(2j * np.pi / d)
+                for s in range(d):
+                    for t in range(d):
+                        post = source @ meas.operators[s, t].T
+                        assert np.linalg.norm(post[:d] - _branch_rows(setup, s, t)) <= 1e-14
+                        assert not np.any(post[d:])
+                        # Alice's dense correction X^s Z^-t reaches the same final state
+                        fix = weyl_op(WeylPair(d=d, s=s, t=0)) @ np.diag(omega ** (-t * j))
+                        prob = np.linalg.norm(post) ** 2
+                        final = setup.alice_basis @ fix @ post[:d] @ setup.bob_basis.T
+                        final = fix_global_phase(final / np.sqrt(prob))
+                        tr = _run_branch(setup, s, t, None)
+                        assert tr.outcome_probability == pytest.approx(prob, abs=1e-15)
+                        assert np.linalg.norm(tr.final_state.amplitudes - final) <= 1e-12
+
+    def test_twirl_completeness_defect_matches_dense_sum(self, rng):
+        # general states, support past d included: the cross block is non-zero
+        for d in (1, 2, 3, 4):
+            for dim_b in (d, d + 2):
+                for support in sorted({d, dim_b}):
+                    states = np.zeros((d, dim_b), dtype=complex)
+                    shape = (d, support)
+                    states[:, :support] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    states /= np.linalg.norm(states, axis=1)[:, None]
+                    e = _measurement_operator(states, d)
+                    ops = self.dense_stack(e, d)
+                    total = sum(ops[s, t].conj().T @ ops[s, t] for s in range(d) for t in range(d))
+                    dense = np.linalg.norm(total - np.eye(dim_b))
+                    assert abs(_completeness_defect(e, d) - dense) <= 1e-14
+                    if support == d:
+                        assert _completeness_defect(e, d) <= 1e-10
+
+    def test_protocol_path_builds_no_dense_stack(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the structured protocol path")
+
+        for module, name in (
+            (qmajor.protocol, "build_measurement"),
+            (qmajor.protocol, "weyl_op"),
+            (qmajor.bipartite, "hermitian_eig"),
+            (qmajor.numkernel, "hermitian_eig"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        target = random_bipartite(3, 4, rng)
+        assert all(tr.fidelity >= 1 - 1e-9 for tr in enumerate_protocol(target, 3))
+        assert run_protocol(target, 4, seed=5).fidelity >= 1 - 1e-9
+
+
+class TestProtocolEdgeCases:
+    def test_rank_deficient_target_with_tiny_tail(self, rng):
+        target = rank_deficient_bipartite(8, 8, 4, rng)
+        for d in (4, 8):
+            for tr in enumerate_protocol(target, d):
+                assert tr.fidelity >= 1 - 1e-9
+                assert abs(tr.outcome_probability - 1 / d**2) <= 1e-10
+
+    def test_maximally_entangled_d8(self):
+        u = random_unitary(8, seed=8)
+        target = BipartiteState(amplitudes=u / np.sqrt(8))
+        for tr in enumerate_protocol(target, 8):
+            assert tr.fidelity >= 1 - 1e-9
+            want = fix_global_phase(target.amplitudes)
+            assert np.linalg.norm(tr.final_state.amplitudes - want) <= 1e-8
+
+    def test_dimension_one_with_larger_product_target(self, rng):
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        b = rng.normal(size=3) + 1j * rng.normal(size=3)
+        target = BipartiteState(amplitudes=np.outer(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+        (tr,) = enumerate_protocol(target, 1)
+        assert tr.outcome_probability == pytest.approx(1.0, abs=1e-15)
+        assert tr.fidelity >= 1 - 1e-12
+        assert run_protocol(target, 1, seed=3).fidelity >= 1 - 1e-12
 
 
 class TestCommCost:
