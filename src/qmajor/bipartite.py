@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
-    _PHASE_FLOOR,
     TOL_NORM,
     DensityMatrix,
     DomainError,
     ValidationError,
-    complete_basis,
-    hermitian_eig,
+    _canonical_phases,
     validate_density,
 )
 from .majorize import MajorizationError, as_prob_vector, horn_orthogonal, majorization_violation
@@ -28,10 +26,6 @@ from .ensembles import Ensemble, mixture_matrix
 
 # Schmidt coefficients below this are treated as zero when deciding rank.
 SCHMIDT_RANK_CUTOFF = 1e-12
-
-# Coefficients closer than this are treated as one degenerate group when
-# matching the Schmidt bases of two purifications.
-DEGENERACY_GROUP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,7 @@ def _canonical_svd(m: np.ndarray):
     so the product is unchanged.
     """
     u, sigma, vh = np.linalg.svd(m)
-    first = np.argmax(np.abs(u) > _PHASE_FLOOR, axis=0)
-    pivots = u[first, np.arange(u.shape[1])]
-    phases = pivots.conj() / np.abs(pivots)
+    phases = _canonical_phases(u)
     u = u * phases
     vh[: sigma.size] *= phases[: sigma.size, None].conj()
     return u, sigma, vh
@@ -173,37 +165,15 @@ def purify(rho: DensityMatrix, weights, states, tol: float = 1e-8) -> BipartiteS
     return BipartiteState(amplitudes=amps)
 
 
-def _group_by_gaps(values: np.ndarray, tol: float):
-    """Split a decreasing sequence into runs whose consecutive gaps are <= tol."""
-    groups = []
-    start = 0
-    for j in range(1, values.size + 1):
-        if j == values.size or values[j - 1] - values[j] > tol:
-            groups.append(list(range(start, j)))
-            start = j
-    return groups
-
-
-def _polar_unitary(g: np.ndarray) -> np.ndarray:
-    """Closest unitary to g, via the inverse square root of g^dagger g."""
-    h = g.conj().T @ g
-    spect = hermitian_eig((h + h.conj().T) / 2.0)
-    mu = spect.eigenvalues
-    if mu[-1] <= 1e-24:
-        raise ValidationError("Gram block is singular; bases do not span matching subspaces")
-    v = spect.eigenvectors
-    inv_sqrt = (v / np.sqrt(mu)) @ v.conj().T
-    return g @ inv_sqrt
-
-
 def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 1e-8) -> np.ndarray:
     """Unitary U on system A with (U x I) phi = psi.
 
     Exists exactly when the two states share a B-side reduced density matrix.
-    Degenerate Schmidt coefficients are handled per group: the Gram matrix of
-    the two B-side bases on each degenerate subspace is block-unitary and
-    prescribes how the A-side bases must map; the complement is completed
-    deterministically.
+    Then psi = V phi for some unitary V, so psi phi^dagger = V (phi phi^dagger)
+    is V times a positive semidefinite matrix, and its polar factor is V on
+    the support of phi.  One SVD, psi phi^dagger = W diag(lam) Z^dagger, gives
+    that factor as U = W Z^dagger; degenerate Schmidt coefficients need no
+    special handling, and U is unitary on the whole A space.
     """
     _require_unit(phi)
     _require_unit(psi)
@@ -211,55 +181,24 @@ def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 
         raise ValidationError(
             f"dimension mismatch: {phi.dim_a}x{phi.dim_b} vs {psi.dim_a}x{psi.dim_b}"
         )
-    rho_phi = reduced_density(phi, "B")
-    rho_psi = reduced_density(psi, "B")
-    gap = float(np.linalg.norm(rho_phi.matrix - rho_psi.matrix))
+    f, g = phi.amplitudes, psi.amplitudes
+    gap = float(np.linalg.norm(f.T @ f.conj() - g.T @ g.conj()))
     if gap > tol:
         raise DomainError(
             f"not co-purifications: B-side reduced densities differ by {gap:.3e} (Frobenius)"
         )
 
-    dec_phi = schmidt(phi)
-    dec_psi = schmidt(psi)
-    r = min(dec_phi.rank, dec_psi.rank)
-    coeffs = dec_phi.coefficients[:r]
+    w, lam, zh = np.linalg.svd(g @ f.conj().T)
+    u = w @ zh
 
-    mapped_cols = []
-    for group in _group_by_gaps(coeffs, DEGENERACY_GROUP_TOL):
-        b_phi = dec_phi.basis_b[:, group]
-        b_psi = dec_psi.basis_b[:, group]
-        gram = b_psi.conj().T @ b_phi
-        gram = _polar_unitary(gram)
-        # v^phi_i = sum_j gram[j, i] v^psi_j forces U to carry the matching
-        # combination of phi's A-basis onto psi's A-basis vectors.
-        mapped_cols.append(dec_phi.basis_a[:, group] @ gram.T)
-    n_a = phi.dim_a
-    if mapped_cols:
-        source = np.concatenate(mapped_cols, axis=1)
-    else:
-        source = np.zeros((n_a, 0), dtype=np.complex128)
-    target = dec_psi.basis_a[:, :r]
-
-    source_full = complete_basis(source, n_a)
-    target_full = complete_basis(target, n_a)
-    u = target_full @ source_full.conj().T
-
-    # Align the residual global phase so the mapped state matches psi itself.
-    mapped = u @ phi.amplitudes
-    overlap = complex(np.vdot(psi.amplitudes, mapped))
-    if abs(overlap) > 1e-12:
-        u = u * (overlap.conjugate() / abs(overlap))
-        mapped = u @ phi.amplitudes
-
-    unitarity = float(np.linalg.norm(u @ u.conj().T - np.eye(n_a)))
+    unitarity = float(np.linalg.norm(u @ u.conj().T - np.eye(phi.dim_a)))
     if unitarity > 1e-9:
         raise ValidationError(f"constructed map has unitarity defect {unitarity:.3e}")
-    # Sub-cutoff Schmidt weight rides through the completion unmatched.
-    slack = sum(
-        float(np.sqrt(max(0.0, 1.0 - dec.coefficients.sum()) + 1e-15 * n_a))
-        for dec in (dec_phi, dec_psi)
-    )
-    residual = float(np.linalg.norm(mapped - psi.amplitudes))
+    # lam holds the Schmidt coefficients; below the rank cutoff the polar
+    # factor is not determined, and that weight of each state rides through
+    # unmatched.
+    slack = 2.0 * float(np.sqrt(np.sum(lam[lam <= SCHMIDT_RANK_CUTOFF])))
+    residual = float(np.linalg.norm(u @ f - g))
     if residual > tol + slack:
         raise ValidationError(f"purification map residual {residual:.3e} exceeds {tol}")
     return u

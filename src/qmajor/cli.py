@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 
 import click
@@ -122,11 +123,16 @@ def _decode_matrix(rows, where: str) -> np.ndarray:
 
 # ---------------------------------------------------------------- parsing
 
-def parse_document(doc, path: str, tols: dict):
-    """Decode one kind-tagged JSON document into a validated domain value."""
+def parse_document(doc, path: str, tols: dict, expect: str | None = None):
+    """Decode one kind-tagged JSON document into a validated domain value.
+
+    With ``expect`` set, a document of any other kind is rejected.
+    """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError(f"{path}: missing top-level 'kind' tag")
     kind = doc["kind"]
+    if expect is not None and kind != expect:
+        raise InputError(f"{path}: expected kind {expect!r}, got {kind!r}")
     try:
         if kind == "probvec":
             return as_prob_vector(doc["weights"], tol=tols["prob"], name=f"{path} weights")
@@ -162,10 +168,14 @@ def parse_document(doc, path: str, tols: dict):
             return Ensemble(weights=weights, states=states, synthetic=synthetic)
     except KeyError as exc:
         raise InputError(f"{path}: missing field {exc}") from exc
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: unknown kind {kind!r}")
 
 
-def parse_input(path: str, tols: dict | None = None):
+def parse_input(path: str, tols: dict | None = None, expect: str | None = None):
     """Read and decode one input file; raises InputError/ValidationError on bad input."""
     tols = tols or dict(_DEFAULT_TOLS)
     try:
@@ -176,12 +186,15 @@ def parse_input(path: str, tols: dict | None = None):
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: parse error: {exc}") from exc
-    return parse_document(doc, path, tols)
+    return parse_document(doc, path, tols, expect)
 
 
 def _digest(path: str) -> dict:
-    with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    try:
+        with open(path, "rb") as fh:
+            return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 _DEFAULT_TOLS = {"herm": 1e-9, "major": 1e-9, "norm": 1e-9, "recon": 1e-8, "prob": 1e-9}
@@ -220,20 +233,31 @@ def _transcript_fragment(tr) -> dict:
     }
 
 
-def _run(command: str, inputs: tuple[str, ...], output: str | None, tols: dict,
-         seed: int | None, job) -> None:
-    """Shared job wrapper: parse, execute, report, map exceptions to exit codes."""
+def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: str | None,
+         tols: dict, seed: int | None, job) -> None:
+    """Shared job wrapper: parse, execute, report, map exceptions to exit codes.
+
+    ``kinds`` lists the document kind each input must have, in order.
+    """
     base = {
         "command": command,
         "version": __version__,
-        "tolerances": {k: tols[k] for k in sorted(tols)},
+        # JSON has no NaN or infinity; such a tolerance is kept as its string.
+        "tolerances": {k: tols[k] if math.isfinite(tols[k]) else str(tols[k]) for k in sorted(tols)},
         "inputs": [],
     }
     if seed is not None:
         base["seed"] = seed
     try:
+        for k in sorted(tols):
+            if not (math.isfinite(tols[k]) and tols[k] >= 0.0):
+                raise InputError(f"tolerance {k!r} must be finite and non-negative, got {tols[k]!r}")
+        if len(inputs) != len(kinds):
+            raise InputError(
+                f"{command} takes {len(kinds)} input(s) ({', '.join(kinds)}), got {len(inputs)}"
+            )
         base["inputs"] = [_digest(p) for p in inputs]
-        values = [parse_input(p, tols) for p in inputs]
+        values = [parse_input(p, tols, kind) for p, kind in zip(inputs, kinds)]
         base["result"] = job(values)
     except (InputError, ValidationError) as exc:
         base["status"] = "error"
@@ -307,7 +331,7 @@ def majorize_check(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
             "y": encode_probvec(y),
         }
 
-    _run("majorize-check", inputs, output, tols, None, job)
+    _run("majorize-check", ("probvec", "probvec"), inputs, output, tols, None, job)
 
 
 @main.command("majorize-decompose")
@@ -333,7 +357,7 @@ def majorize_decompose(inputs, output, tol_herm, tol_major, tol_norm, tol_recon)
             },
         }
 
-    _run("majorize-decompose", inputs, output, tols, None, job)
+    _run("majorize-decompose", ("probvec", "probvec"), inputs, output, tols, None, job)
 
 
 @main.command("ensemble-synth")
@@ -358,7 +382,7 @@ def ensemble_synth(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
             },
         }
 
-    _run("ensemble-synth", inputs, output, tols, None, job)
+    _run("ensemble-synth", ("density", "probvec"), inputs, output, tols, None, job)
 
 
 @main.command("ensemble-verify")
@@ -378,7 +402,7 @@ def ensemble_verify(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
             "norm_deviations": [float(x) for x in audit.norm_deviations],
         }
 
-    _run("ensemble-verify", inputs, output, tols, None, job)
+    _run("ensemble-verify", ("ensemble", "density"), inputs, output, tols, None, job)
 
 
 @main.command("schmidt")
@@ -397,7 +421,7 @@ def schmidt_cmd(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
             "basis_b": [encode_statevec(dec.basis_b[:, j]) for j in range(dec.rank)],
         }
 
-    _run("schmidt", inputs, output, tols, None, job)
+    _run("schmidt", ("bipartite",), inputs, output, tols, None, job)
 
 
 @main.command("corollary4")
@@ -418,7 +442,7 @@ def corollary4(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
             "reconstruction": encode_matrix(recon),
         }
 
-    _run("corollary4", inputs, output, tols, None, job)
+    _run("corollary4", ("bipartite", "probvec"), inputs, output, tols, None, job)
 
 
 @main.command("protocol-run")
@@ -446,7 +470,7 @@ def protocol_run(inputs, output, tol_herm, tol_major, tol_norm, tol_recon, dim, 
         tr = run_protocol(target, dim, seed)
         return {"d": dim, "exhaustive": False, "transcript": _transcript_fragment(tr)}
 
-    _run("protocol-run", inputs, output, tols, None if exhaustive else seed, job)
+    _run("protocol-run", ("bipartite",), inputs, output, tols, None if exhaustive else seed, job)
 
 
 @main.command("schur-report")
@@ -461,7 +485,7 @@ def schur_report(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
         report = check_schur_inequalities(x, y, tol=tols["major"])
         return _schur_fragment(report)
 
-    _run("schur-report", inputs, output, tols, None, job)
+    _run("schur-report", ("probvec", "probvec"), inputs, output, tols, None, job)
 
 
 if __name__ == "__main__":

@@ -284,8 +284,8 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
     The transform chain for (x, y) is lifted rotation by rotation; because
     each step retires the coordinate it fixes, the product of the lifts
     squares entrywise to the product of the transforms.  Sorting and
-    placement bookkeeping enter as permutation matrices, which commute with
-    the entrywise square.
+    placement bookkeeping are row and column permutations, which commute
+    with the entrywise square.
     """
     transforms, perm_x, perm_y, placement = _chain_construction(x, y, tol)
     d = perm_x.size
@@ -294,13 +294,8 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
         w0 = tr.orthogonal_lift(d) @ w0
     # Read the placement arrangement back into sorted-x order, then undo both
     # sorts so the witness acts on the original orderings.
-    s0 = np.zeros((d, d))
-    s0[np.arange(d), placement] = 1.0
-    p_x = np.zeros((d, d))
-    p_x[np.arange(d), perm_x] = 1.0
-    p_y = np.zeros((d, d))
-    p_y[np.arange(d), perm_y] = 1.0
-    w = p_x.T @ s0 @ w0 @ p_y
+    w = np.empty((d, d))
+    w[perm_x[:, None], perm_y] = w0[placement]
     witness = HornWitness(orthogonal=w, doubly_stochastic=w * w)
 
     gram = float(np.linalg.norm(w @ w.T - np.eye(d)))

@@ -91,6 +91,18 @@ def fix_global_phase(v: np.ndarray, floor: float = _PHASE_FLOOR) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128) * (pivot.conjugate() / abs(pivot))
 
 
+def _canonical_phases(v: np.ndarray) -> np.ndarray:
+    """Per-column unit phases making each column's first component above 1e-12 real positive.
+
+    A column with no such component gets phase 1.  This is the one phase
+    convention for eigenvectors and singular vectors.
+    """
+    above = np.abs(v) > _PHASE_FLOOR
+    pivots = v[np.argmax(above, axis=0), np.arange(v.shape[1])]
+    pivots = np.where(above.any(axis=0), pivots, 1.0)
+    return pivots.conj() / np.abs(pivots)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted decreasing with matching orthonormal eigenvectors.
@@ -191,12 +203,7 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     eigvals = np.diag(a).real.copy()
 
     # Canonical phases before tie-breaking so the sort key is well-defined.
-    for j in range(n):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > _PHASE_FLOOR)[0]
-        if nz.size:
-            pivot = col[nz[0]]
-            v[:, j] = col * (pivot.conjugate() / abs(pivot))
+    v = v * _canonical_phases(v)
 
     def sort_key(j: int):
         col = v[:, j]
@@ -311,26 +318,3 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     d = np.diag(r)
     return q * (d / np.abs(d))
 
-
-def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full deterministic orthonormal basis.
-
-    Candidates are the standard basis vectors in index order; each is
-    orthogonalized against the accepted columns and kept when the residual is
-    numerically independent.
-    """
-    cols = [np.asarray(c, dtype=np.complex128) for c in np.atleast_2d(columns).T] if columns.size else []
-    out = list(cols)
-    for j in range(dim):
-        if len(out) == dim:
-            break
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[j] = 1.0
-        for b in out:
-            cand = cand - b * (b.conj() @ cand)
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-6:
-            out.append(cand / norm)
-    if len(out) != dim:
-        raise ValidationError("could not complete orthonormal basis: input columns are degenerate")
-    return np.column_stack(out)

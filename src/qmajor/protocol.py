@@ -281,14 +281,12 @@ def _branch_rows(setup: _ProtocolSetup, s: int, t: int) -> np.ndarray:
 def _outcome_probabilities(setup: _ProtocolSetup) -> np.ndarray:
     """Squared norms of the branch rows for every outcome, indexed s*d + t.
 
-    Row j of branch (s, t) has squared norm |omega^(j t)|^2 c_{(j+s) mod d} / d,
-    with c_i the squared norm of column i of E; all d^2 sums are one product.
+    Row j of branch (s, t) is a unit phase times column (j+s) mod d of E over
+    sqrt(d), so every branch holds each of the first d columns once and every
+    outcome has probability tr(E_d^dagger E_d) / d, with E_d those columns.
     """
     d = setup.d
-    j = np.arange(d)
-    col_sq = np.sum(np.abs(setup.operator[:, :d]) ** 2, axis=0)
-    phase_sq = np.abs(np.exp(2j * np.pi / d) ** np.outer(j, j)) ** 2
-    return (col_sq[(j[:, None] + j[None, :]) % d] @ phase_sq.T / d).reshape(-1)
+    return np.full(d * d, np.linalg.norm(setup.operator[:, :d]) ** 2 / d)
 
 
 def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None) -> ProtocolTranscript:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qmajor.numkernel
 from qmajor.bipartite import (
     BipartiteState,
     corollary4_decompose,
@@ -12,7 +13,13 @@ from qmajor.bipartite import (
 )
 from qmajor.ensembles import synthesize_ensemble, uniform_ensemble
 from qmajor.majorize import MajorizationError, is_majorized_by
-from qmajor.numkernel import DomainError, ValidationError, random_density, validate_density
+from qmajor.numkernel import (
+    DomainError,
+    ValidationError,
+    random_density,
+    random_unitary,
+    validate_density,
+)
 
 from conftest import mix_down, random_bipartite, rank_deficient_bipartite
 
@@ -184,7 +191,7 @@ class TestRelatePurifications:
             assert np.linalg.norm(u @ phi.amplitudes - psi.amplitudes) <= 1e-8
 
     def test_degenerate_spectrum(self, rng):
-        # fully degenerate Schmidt coefficients exercise the group matching
+        # fully degenerate Schmidt coefficients leave the bases undetermined
         d = 3
         u1 = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
         phi = BipartiteState(amplitudes=np.eye(d, dtype=complex) / np.sqrt(d))
@@ -195,6 +202,32 @@ class TestRelatePurifications:
     def test_different_reduced_densities_rejected(self):
         with pytest.raises(DomainError, match="co-purifications"):
             relate_purifications(BELL, PRODUCT)
+
+    def test_nearly_degenerate_coefficients_tight(self, rng):
+        # Schmidt coefficients 1.1e-8..2e-8 apart: close enough to look
+        # degenerate to a gap threshold, far enough to pin the bases apart
+        for _ in range(40):
+            p = np.sort(rng.dirichlet(np.ones(4)))[::-1]
+            k = int(rng.integers(0, 3))
+            p[k + 1] = p[k] - rng.uniform(1.1e-8, 2e-8)
+            p /= p.sum()
+            a, b, v = (random_unitary(4, seed=int(rng.integers(2**31))) for _ in range(3))
+            phi = BipartiteState(amplitudes=(a * np.sqrt(p)) @ b.T)
+            psi = BipartiteState(amplitudes=v @ phi.amplitudes)
+            u = relate_purifications(phi, psi)
+            assert np.linalg.norm(u @ phi.amplitudes - psi.amplitudes) <= 1e-8
+
+    def test_runs_no_eigensolve(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolve called while relating purifications")
+
+        monkeypatch.setattr(qmajor.numkernel, "hermitian_eig", forbidden)
+        for name in ("eig", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        phi = random_bipartite(5, 3, rng)
+        psi = BipartiteState(amplitudes=random_unitary(5, seed=4) @ phi.amplitudes)
+        u = relate_purifications(phi, psi)
+        assert np.linalg.norm(u @ phi.amplitudes - psi.amplitudes) <= 1e-8
 
 
 class TestCorollary4:

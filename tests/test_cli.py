@@ -138,6 +138,81 @@ class TestExitCodes:
         assert "dimension must be positive" in report["reason"]["detail"]
 
 
+class TestExitContract:
+    """Inputs that once escaped as tracebacks: each exits 2 and writes a report."""
+
+    @pytest.fixture
+    def write(self, tmp_path):
+        def write(name, doc):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            return str(path)
+
+        return write
+
+    def assert_input_error(self, runner, args, tmp_path, detail):
+        out = tmp_path / "rep.json"
+        res = runner.invoke(main, [*args, "-o", str(out)])
+        assert res.exit_code == EXIT_INPUT, res.output
+        report = json.loads(out.read_text())
+        assert report["status"] == "error"
+        assert report["reason"]["class"] == "input"
+        assert detail in report["reason"]["detail"]
+        return report
+
+    def test_non_integer_declared_dimension(self, runner, files, write, tmp_path):
+        doc = json.loads((files["dir"] / "bell.json").read_text())
+        bad = write("dim.json", dict(doc, dimA="x"))
+        self.assert_input_error(runner, ["schmidt", "-i", bad], tmp_path, "invalid literal")
+
+    def test_scalar_statevec(self, runner, write, tmp_path):
+        bad = write("sv.json", {"kind": "statevec", "amplitudes": 3})
+        self.assert_input_error(runner, ["schmidt", "-i", bad], tmp_path, "expected kind 'bipartite'")
+        with pytest.raises(InputError):
+            parse_input(bad)
+
+    def test_string_weights(self, runner, files, write, tmp_path):
+        bad = write("w.json", {"kind": "probvec", "weights": "ab"})
+        self.assert_input_error(
+            runner, ["majorize-check", "-i", bad, "-i", files["y"]], tmp_path, "could not convert"
+        )
+
+    def test_non_numeric_ensemble_weight(self, runner, files, write, tmp_path):
+        bad = write("ens.json", {
+            "kind": "ensemble", "weights": ["w", 0.5],
+            "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        })
+        self.assert_input_error(
+            runner, ["ensemble-verify", "-i", bad, "-i", files["rho"]], tmp_path, "could not convert"
+        )
+
+    def test_probvec_given_to_schmidt(self, runner, files, tmp_path):
+        self.assert_input_error(
+            runner, ["schmidt", "-i", files["x"]], tmp_path, "expected kind 'bipartite', got 'probvec'"
+        )
+
+    def test_nan_tolerance(self, runner, files, tmp_path):
+        report = self.assert_input_error(
+            runner, ["majorize-check", "-i", files["x"], "-i", files["y"], "--tol-major", "nan"],
+            tmp_path, "tolerance 'major'",
+        )
+        assert report["tolerances"]["major"] == "nan"
+
+    def test_negative_tolerance(self, runner, files, tmp_path):
+        self.assert_input_error(
+            runner, ["schmidt", "-i", files["bell"], "--tol-norm", "-1e-9"], tmp_path, "tolerance 'norm'"
+        )
+
+    def test_wrong_input_count(self, runner, files, tmp_path):
+        self.assert_input_error(
+            runner, ["majorize-check", "-i", files["x"]], tmp_path, "takes 2 input(s)"
+        )
+
+    def test_missing_input_file(self, runner, files, tmp_path):
+        missing = str(files["dir"] / "missing.json")
+        self.assert_input_error(runner, ["schmidt", "-i", missing], tmp_path, "missing.json")
+
+
 class TestCommands:
     def test_majorize_check_holds(self, runner, files):
         res = runner.invoke(main, ["majorize-check", "-i", files["x"], "-i", files["y"]])

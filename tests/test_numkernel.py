@@ -4,7 +4,6 @@ import pytest
 from qmajor.numkernel import (
     DensityMatrix,
     ValidationError,
-    complete_basis,
     fix_global_phase,
     frobenius_distance,
     hermitian_eig,
@@ -158,9 +157,3 @@ class TestHelpers:
         assert fixed[idx].imag == pytest.approx(0.0, abs=1e-15)
         assert fixed[idx].real > 0
         assert np.linalg.norm(fixed) == pytest.approx(np.linalg.norm(v))
-
-    def test_complete_basis(self, rng):
-        u = random_unitary(6, seed=8)
-        full = complete_basis(u[:, :2], 6)
-        assert np.linalg.norm(full.conj().T @ full - np.eye(6)) < 1e-10
-        assert np.allclose(full[:, :2], u[:, :2])

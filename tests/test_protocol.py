@@ -309,7 +309,6 @@ class TestStructuredMeasurement:
         for module, name in (
             (qmajor.protocol, "build_measurement"),
             (qmajor.protocol, "weyl_op"),
-            (qmajor.bipartite, "hermitian_eig"),
             (qmajor.numkernel, "hermitian_eig"),
         ):
             monkeypatch.setattr(module, name, forbidden)
