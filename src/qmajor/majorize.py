@@ -10,6 +10,7 @@ transform.  The product of the lifts is then an orthogonal matrix W with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -123,7 +124,12 @@ class TTransform:
         return m
 
     def orthogonal_lift(self, dim: int) -> np.ndarray:
-        """Plane rotation whose entrywise square is the transform matrix."""
+        """Plane rotation whose entrywise square is the transform matrix.
+
+        This is the dense reference form, kept for tests and callers that
+        want the matrix; no library path calls it (``horn_orthogonal``
+        applies the same rotation to two rows in place).
+        """
         g = np.eye(dim)
         c = float(np.sqrt(self.t))
         s = float(np.sqrt(1.0 - self.t))
@@ -147,6 +153,14 @@ class TChain:
     transforms: tuple[TTransform, ...]
     source_permutation: np.ndarray
     target_permutation: np.ndarray
+
+    def __post_init__(self):
+        d = self.dim
+        for tr in self.transforms:
+            if tr.i >= d or tr.k >= d:
+                raise ValidationError(
+                    f"TTransform indices ({tr.i}, {tr.k}) out of range for chain dimension {d}"
+                )
 
     @classmethod
     def plain(cls, transforms, dim: int) -> "TChain":
@@ -289,16 +303,28 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
     """
     transforms, perm_x, perm_y, placement = _chain_construction(x, y, tol)
     d = perm_x.size
-    w0 = np.eye(d)
+    # A column permutation commutes with left rotations, and a row permutation
+    # only relabels the rows a rotation acts on.  So start from the identity
+    # with both sorts and the placement already applied; the lift of sorted
+    # coordinates (i, k) is then a Givens rotation of rows pos[i] and pos[k],
+    # applied in place in O(d).
+    pos = np.empty(d, dtype=np.intp)
+    pos[placement] = perm_x
+    w = np.zeros((d, d))
+    w[pos, perm_y] = 1.0
     for tr in transforms:
-        w0 = tr.orthogonal_lift(d) @ w0
-    # Read the placement arrangement back into sorted-x order, then undo both
-    # sorts so the witness acts on the original orderings.
-    w = np.empty((d, d))
-    w[perm_x[:, None], perm_y] = w0[placement]
+        c, s = math.sqrt(tr.t), math.sqrt(1.0 - tr.t)
+        ri, rk = w[pos[tr.i]], w[pos[tr.k]]
+        old_i = ri.copy()
+        ri *= c
+        ri -= s * rk
+        rk *= c
+        rk += s * old_i
     witness = HornWitness(orthogonal=w, doubly_stochastic=w * w)
 
-    gram = float(np.linalg.norm(w @ w.T - np.eye(d)))
+    gram_defect = w @ w.T
+    gram_defect.flat[:: d + 1] -= 1.0
+    gram = float(np.linalg.norm(gram_defect))
     if gram > 1e-10:
         raise ValidationError(f"orthogonality defect {gram:.3e} in constructed witness")
     return witness

@@ -1,6 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
+from qmajor.bipartite import corollary4_decompose, schmidt
+from qmajor.ensembles import synthesize_ensemble
 from qmajor.majorize import (
     MajorizationError,
     TChain,
@@ -15,9 +19,9 @@ from qmajor.majorize import (
     t_transform_chain,
     unitary_to_stochastic,
 )
-from qmajor.numkernel import ValidationError, random_unitary
+from qmajor.numkernel import ValidationError, random_density, random_unitary
 
-from conftest import mix_down
+from conftest import mix_down, random_bipartite
 
 
 class TestIsMajorizedBy:
@@ -149,6 +153,12 @@ class TestApplyTChain:
         with pytest.raises(ValidationError, match="exceeds"):
             apply_t_chain(chain, [0.2, 0.3, 0.5])
 
+    def test_transform_index_beyond_dimension_rejected(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            TChain.plain([TTransform(0, 5, 0.5)], 3)
+        with pytest.raises(ValidationError, match="out of range"):
+            TChain.plain([TTransform(3, 1, 0.5)], 3)
+
 
 class TestHornOrthogonal:
     def test_two_level_exact(self):
@@ -195,6 +205,86 @@ class TestHornOrthogonal:
         d = witness.doubly_stochastic
         assert np.array_equal(np.sort(d, axis=None), np.sort(np.eye(3), axis=None))
         assert d @ y == pytest.approx(x, abs=0)
+
+
+def _dense_oracle_witness(x, y):
+    """The witness as a dense product of d x d lifts, read back by the chain's permutations."""
+    chain = t_transform_chain(x, y)
+    d = chain.dim
+    w0 = np.eye(d)
+    for tr in chain.transforms:
+        w0 = tr.orthogonal_lift(d) @ w0
+    w = np.empty((d, d))
+    w[:, chain.source_permutation] = w0[chain.target_permutation]
+    return w
+
+
+def _witness_pair(d, case, rng):
+    """(x, y) with x majorized by y, for the named kind of pair."""
+    if d == 1:
+        return np.ones(1), np.ones(1)
+    if case == "zero-padded":
+        y = rng.dirichlet(np.ones(d // 2))
+        return mix_down(np.concatenate([y, np.zeros(d - y.size)]), rng), y
+    if case == "degenerate":
+        levels = rng.dirichlet(np.ones(min(d, 3)))
+        y = rng.permutation(np.repeat(levels, -(-d // levels.size))[:d])
+        y = y / y.sum()
+    else:
+        y = rng.dirichlet(np.ones(d))
+    if case == "uniform":
+        return np.full(d, 1.0 / d), y
+    if case == "permutation":
+        return rng.permutation(y), y
+    return mix_down(y, rng), y
+
+
+class TestHornWitnessStructure:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 64])
+    @pytest.mark.parametrize("case", ["uniform", "degenerate", "zero-padded", "permutation", "mixed"])
+    def test_equals_dense_lift_product(self, d, case, rng):
+        x, y = _witness_pair(d, case, rng)
+        assert np.array_equal(horn_orthogonal(x, y).orthogonal, _dense_oracle_witness(x, y))
+
+    def test_library_paths_use_no_dense_lift(self, monkeypatch, rng):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense d x d matrix built on a library path")
+
+        monkeypatch.setattr(TTransform, "orthogonal_lift", forbidden)
+        y = rng.dirichlet(np.ones(12))
+        x = mix_down(y, rng)
+        with monkeypatch.context() as m:
+            m.setattr(np, "eye", forbidden)
+            witness = horn_orthogonal(x, y)
+        assert np.max(np.abs(witness.doubly_stochastic @ y - x)) <= 1e-9
+        rho = random_density(5, 4, seed=3)
+        p = mix_down(np.concatenate([rho.eigenvalues(), [0.0]]), rng)
+        synthesize_ensemble(rho, p)
+        state = random_bipartite(4, 5, rng)
+        corollary4_decompose(state, mix_down(schmidt(state).coefficients, rng))
+
+    def test_witness_and_chain_are_one_construction(self, rng):
+        cases = ["uniform", "degenerate", "zero-padded", "permutation", "mixed"]
+        for trial in range(100):
+            d = int(rng.integers(1, 129))
+            x, y = _witness_pair(d, cases[trial % len(cases)], rng)
+            y_padded = np.concatenate([y, np.zeros(d - y.size)])
+            dmat = horn_orthogonal(x, y).doubly_stochastic
+            chain_image = apply_t_chain(t_transform_chain(x, y), y)
+            assert np.max(np.abs(dmat @ y_padded - chain_image)) <= 1e-12
+
+    def test_d1024_within_budget(self):
+        rng = np.random.default_rng(1024)
+        d = 1024
+        y = rng.dirichlet(np.ones(d))
+        x = np.full(d, 1.0 / d)
+        start = time.perf_counter()
+        witness = horn_orthogonal(x, y)
+        elapsed = time.perf_counter() - start
+        w = witness.orthogonal
+        assert np.linalg.norm(w @ w.T - np.eye(d)) <= 1e-10
+        assert np.max(np.abs(witness.doubly_stochastic @ y - x)) <= 1e-9
+        assert elapsed < 5.0
 
 
 class TestUnitaryToStochastic:
