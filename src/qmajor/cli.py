@@ -170,7 +170,9 @@ def parse_document(doc, path: str, tols: dict, expect: str | None = None):
         raise InputError(f"{path}: missing field {exc}") from exc
     except ValidationError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: JSON numbers such as 1e400 decode to inf, which int()
+        # refuses, and integers beyond the float range do not convert.
         raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: unknown kind {kind!r}")
 
@@ -252,6 +254,8 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
         for k in sorted(tols):
             if not (math.isfinite(tols[k]) and tols[k] >= 0.0):
                 raise InputError(f"tolerance {k!r} must be finite and non-negative, got {tols[k]!r}")
+        if seed is not None and seed < 0:
+            raise InputError(f"seed must be non-negative, got {seed}")
         if len(inputs) != len(kinds):
             raise InputError(
                 f"{command} takes {len(kinds)} input(s) ({', '.join(kinds)}), got {len(inputs)}"

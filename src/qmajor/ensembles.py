@@ -15,6 +15,7 @@ import numpy as np
 from .numkernel import (
     TOL_NORM,
     TOL_PROB,
+    TOL_TRACE,
     DensityMatrix,
     ValidationError,
     validate_density,
@@ -204,7 +205,10 @@ def verify_ensemble(ensemble: Ensemble, rho: DensityMatrix, tol: float = 1e-8) -
     """Report reconstruction error, weight majorization, and member norms.
 
     Never raises for a failing ensemble; the audit carries the failures.
+    An ensemble whose dimension differs from rho's raises ValidationError.
     """
+    if ensemble.dim != rho.dim:
+        raise ValidationError(f"ensemble states have dimension {ensemble.dim} but rho has {rho.dim}")
     err = float(np.linalg.norm(mixture_matrix(ensemble) - rho.matrix))
     violation = majorization_violation(ensemble.weights, rho.eigenvalues(), max(tol, TOL_PROB))
     live = ensemble.weights > TOL_PROB
@@ -251,13 +255,24 @@ def entropy_report(ensemble: Ensemble, tol: float = 1e-9) -> EntropyReport:
     beyond tol raises.  Eigenvalues at or below the rank floor are compared
     as exact zeros: roundoff of ~1e-17 would otherwise shift non-Lipschitz
     functions such as sum(-sqrt(x)) by more than tol.
+
+    The spectrum comes from the singular values of the amplitude matrix
+    A = [sqrt(w_i) psi_i] (columns), since rho = A A^dagger: no density
+    matrix is formed and no eigensolve runs.  Their squares sum to
+    ||A||_F^2 = tr rho, which must be 1 within TOL_TRACE, the trace check
+    of density_from_ensemble.
     """
-    rho = density_from_ensemble(ensemble)
+    amps = ensemble.states.T * np.sqrt(ensemble.weights)
+    lam = np.zeros(ensemble.dim)
+    lam[: min(amps.shape)] = np.linalg.svd(amps, compute_uv=False) ** 2
+    trace = float(lam.sum())
+    if abs(trace - 1.0) > TOL_TRACE:
+        raise ValidationError(f"trace {trace!r} deviates from 1 by more than {TOL_TRACE}")
+    lam = lam / trace
     h = shannon_entropy(ensemble.weights)
-    s = von_neumann_entropy(rho)
+    s = shannon_entropy(lam)
     if h < s - tol:
         raise ValidationError(f"mixing entropy {h!r} fell below state entropy {s!r}")
-    lam = rho.eigenvalues()
     lam = np.where(lam > _RANK_FLOOR, lam, 0.0)
     schur = check_schur_inequalities(ensemble.weights, lam, tol=tol)
     return EntropyReport(shannon=h, von_neumann=s, schur=schur)

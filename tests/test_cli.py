@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,25 @@ class TestExitContract:
         doc = json.loads((files["dir"] / "bell.json").read_text())
         bad = write("dim.json", dict(doc, dimA="x"))
         self.assert_input_error(runner, ["schmidt", "-i", bad], tmp_path, "invalid literal")
+
+    @pytest.mark.parametrize("field, command", [
+        ("dimA", "schmidt"), ("dimB", "schmidt"), ("dim", "ensemble-synth"),
+    ])
+    def test_overflowing_declared_dimension(self, runner, files, tmp_path, field, command):
+        # JSON 1e400 decodes to inf, which int() refuses with OverflowError
+        source = files["rho"] if field == "dim" else files["bell"]
+        doc = dict(json.loads(Path(source).read_text()), **{field: 0})
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc).replace(f'"{field}": 0', f'"{field}": 1e400'))
+        args = [command, "-i", str(bad)] + (["-i", files["p3"]] if command == "ensemble-synth" else [])
+        self.assert_input_error(runner, args, tmp_path, "cannot convert float infinity")
+
+    def test_negative_seed(self, runner, files, tmp_path):
+        report = self.assert_input_error(
+            runner, ["protocol-run", "-i", files["bell"], "--d", "2", "--seed", "-1"],
+            tmp_path, "seed must be non-negative",
+        )
+        assert report["seed"] == -1
 
     def test_scalar_statevec(self, runner, write, tmp_path):
         bad = write("sv.json", {"kind": "statevec", "amplitudes": 3})

@@ -1,0 +1,204 @@
+"""Property-based fuzzing of document parsing and the CLI exit contract.
+
+Every input file, well formed or not, must end in exit 0, 1 or 2 with a JSON
+report whose status matches the code: 0 "ok", 1 "rejected" (a domain
+rejection), 2 "error" (malformed or invalid input).  An uncaught exception
+would surface as exit 1 with no report.  Documents are drawn valid most of
+the time so that the commands run to a result, then mutated one field at a
+time, swapped for another kind, truncated or replaced by arbitrary JSON.
+Dimensions stay at most 4 and ``--d`` at most 8, so every job is small.
+Examples are derandomized, so the suite runs the same inputs every time.
+"""
+
+import json
+import tempfile
+import traceback
+from pathlib import Path
+
+import numpy as np
+from click.testing import CliRunner
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+
+from qmajor.cli import _DEFAULT_TOLS, InputError, main, parse_document
+from qmajor.numkernel import ValidationError
+
+COMMANDS = {
+    "majorize-check": ("probvec", "probvec"),
+    "majorize-decompose": ("probvec", "probvec"),
+    "ensemble-synth": ("density", "probvec"),
+    "ensemble-verify": ("ensemble", "density"),
+    "schmidt": ("bipartite",),
+    "corollary4": ("bipartite", "probvec"),
+    "protocol-run": ("bipartite",),
+    "schur-report": ("probvec", "probvec"),
+}
+STATUS = {0: "ok", 1: "rejected", 2: "error"}
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+dims = st.integers(1, 4)
+# Exact zeros and ties give rank-deficient and degenerate inputs.
+unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+signed = st.just(0.0) | st.floats(-1.0, 1.0)
+# Values JSON can carry that a field may not expect: inf and 10**400 do not
+# fit an int or a float, nan compares false, strings and containers.
+special = st.sampled_from(
+    [None, True, -1, 0, 10**400, -0.0, float("inf"), float("nan"), 1e-320, "x", [], {}, [[0, 0]]]
+)
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | special,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _entries(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _normalized(w):
+    total = float(np.sum(w))
+    return w / total if total > 0 else np.full(w.size, 1.0 / w.size)
+
+
+@st.composite
+def complex_matrix(draw, rows, cols):
+    re = draw(st.lists(signed, min_size=rows * cols, max_size=rows * cols))
+    im = draw(st.lists(signed, min_size=rows * cols, max_size=rows * cols))
+    return (np.array(re) + 1j * np.array(im)).reshape(rows, cols)
+
+
+@st.composite
+def probvec(draw):
+    w = np.array(draw(st.lists(unit, min_size=1, max_size=5)))
+    return {"kind": "probvec", "weights": _normalized(w).tolist()}
+
+
+@st.composite
+def density(draw):
+    n = draw(dims)
+    g = draw(complex_matrix(n, draw(st.integers(1, n))))
+    m = g @ g.conj().T
+    trace = float(np.trace(m).real)
+    m = m / trace if trace > 0 else np.eye(n) / n
+    return {"kind": "density", "dim": n, "entries": _entries(m)}
+
+
+@st.composite
+def bipartite(draw):
+    a, b = draw(dims), draw(dims)
+    m = draw(complex_matrix(a, b))
+    norm = float(np.linalg.norm(m))
+    m = m / norm if norm > 0 else np.eye(a, b) / np.sqrt(min(a, b))
+    return {"kind": "bipartite", "dimA": a, "dimB": b, "amplitudes": _entries(m)}
+
+
+@st.composite
+def ensemble(draw):
+    n, count = draw(dims), draw(dims)
+    states = draw(complex_matrix(count, n))
+    norms = np.linalg.norm(states, axis=1)
+    states[norms == 0, 0] = 1.0
+    states = states / np.linalg.norm(states, axis=1)[:, None]
+    w = np.array(draw(st.lists(unit, min_size=count, max_size=count)))
+    doc = {"kind": "ensemble", "weights": _normalized(w).tolist(), "states": _entries(states)}
+    if draw(st.booleans()):
+        doc["synthetic"] = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    return doc
+
+
+@st.composite
+def statevec(draw):
+    v = draw(complex_matrix(1, draw(dims)))
+    return {"kind": "statevec", "amplitudes": _entries(v)[0]}
+
+
+@st.composite
+def matrix(draw):
+    return {"kind": "matrix", "entries": _entries(draw(complex_matrix(draw(dims), draw(dims))))}
+
+
+VALID = {
+    "probvec": probvec(),
+    "density": density(),
+    "bipartite": bipartite(),
+    "ensemble": ensemble(),
+    "statevec": statevec(),
+    "matrix": matrix(),
+}
+
+
+@st.composite
+def document(draw, kind):
+    """A document meant as ``kind``: valid, one field mutated, another kind, or junk."""
+    choice = draw(st.integers(0, 9))
+    if choice < 6:
+        return draw(VALID[kind])
+    if choice < 8:
+        doc = draw(VALID[kind])
+        doc[draw(st.sampled_from([*sorted(doc), "dim", "dimA", "dimB", "synthetic"]))] = draw(junk)
+        return doc
+    if choice == 8:
+        return draw(st.sampled_from(sorted(VALID)).flatmap(lambda k: VALID[k]))
+    return draw(junk)
+
+
+@st.composite
+def invocation(draw):
+    """Command line and input file texts for one CLI job."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    kinds = COMMANDS[command]
+    count = len(kinds) if draw(st.integers(0, 9)) else draw(st.integers(1, 3))
+    texts = []
+    for i in range(count):
+        text = json.dumps(draw(document(kinds[i] if i < len(kinds) else "probvec")))
+        if draw(st.integers(0, 19)) == 0:
+            text = text[: draw(st.integers(0, len(text)))]
+        texts.append(text)
+    opts = []
+    if command == "protocol-run":
+        opts += ["--d", str(draw(st.integers(-1, 8)))]
+        if draw(st.booleans()):
+            opts.append("--exhaustive")
+        opts += ["--seed", str(draw(st.integers(-3, 2**64)))]
+    if draw(st.integers(0, 4)) == 0:
+        name = draw(st.sampled_from(["--tol-herm", "--tol-major", "--tol-norm", "--tol-recon"]))
+        opts += [name, repr(draw(st.floats() | st.sampled_from([0.0, 1e-12, 0.5])))]
+    return command, texts, opts
+
+
+@FUZZ
+@given(st.sampled_from(sorted(VALID)).flatmap(document), st.sampled_from([None, *sorted(VALID)]))
+def test_parse_document_raises_only_input_errors(doc, expect):
+    try:
+        parse_document(doc, "doc", dict(_DEFAULT_TOLS), expect)
+    except (InputError, ValidationError):
+        pass
+
+
+@FUZZ
+@given(invocation())
+def test_cli_exit_contract(inv):
+    command, texts, opts = inv
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [command]
+        for i, text in enumerate(texts):
+            path = Path(tmp, f"in{i}.json")
+            path.write_text(text)
+            args += ["-i", str(path)]
+        out = Path(tmp, "report.json")
+        res = CliRunner().invoke(main, [*args, *opts, "-o", str(out)])
+        assert res.exception is None or isinstance(res.exception, SystemExit), "".join(
+            traceback.format_exception(*res.exc_info)
+        )
+        assert res.exit_code in STATUS, res.output
+        assert out.exists(), f"exit {res.exit_code} wrote no report"
+        report = json.loads(out.read_text())
+    # --hypothesis-show-statistics prints the mix of commands and exit codes
+    event(f"{command} exit {res.exit_code}")
+    assert report["status"] == STATUS[res.exit_code], report
+    assert report["command"] == command

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmajor import ensembles, numkernel
 from qmajor.ensembles import (
     Ensemble,
     density_from_ensemble,
@@ -13,7 +14,7 @@ from qmajor.ensembles import (
     uniform_ensemble,
     verify_ensemble,
 )
-from qmajor.majorize import MajorizationError, is_majorized_by
+from qmajor.majorize import MajorizationError, check_schur_inequalities, is_majorized_by
 from qmajor.numkernel import ValidationError, random_density, random_unitary, validate_density
 
 from conftest import mix_down
@@ -165,6 +166,10 @@ class TestVerifyEnsemble:
         assert audit.frobenius_error == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert not audit.majorization_ok
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="dimension 3 but rho has 2"):
+            verify_ensemble(Ensemble.from_members([(1.0, [1, 0, 0])]), identity_half())
+
     def test_self_consistency_at_tight_tolerance(self):
         ens = Ensemble.from_members([(0.5, KET0), (0.5, PLUS)])
         rho = density_from_ensemble(ens)
@@ -213,3 +218,62 @@ class TestEntropyReport:
 
     def test_shannon_entropy_zero_convention(self):
         assert shannon_entropy([1.0, 0.0]) == 0.0
+
+
+def _synthesized(n, rank, extra=0, seed=0):
+    rho = random_density(n, rank, seed=seed)
+    lam = rho.eigenvalues()
+    p = mix_down(lam, np.random.default_rng(seed)) if n > 1 else lam
+    return synthesize_ensemble(rho, np.concatenate([p, np.zeros(extra)]))
+
+
+ORACLE_CASES = {
+    "n1": lambda: _synthesized(1, 1),
+    "n2": lambda: _synthesized(2, 2, seed=1),
+    "n8": lambda: _synthesized(8, 8, seed=2),
+    "n48": lambda: _synthesized(48, 48, seed=3),
+    "rank-deficient": lambda: _synthesized(8, 3, seed=4),
+    "zero-weight-members": lambda: _synthesized(5, 5, extra=4, seed=5),
+    "fewer-members-than-dim": lambda: synthesize_ensemble(
+        random_density(7, 2, seed=6), [0.3, 0.3, 0.4]
+    ),
+    "uniform": lambda: uniform_ensemble(random_density(6, 4, seed=7), 9),
+}
+
+
+class TestEntropyReportOracle:
+    """entropy_report against the eigenvalues of the assembled density matrix."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_dense_eigensolve(self, case):
+        ens = ORACLE_CASES[case]()
+        lam = density_from_ensemble(ens).eigenvalues()
+        schur = check_schur_inequalities(ens.weights, np.where(lam > 1e-12, lam, 0.0))
+        report = entropy_report(ens)
+        assert report.shannon == shannon_entropy(ens.weights)
+        assert report.von_neumann == pytest.approx(shannon_entropy(lam), abs=1e-12)
+        assert [e.name for e in report.schur.entries] == [e.name for e in schur.entries]
+        for got, want in zip(report.schur.entries, schur.entries):
+            assert got.value_x == want.value_x
+            assert got.value_y == pytest.approx(want.value_y, abs=1e-12), got.name
+        assert report.schur.passed
+
+    def test_runs_no_eigensolve(self, monkeypatch):
+        ens = ORACLE_CASES["rank-deficient"]()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("entropy_report assembled or diagonalised rho")
+
+        monkeypatch.setattr(numkernel, "hermitian_eig", refuse)
+        monkeypatch.setattr(ensembles, "validate_density", refuse)
+        report = entropy_report(ens)
+        assert report.gap >= -1e-9
+        assert report.schur.passed
+
+    def test_trace_check_kept(self):
+        # the norm of a member at or below TOL_PROB weight is not validated,
+        # so only the trace of the mixture can catch it: 1 + 1e-10 * (1e6 - 1)
+        ens = Ensemble.from_members([(1 - 1e-10, KET0), (1e-10, 1e3 * KET1)])
+        for fn in (entropy_report, density_from_ensemble):
+            with pytest.raises(ValidationError, match=r"trace 1\.0000999\d* deviates from 1 by more than 1e-09"):
+                fn(ens)
