@@ -18,14 +18,15 @@ from .numkernel import (
     DensityMatrix,
     DomainError,
     ValidationError,
+    _RANK_FLOOR,
     _canonical_phases,
     validate_density,
 )
-from .majorize import MajorizationError, as_prob_vector, horn_orthogonal, majorization_violation
-from .ensembles import Ensemble, mixture_matrix
+from .majorize import MajorizationError, as_prob_vector, majorization_violation
+from .ensembles import Ensemble, _mix, mixture_matrix
 
-# Schmidt coefficients below this are treated as zero when deciding rank.
-SCHMIDT_RANK_CUTOFF = 1e-12
+# Schmidt coefficients at or below this are treated as zero when deciding rank.
+SCHMIDT_RANK_CUTOFF = _RANK_FLOOR
 
 
 @dataclass(frozen=True)
@@ -120,14 +121,12 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
     u, sigma, vh = _canonical_svd(m)
     lam = sigma**2
     rank = int(np.sum(lam > SCHMIDT_RANK_CUTOFF))
-    dropped = float(np.sum(lam[rank:]))
     decomp = SchmidtDecomposition(
         coefficients=lam[:rank], basis_a=u[:, :rank], basis_b=vh[:rank].T
     )
     err = float(np.linalg.norm(decomp.reconstruct() - m))
     # Weight below the rank cutoff is honestly unreconstructable; budget for it.
-    allowance = float(np.sqrt(dropped + 1e-15 * m.shape[0]))
-    if err > 1e-9 + allowance:
+    if err > 1e-9 + float(np.sqrt(np.sum(lam[rank:]))):
         raise ValidationError(f"Schmidt reconstruction defect {err:.3e}")
     return decomp
 
@@ -224,40 +223,27 @@ class Cor4Decomposition:
 def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
     """Corollary 4 from the factors of target = u diag(sigma) vh.
 
-    With a Horn witness W, (W o W) sigma^2 = q, the identity
-    u diag(sigma) vh = (u W^T) (W diag(sigma) vh) puts an orthonormal A-side
-    basis on the left and, on the right, rows whose squared norms are q.
-    The witness is restricted to weights and coefficients above the rank
-    cutoff: a zero target would otherwise absorb the ~1e-16 total-mass
-    mismatch of the witness, which the square root turns into ~1e-8 of
-    amplitude.  Weights at or below the cutoff take the unused columns of the
-    rotated basis and a placeholder B-side state.
+    The mixing core _mix gives the B-side states, the normalized rows of
+    W diag(sigma) vh for a real orthogonal frame W, and u diag(sigma) vh =
+    (u W^T) (W diag(sigma) vh) puts the orthonormal A-side basis on the left.
+    So a weight at or below the rank cutoff shares the heaviest weight's
+    B-side state, its A-side column Givens-rotated against that weight's, and
+    only a weight of exactly 0 gets an unused column and the placeholder e_0.
+    The check allows the pinned 1e-8, as the witness leaves the mismatch of
+    sum(q) and the target's squared norm (each within about 1e-9 of 1) on
+    the smallest weight, plus the amplitude of coefficients below the cutoff.
     """
-    lam = sigma**2
-    rank = int(np.sum(lam > SCHMIDT_RANK_CUTOFF))
-    live = np.flatnonzero(weights > SCHMIDT_RANK_CUTOFF)
-    idle = np.flatnonzero(weights <= SCHMIDT_RANK_CUTOFF)
-    w = horn_orthogonal(weights[live], lam[:rank]).orthogonal
-    n = w.shape[0]
+    states_b, frame, order = _mix(vh, sigma, weights)
+    n = frame.shape[0]
     rotated = u.copy()
-    rotated[:, :n] = u[:, :n] @ w.T
-
+    rotated[:, :n] = u[:, :n] @ frame.T
     basis_a = np.empty((u.shape[0], weights.size), dtype=np.complex128)
-    basis_a[:, live] = rotated[:, : live.size]
-    basis_a[:, idle] = rotated[:, live.size : weights.size]
-    mixed = (w[: live.size, :rank] * sigma[:rank]) @ vh[:rank]
-    norms = np.linalg.norm(mixed, axis=1)
-    if np.any(norms <= 0.0):
-        i = int(live[np.argmin(norms)])
-        raise ValidationError(f"degenerate mix for member {i} with weight {weights[i]!r}")
-    states_b = np.zeros((weights.size, vh.shape[1]), dtype=np.complex128)
-    states_b[live] = mixed / norms[:, None]
-    states_b[idle, 0] = 1.0
+    basis_a[:, order] = rotated[:, : weights.size]
     decomp = Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
 
     err = float(np.linalg.norm(decomp.reconstruct() - target))
-    slack = float(np.sqrt(max(0.0, 1.0 - lam[:rank].sum()) + 1e-15 * u.shape[0]))
-    if err > 1e-8 + slack:
+    lam = sigma**2
+    if err > 1e-8 + float(np.sqrt(np.sum(lam[lam <= SCHMIDT_RANK_CUTOFF]))):
         raise ValidationError(f"decomposition reconstruction defect {err:.3e}")
     return decomp
 

@@ -18,6 +18,7 @@ from .numkernel import (
     TOL_TRACE,
     DensityMatrix,
     ValidationError,
+    _RANK_FLOOR,
     validate_density,
 )
 from .majorize import (
@@ -31,19 +32,14 @@ from .majorize import (
 )
 
 
-# Eigenvalues at or below this are treated as exact zeros when scaling
-# eigenvectors for synthesis; matches the Schmidt rank cutoff.
-_RANK_FLOOR = 1e-12
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """Weighted collection of pure states realizing a density matrix.
 
     ``states`` holds one state per row, aligned with ``weights``.  Members
-    flagged in ``synthetic`` carry weight zero and a placeholder basis state;
-    they exist only to keep the member count equal to the requested weight
-    vector's length.
+    flagged in ``synthetic`` carry weight exactly zero and the placeholder
+    basis state e_0; they exist only to keep the member count equal to the
+    requested weight vector's length.
     """
 
     weights: np.ndarray
@@ -118,51 +114,65 @@ def is_compatible(p, rho: DensityMatrix, tol: float = TOL_PROB) -> bool:
     return is_majorized_by(weights, rho.eigenvalues(), tol)
 
 
+def _mix(rows: np.ndarray, sigma: np.ndarray, weights: np.ndarray):
+    """The one mixing core of synthesis (rows V^T) and Corollary 4 (rows V^H).
+
+    States are the normalized rows of F diag(sigma) rows, F a real orthogonal
+    frame, sigma decreasing.  Spectrum and weights at or below the rank floor
+    skip the Horn witness (W o W) sigma^2 = weights, so none absorbs its
+    roundoff: the heaviest weight carries the positive ones among them, and
+    each is split off it by a Givens rotation of its frame row against the
+    heaviest one's, sharing its state.  Only a weight of exactly 0 gets the
+    placeholder e_0.  Returns (states, frame, order): member order[k] owns
+    frame row k.
+    """
+    lam = sigma**2
+    rank = int(np.sum(lam > _RANK_FLOOR))
+    live = weights > _RANK_FLOOR
+    # Members above the floor first, then those at or below it, then the zeros.
+    order = np.argsort(np.where(live, 0, np.where(weights > 0.0, 1, 2)), kind="stable")
+    n_live, n_pos = int(np.count_nonzero(live)), int(np.count_nonzero(weights))
+    x = weights[order[:n_live]]
+    heavy = int(np.argmax(x))
+    x[heavy] += weights[order[n_live:n_pos]].sum()
+    witness = horn_orthogonal(x, lam[:rank]).orthogonal
+    frame = np.eye(max(witness.shape[0], n_pos))
+    frame[: witness.shape[0], : witness.shape[0]] = witness
+    carry = x[heavy]
+    for row in range(n_live, n_pos):
+        c, s = np.sqrt([1.0 - weights[order[row]] / carry, weights[order[row]] / carry])
+        frame[[heavy, row]] = np.array([[c, -s], [s, c]]) @ frame[[heavy, row]]
+        carry -= weights[order[row]]
+
+    mixed = (frame[:n_pos, :rank] * sigma[:rank]) @ rows[:rank]
+    norms = np.linalg.norm(mixed, axis=1)
+    if np.any(norms <= 0.0):
+        i = int(order[np.argmin(norms)])
+        raise ValidationError(f"degenerate mix for member {i} with weight {weights[i]!r}")
+    states = np.zeros((weights.size, rows.shape[1]), dtype=np.complex128)
+    # The mix has norm sqrt(p_i) by construction; normalizing by the actual
+    # norm is the same state with the roundoff scrubbed.
+    states[order[:n_pos]] = mixed / norms[:, None]
+    states[order[n_pos:], 0] = 1.0
+    return states, frame, order
+
+
 def synthesize_ensemble(rho: DensityMatrix, p) -> Ensemble:
     """Construct an ensemble for rho with the exact weight vector p.
 
     The eigenvectors of rho, scaled so each has squared norm equal to its
-    eigenvalue, are mixed through the orthogonal witness W of
-    horn_orthogonal(p, spectrum); the i-th mix has norm sqrt(p_i), so
-    normalizing it gives the i-th unit state.  Zero-weight entries get a
-    flagged placeholder basis state so the output length equals len(p).
+    eigenvalue, are mixed through a Horn witness by the mixing core _mix:
+    every positive weight gets a real state, and only a weight of exactly 0
+    gets a flagged placeholder, so the output length equals len(p).
     """
     weights = as_prob_vector(p, name="weights")
-    lam = rho.eigenvalues()
-    violation = majorization_violation(weights, lam)
+    spect = rho.spectrum()
+    violation = majorization_violation(weights, spect.eigenvalues)
     if violation is not None:
         raise MajorizationError(*violation)
-
-    dim = rho.dim
-    n = max(weights.size, dim)
-    lam_ext = np.concatenate([lam, np.zeros(n - lam.size)])
-    w_ext = np.concatenate([weights, np.zeros(n - weights.size)])
-    witness = horn_orthogonal(w_ext, lam_ext)
-
-    # Columns are eigenvectors scaled to squared norm lambda_j, padded with
-    # zero vectors when there are more members than eigenvectors.  Noise-level
-    # eigenvalues are zeroed outright so their sqrt cannot smear ~1e-8
-    # amplitudes across the synthesized states.
-    lam_clean = np.where(lam > _RANK_FLOOR, lam, 0.0)
-    scaled = rho.spectrum().eigenvectors * np.sqrt(lam_clean)
-    scaled = np.concatenate([scaled, np.zeros((dim, n - lam.size))], axis=1)
-
-    m = weights.size
-    states = np.zeros((m, dim), dtype=np.complex128)
-    synthetic = np.zeros(m, dtype=bool)
-    mixed = scaled @ witness.orthogonal.T  # column i = sum_j W_ij e_j
-    for i in range(m):
-        if weights[i] > TOL_PROB:
-            # The mix has norm sqrt(p_i) by construction; normalizing by the
-            # actual norm is the same state with the roundoff scrubbed.
-            norm = float(np.linalg.norm(mixed[:, i]))
-            if norm <= 0.0:
-                raise ValidationError(f"degenerate mix for member {i} with weight {weights[i]!r}")
-            states[i] = mixed[:, i] / norm
-        else:
-            states[i, 0] = 1.0
-            synthetic[i] = True
-    return Ensemble(weights=weights, states=states, synthetic=synthetic)
+    sigma = np.sqrt(np.clip(spect.eigenvalues, 0.0, None))
+    states, _, _ = _mix(spect.eigenvectors.T, sigma, weights)
+    return Ensemble(weights=weights, states=states, synthetic=weights == 0.0)
 
 
 def rank_of(rho: DensityMatrix, tol: float = 1e-9) -> int:

@@ -29,6 +29,10 @@ _JACOBI_MAX_SWEEPS = 100
 # Components smaller than this are ignored when fixing eigenvector phases.
 _PHASE_FLOOR = 1e-12
 
+# The one rank floor: spectra and weights at or below it are not resolved,
+# since a square root turns their ~1e-16 roundoff into ~1e-8 of amplitude.
+_RANK_FLOOR = 1e-12
+
 
 class ValidationError(ValueError):
     """An input value violates a structural invariant (shape, norm, bound)."""
@@ -205,14 +209,12 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     # Canonical phases before tie-breaking so the sort key is well-defined.
     v = v * _canonical_phases(v)
 
-    def sort_key(j: int):
-        col = v[:, j]
-        parts = np.empty(2 * n)
-        parts[0::2] = -col.real
-        parts[1::2] = -col.imag
-        return (-eigvals[j], tuple(parts))
-
-    order = sorted(range(n), key=sort_key)
+    # Primary key (last for np.lexsort): -eigenvalue; then -re, -im per component.
+    keys = np.empty((2 * n + 1, n))
+    keys[0:-1:2] = -v.imag[::-1]
+    keys[1:-1:2] = -v.real[::-1]
+    keys[-1] = -eigvals
+    order = np.lexsort(keys)
     eigvals = eigvals[order]
     vecs = v[:, order]
 

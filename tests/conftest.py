@@ -6,8 +6,18 @@ test run is reproducible.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from qmajor.bipartite import BipartiteState
+
+# The one profile of the property tests: derandomized, so the suite runs the
+# same examples every time.
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def mix_down(y, rng, rounds=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qmajor.numkernel
+from qmajor import bipartite
 from qmajor.bipartite import (
     BipartiteState,
     corollary4_decompose,
@@ -89,6 +90,17 @@ class TestSchmidt:
         dec = schmidt(psi)
         assert dec.rank == 3
         assert np.linalg.norm(dec.reconstruct() - psi.amplitudes) <= 1e-9
+
+    def test_reconstruction_defect_is_caught(self, rng, monkeypatch):
+        svd = bipartite._canonical_svd
+
+        def off_by_2e8(m):
+            u, sigma, vh = svd(m)
+            return u, sigma + np.eye(1, sigma.size)[0] * 2e-8, vh
+
+        monkeypatch.setattr(bipartite, "_canonical_svd", off_by_2e8)
+        with pytest.raises(ValidationError, match="Schmidt reconstruction defect"):
+            schmidt(random_bipartite(2, 2, rng))
 
     def test_canonical_phase(self, rng):
         # first component above 1e-12 of each A-side vector is real positive
@@ -296,6 +308,25 @@ class TestCorollary4:
             q = rng.permutation(np.concatenate([head, tail]))
             assert 0.0 < np.min(q) < 1e-30
             assert_rewrites(psi, q, corollary4_decompose(psi, q))
+
+    @pytest.mark.parametrize("tiny", [1e-14, 1e-13, 1e-12])
+    def test_weight_at_or_below_floor_is_realized(self, rng, tiny):
+        # a weight this small must not absorb the witness's ~1e-16 roundoff,
+        # which costs 1e-7 of amplitude at 1e-14 and more above it
+        psi = random_bipartite(6, 6, rng)
+        q = np.concatenate([np.full(11, (1 - tiny) / 11), [tiny]])
+        dec = corollary4_decompose(psi, q)
+        assert_rewrites(psi, q, dec)
+        # it is split off the heaviest weight and shares its B-side state
+        assert np.linalg.norm(dec.states_b[-1] - dec.states_b[0]) <= 1e-12
+
+    def test_reconstruction_defect_is_caught(self, rng):
+        psi = random_bipartite(3, 3, rng)
+        u, sigma, vh = bipartite._canonical_svd(psi.amplitudes)
+        target = psi.amplitudes.copy()
+        target[0, 0] += 2e-8
+        with pytest.raises(ValidationError, match="reconstruction defect"):
+            bipartite._cor4_from_svd(u, sigma, vh, sigma**2, target)
 
     def test_exactly_zero_padded_weights(self, rng):
         for dim_a, dim_b in ((3, 3), (2, 5), (5, 2)):

@@ -17,10 +17,12 @@ from pathlib import Path
 
 import numpy as np
 from click.testing import CliRunner
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import event, given, strategies as st
 
 from qmajor.cli import _DEFAULT_TOLS, InputError, main, parse_document
 from qmajor.numkernel import ValidationError
+
+from conftest import FUZZ
 
 COMMANDS = {
     "majorize-check": ("probvec", "probvec"),
@@ -33,12 +35,6 @@ COMMANDS = {
     "schur-report": ("probvec", "probvec"),
 }
 STATUS = {0: "ok", 1: "rejected", 2: "error"}
-FUZZ = settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 dims = st.integers(1, 4)
 # Exact zeros and ties give rank-deficient and degenerate inputs.

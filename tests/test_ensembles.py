@@ -99,6 +99,14 @@ class TestSynthesizeEnsemble:
         assert ens.synthetic.tolist() == [False, False, True]
         assert np.allclose(ens.states[2], KET0)
 
+    def test_tiny_weights_get_real_states(self):
+        # a placeholder for each 1e-9 weight would cost 2e-7 in the audit
+        rho = random_density(4, 4, seed=11)
+        p = np.concatenate([np.full(4, (1 - 200e-9) / 4), np.full(200, 1e-9)])
+        ens = synthesize_ensemble(rho, p)
+        assert verify_ensemble(ens, rho).passed
+        assert np.array_equal(ens.synthetic, ens.weights == 0)
+
     def test_round_trip_random(self, rng):
         for _ in range(40):
             dim = int(rng.integers(2, 17))

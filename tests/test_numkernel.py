@@ -62,6 +62,13 @@ class TestHermitianEig:
         with pytest.raises(ValidationError, match="Hermiticity"):
             hermitian_eig([[0, 1], [0, 0]])
 
+    def test_exact_tie_order(self):
+        # equal eigenvalues order their phase-fixed eigenvectors by decreasing
+        # (re, im) of each component in turn, so e0 comes before e2
+        spect = hermitian_eig(np.diag([0.25, 0.5, 0.25]))
+        assert spect.eigenvalues.tolist() == [0.5, 0.25, 0.25]
+        assert np.array_equal(spect.eigenvectors, np.eye(3)[:, [1, 0, 2]])
+
 
 class TestValidateDensity:
     def test_identity_half(self):
