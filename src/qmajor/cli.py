@@ -283,13 +283,13 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
 
 
 def _tol_options(fn):
-    fn = click.option("--tol-herm", type=float, default=1e-9, show_default=True,
+    fn = click.option("--tol-herm", type=float, default=_DEFAULT_TOLS["herm"], show_default=True,
                       help="Hermiticity/trace/positivity tolerance for density matrices.")(fn)
-    fn = click.option("--tol-major", type=float, default=1e-9, show_default=True,
+    fn = click.option("--tol-major", type=float, default=_DEFAULT_TOLS["major"], show_default=True,
                       help="Majorization partial-sum tolerance.")(fn)
-    fn = click.option("--tol-norm", type=float, default=1e-9, show_default=True,
+    fn = click.option("--tol-norm", type=float, default=_DEFAULT_TOLS["norm"], show_default=True,
                       help="Unit-norm tolerance for states.")(fn)
-    fn = click.option("--tol-recon", type=float, default=1e-8, show_default=True,
+    fn = click.option("--tol-recon", type=float, default=_DEFAULT_TOLS["recon"], show_default=True,
                       help="Reconstruction tolerance for verification reports.")(fn)
     return fn
 

@@ -10,6 +10,7 @@ transform.  The product of the lifts is then an orthogonal matrix W with
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -48,8 +49,13 @@ def as_prob_vector(weights, tol: float = TOL_PROB, name: str = "probability vect
     return w
 
 
-def _padded_pair(x, y, tol: float):
-    """Coerce to float vectors, reject deep negatives, zero-pad to equal length."""
+def _sorted_pair(x, y, tol: float):
+    """Validate, zero-pad and sort a pair once, and judge it.
+
+    Returns ``(xv, yv, perm_x, perm_y, violation)``: the padded vectors, the
+    stable orders that sort each one decreasing, and the first failing
+    partial sum ``(k, lhs, rhs)`` or None.
+    """
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     yv = np.asarray(y, dtype=np.float64).reshape(-1)
     for name, v in (("x", xv), ("y", yv)):
@@ -62,27 +68,28 @@ def _padded_pair(x, y, tol: float):
     d = max(xv.size, yv.size)
     xv = np.concatenate([np.clip(xv, 0.0, None), np.zeros(d - xv.size)])
     yv = np.concatenate([np.clip(yv, 0.0, None), np.zeros(d - yv.size)])
-    return xv, yv
+    perm_x = np.argsort(-xv, kind="stable")
+    perm_y = np.argsort(-yv, kind="stable")
+    cx = np.cumsum(xv[perm_x])
+    cy = np.cumsum(yv[perm_y])
+    violation = None
+    failing = np.flatnonzero(cx[:-1] > cy[:-1] + tol)
+    if failing.size:
+        k = int(failing[0])
+        violation = k + 1, float(cx[k]), float(cy[k])
+    elif abs(cx[-1] - cy[-1]) > tol:
+        violation = d, float(cx[-1]), float(cy[-1])
+    return xv, yv, perm_x, perm_y, violation
 
 
 def majorization_violation(x, y, tol: float = TOL_PROB):
     """First failing partial sum of the majorization comparison, or None.
 
-    Returns ``(k, lhs, rhs)`` with 1-based k; k == len(x) flags a total
-    mismatch.  Vectors of unequal length are zero-padded.
+    Returns ``(k, lhs, rhs)`` with 1-based k.  Vectors of unequal length are
+    zero-padded to d = max(len(x), len(y)), and k == d flags a total
+    mismatch: ``([0.4, 0.4], [0.5, 0.3, 0.1, 0.1])`` gives ``(4, 0.8, 1.0)``.
     """
-    xv, yv = _padded_pair(x, y, tol)
-    xs = np.sort(xv)[::-1]
-    ys = np.sort(yv)[::-1]
-    cx = np.cumsum(xs)
-    cy = np.cumsum(ys)
-    d = xs.size
-    for k in range(d - 1):
-        if cx[k] > cy[k] + tol:
-            return k + 1, float(cx[k]), float(cy[k])
-    if abs(cx[-1] - cy[-1]) > tol:
-        return d, float(cx[-1]), float(cy[-1])
-    return None
+    return _sorted_pair(x, y, tol)[4]
 
 
 def is_majorized_by(x, y, tol: float = TOL_PROB) -> bool:
@@ -90,10 +97,12 @@ def is_majorized_by(x, y, tol: float = TOL_PROB) -> bool:
     return majorization_violation(x, y, tol) is None
 
 
-def _require_majorized(x, y, tol: float = TOL_PROB) -> None:
-    violation = majorization_violation(x, y, tol)
+def _majorized_pair(x, y, tol: float):
+    """``_sorted_pair`` minus its verdict; raises MajorizationError on a violation."""
+    xv, yv, perm_x, perm_y, violation = _sorted_pair(x, y, tol)
     if violation is not None:
         raise MajorizationError(*violation)
+    return xv, yv, perm_x, perm_y
 
 
 @dataclass(frozen=True)
@@ -155,6 +164,16 @@ class TChain:
     target_permutation: np.ndarray
 
     def __post_init__(self):
+        # The source is checked first, so ``dim`` is defined for the target.
+        for name in ("source_permutation", "target_permutation"):
+            perm = getattr(self, name)
+            if not (
+                isinstance(perm, np.ndarray)
+                and perm.ndim == 1
+                and perm.dtype.kind in "iu"
+                and np.array_equal(np.sort(perm), np.arange(self.dim))
+            ):
+                raise ValidationError(f"{name} is not a 1-D integer permutation of range(dim)")
         d = self.dim
         for tr in self.transforms:
             if tr.i >= d or tr.k >= d:
@@ -179,79 +198,45 @@ class TChain:
         return len(self.transforms)
 
 
-def _chain_construction(x, y, tol: float = TOL_PROB):
-    """Shared constructive core for t_transform_chain and horn_orthogonal.
-
-    Returns (transforms, perm_x, perm_y, placement) where the transforms act
-    on coordinates of ys = y[perm_y], and after applying them in order the
-    value xs[j] (xs = x[perm_x]) sits at coordinate placement[j].
-    """
-    _require_majorized(x, y, tol)
-    xv, yv = _padded_pair(x, y, tol)
-    d = xv.size
-    perm_x = np.argsort(-xv, kind="stable")
-    perm_y = np.argsort(-yv, kind="stable")
-    xs = xv[perm_x]
-    w = yv[perm_y].copy()
-
-    # Positions still in play, kept sorted by decreasing current value.  Ties
-    # keep insertion order, so the whole walk is deterministic.
-    order = list(range(d))
-    placement = np.empty(d, dtype=np.intp)
-    transforms: list[TTransform] = []
-
-    for step in range(d):
-        target = xs[step]
-        if len(order) == 1:
-            placement[step] = order[0]
-            break
-        a = order[0]
-        # Pair the largest remaining component with the deepest component that
-        # does not exceed the target value.
-        ge_count = 0
-        for pos in order:
-            if w[pos] >= target:
-                ge_count += 1
-            else:
-                break
-        k = min(ge_count + 1, len(order))
-        b = order[k - 1]
-        wa, wb = w[a], w[b]
-        if wa > wb:
-            t = (target - wb) / (wa - wb)
-            t = min(1.0, max(0.0, float(t)))
-        else:
-            t = 1.0
-        placement[step] = a
-        order.pop(0)
-        if t < 1.0:
-            transforms.append(TTransform(i=int(a), k=int(b), t=t))
-            w[a] = t * wa + (1.0 - t) * wb
-            w[b] = (1.0 - t) * wa + t * wb
-            # b's value grew: move it left to keep the order sorted, landing
-            # before any equal values so the walk stays deterministic.
-            order.remove(b)
-            lo, hi = 0, len(order)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if w[order[mid]] > w[b]:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            order.insert(lo, b)
-    return transforms, perm_x, perm_y, placement
-
-
 def t_transform_chain(x, y, tol: float = TOL_PROB) -> TChain:
     """Constructive witness for x majorized by y, at most d-1 transforms long.
 
     Raises :class:`MajorizationError` naming the first failing partial sum
     when the precondition does not hold.
     """
-    transforms, perm_x, perm_y, placement = _chain_construction(x, y, tol)
-    d = perm_x.size
+    xv, yv, perm_x, perm_y = _majorized_pair(x, y, tol)
+    d = xv.size
+    xs = xv[perm_x].tolist()
+    w = yv[perm_y].tolist()
+
+    # Positions still in play, kept sorted by decreasing current value.  Ties
+    # keep insertion order, so the whole walk is deterministic.
+    order = list(range(d))
+    key = lambda p: -w[p]
     target_permutation = np.empty(d, dtype=np.intp)
-    target_permutation[perm_x] = placement
+    transforms: list[TTransform] = []
+
+    for step in range(d - 1):
+        target = xs[step]
+        # Pair the largest remaining component with the deepest component that
+        # does not exceed the target value.
+        ib = min(bisect.bisect_right(order, -target, key=key), len(order) - 1)
+        a, b = order[0], order[ib]
+        wa, wb = w[a], w[b]
+        if wa > wb:
+            t = min(1.0, max(0.0, (target - wb) / (wa - wb)))
+        else:
+            t = 1.0
+        target_permutation[perm_x[step]] = a
+        del order[0]
+        if t < 1.0:
+            transforms.append(TTransform(i=a, k=b, t=t))
+            w[b] = (1.0 - t) * wa + t * wb
+            # b's value grew: move it left to keep the order sorted, landing
+            # before any equal values so the walk stays deterministic.
+            del order[ib - 1]
+            order.insert(bisect.bisect_left(order, -w[b], key=key), b)
+    target_permutation[perm_x[d - 1]] = order[0]
     return TChain(
         transforms=tuple(transforms),
         source_permutation=perm_y,
@@ -297,22 +282,22 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
 
     The transform chain for (x, y) is lifted rotation by rotation; because
     each step retires the coordinate it fixes, the product of the lifts
-    squares entrywise to the product of the transforms.  Sorting and
-    placement bookkeeping are row and column permutations, which commute
+    squares entrywise to the product of the transforms.  The chain's source
+    and target permutations are column and row permutations, which commute
     with the entrywise square.
     """
-    transforms, perm_x, perm_y, placement = _chain_construction(x, y, tol)
-    d = perm_x.size
+    chain = t_transform_chain(x, y, tol)
+    d = chain.dim
     # A column permutation commutes with left rotations, and a row permutation
     # only relabels the rows a rotation acts on.  So start from the identity
-    # with both sorts and the placement already applied; the lift of sorted
-    # coordinates (i, k) is then a Givens rotation of rows pos[i] and pos[k],
-    # applied in place in O(d).
+    # with both of the chain's permutations already applied; the lift of
+    # sorted coordinates (i, k) is then a Givens rotation of rows pos[i] and
+    # pos[k], applied in place in O(d).
     pos = np.empty(d, dtype=np.intp)
-    pos[placement] = perm_x
+    pos[chain.target_permutation] = np.arange(d)
     w = np.zeros((d, d))
-    w[pos, perm_y] = 1.0
-    for tr in transforms:
+    w[pos, chain.source_permutation] = 1.0
+    for tr in chain.transforms:
         c, s = math.sqrt(tr.t), math.sqrt(1.0 - tr.t)
         ri, rk = w[pos[tr.i]], w[pos[tr.k]]
         old_i = ri.copy()
@@ -348,15 +333,14 @@ def _neg_entropy(x: np.ndarray) -> float:
     return float(np.sum(pos * np.log(pos)))
 
 
-def _xlogx(u: float) -> float:
-    return u * np.log(u) if u > 0.0 else 0.0
+def _xlogx(u: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u > 0.0, u * np.log(u), 0.0)
 
 
-SCHUR_FUNCTION_NAMES = ("neg_entropy", "power_sum", "neg_product", "neg_max")
-
-# Convex scalar functions f; each induces the Schur-convex map
-# x -> sum_i f(x_i) on probability vectors.
-CONVEX_SCALAR_REGISTRY: dict[str, Callable[[float], float]] = {
+# Convex scalar functions f, applied entrywise to an array; each induces the
+# Schur-convex map x -> sum_i f(x_i) on probability vectors.
+CONVEX_SCALAR_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "square": lambda u: u * u,
     "cube": lambda u: u * u * u,
     "exp": np.exp,
@@ -366,11 +350,13 @@ CONVEX_SCALAR_REGISTRY: dict[str, Callable[[float], float]] = {
 
 
 def schur_value(name: str, x, k: float | None = None) -> float:
-    """Evaluate a built-in Schur-convex function on a probability vector.
+    """Evaluate a built-in Schur function on a probability vector.
 
     ``neg_entropy`` is sum(x log x) with 0 log 0 := 0 (natural log);
     ``power_sum`` is sum(x**k) and requires k >= 1; ``neg_product`` is
-    -prod(x); ``neg_max`` is minus the largest component.
+    -prod(x).  These three are Schur-convex.  ``neg_max``, minus the largest
+    component, is Schur-concave: [0.5, 0.5] is majorized by [1, 0], yet
+    -0.5 > -1.
     """
     w = as_prob_vector(x, name="x")
     if name == "neg_entropy":
@@ -422,8 +408,7 @@ def check_schur_inequalities(x, y, tol: float = 1e-9) -> SchurReport:
     the largest component enters with a plus sign: max is Schur-convex
     (its negation is not, despite being a popular disorder measure).
     """
-    _require_majorized(x, y, tol=max(tol, TOL_PROB))
-    xv, yv = _padded_pair(x, y, max(tol, TOL_PROB))
+    xv, yv = _majorized_pair(x, y, max(tol, TOL_PROB))[:2]
     entries: list[SchurEntry] = []
     entries.append(SchurEntry("neg_entropy", _neg_entropy(xv), _neg_entropy(yv)))
     for k in _POWER_SUM_EXPONENTS:
@@ -436,8 +421,8 @@ def check_schur_inequalities(x, y, tol: float = 1e-9) -> SchurReport:
         entries.append(
             SchurEntry(
                 f"sum[{fname}]",
-                float(sum(f(u) for u in xv)),
-                float(sum(f(u) for u in yv)),
+                float(sum(f(xv).tolist())),
+                float(sum(f(yv).tolist())),
             )
         )
     report = SchurReport(entries=tuple(entries), tol=tol)

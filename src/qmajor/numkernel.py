@@ -16,7 +16,6 @@ import numpy as np
 # per-call override.
 TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
-TOL_PSD = 1e-9
 TOL_ORTH = 1e-9
 TOL_RECON = 1e-8
 TOL_NORM = 1e-9
@@ -50,25 +49,6 @@ def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
-
-
-def as_vector(entries, name: str = "vector") -> np.ndarray:
-    """Coerce to a fresh 1-D complex128 array with finite entries."""
-    v = np.array(entries, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValidationError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return v
-
-
-def as_state_vector(entries, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
-    """Validate a unit vector: Euclidean norm within ``tol`` of 1."""
-    v = as_vector(entries, name)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"{name} norm {norm!r} deviates from 1 by more than {tol}")
-    return v
 
 
 def frobenius_distance(a, b) -> float:

@@ -159,6 +159,25 @@ class TestApplyTChain:
         with pytest.raises(ValidationError, match="out of range"):
             TChain.plain([TTransform(3, 1, 0.5)], 3)
 
+    def test_permutation_lengths_must_agree(self):
+        with pytest.raises(ValidationError, match="target_permutation is not"):
+            TChain(transforms=(), source_permutation=np.arange(3), target_permutation=np.arange(4))
+
+    def test_permutation_entry_out_of_range_rejected(self):
+        with pytest.raises(ValidationError, match="target_permutation is not"):
+            TChain(transforms=(), source_permutation=np.arange(3), target_permutation=np.array([0, 1, 5]))
+
+    def test_repeated_permutation_entry_rejected(self):
+        # Applied, [0, 0, 1] would copy y[0] twice and change the total.
+        with pytest.raises(ValidationError, match="source_permutation is not"):
+            TChain(transforms=(), source_permutation=np.array([0, 0, 1]), target_permutation=np.arange(3))
+
+    def test_permutation_must_be_an_integer_array(self):
+        with pytest.raises(ValidationError, match="source_permutation is not"):
+            TChain(transforms=(), source_permutation=[0, 1, 2], target_permutation=np.arange(3))
+        with pytest.raises(ValidationError, match="target_permutation is not"):
+            TChain(transforms=(), source_permutation=np.arange(3), target_permutation=np.arange(3.0))
+
 
 class TestHornOrthogonal:
     def test_two_level_exact(self):
@@ -285,6 +304,155 @@ class TestHornWitnessStructure:
         assert np.linalg.norm(w @ w.T - np.eye(d)) <= 1e-10
         assert np.max(np.abs(witness.doubly_stochastic @ y - x)) <= 1e-9
         assert elapsed < 5.0
+
+
+def _reference_violation(x, y, tol=1e-9):
+    """Loop form of the majorization test: first failing partial sum, or None."""
+    xs = np.sort(np.clip(x, 0.0, None))[::-1]
+    ys = np.sort(np.clip(y, 0.0, None))[::-1]
+    d = max(xs.size, ys.size)
+    cx = np.cumsum(np.concatenate([xs, np.zeros(d - xs.size)]))
+    cy = np.cumsum(np.concatenate([ys, np.zeros(d - ys.size)]))
+    for k in range(d - 1):
+        if cx[k] > cy[k] + tol:
+            return k + 1, float(cx[k]), float(cy[k])
+    if abs(cx[-1] - cy[-1]) > tol:
+        return d, float(cx[-1]), float(cy[-1])
+    return None
+
+
+def _reference_chain(x, y):
+    """The walk with a linear scan for the partner and a hand-written insertion search.
+
+    Returns the ``(i, k, t)`` transforms and both permutations, as
+    ``t_transform_chain`` must.
+    """
+    d = max(len(x), len(y))
+    xv = np.concatenate([np.clip(x, 0.0, None), np.zeros(d - len(x))])
+    yv = np.concatenate([np.clip(y, 0.0, None), np.zeros(d - len(y))])
+    perm_x = np.argsort(-xv, kind="stable")
+    perm_y = np.argsort(-yv, kind="stable")
+    xs = xv[perm_x]
+    w = yv[perm_y].copy()
+    order = list(range(d))
+    placement = np.empty(d, dtype=np.intp)
+    transforms = []
+    for step in range(d):
+        target = xs[step]
+        if len(order) == 1:
+            placement[step] = order[0]
+            break
+        a = order[0]
+        ge_count = 0
+        for pos in order:
+            if w[pos] >= target:
+                ge_count += 1
+            else:
+                break
+        b = order[min(ge_count + 1, len(order)) - 1]
+        wa, wb = w[a], w[b]
+        t = min(1.0, max(0.0, float((target - wb) / (wa - wb)))) if wa > wb else 1.0
+        placement[step] = a
+        order.pop(0)
+        if t < 1.0:
+            transforms.append((int(a), int(b), t))
+            w[a] = t * wa + (1.0 - t) * wb
+            w[b] = (1.0 - t) * wa + t * wb
+            order.remove(b)
+            lo, hi = 0, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if w[order[mid]] > w[b]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            order.insert(lo, b)
+    target_permutation = np.empty(d, dtype=np.intp)
+    target_permutation[perm_x] = placement
+    return transforms, perm_y, target_permutation
+
+
+def _tie_heavy_pair(rng, case):
+    """(x, y) of dimension up to about 200, rich in equal entries."""
+    d = int(rng.integers(1, 201))
+    if d == 1:
+        return np.ones(1), np.ones(1)
+    if case == "degenerate":
+        levels = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        y = rng.permutation(np.repeat(levels, -(-d // levels.size))[:d])
+        y = y / y.sum()
+    else:
+        y = rng.dirichlet(np.ones(d))
+    if case == "rounded":
+        y = np.round(y, 2)
+        y = y / y.sum() if y.sum() > 0 else np.full(d, 1.0 / d)
+        x = np.round(mix_down(y, rng), 2)
+        return (x / x.sum() if x.sum() > 0 else np.full(d, 1.0 / d)), y
+    if case == "zero-padded":
+        short = y[: d // 2 + 1] / y[: d // 2 + 1].sum()
+        return rng.permutation(mix_down(np.concatenate([short, np.zeros(d - short.size)]), rng)), short
+    if case == "permutation":
+        return rng.permutation(y), y
+    if case == "rejection":
+        return rng.permutation(np.eye(1, d).ravel()), y
+    return mix_down(y, rng), y
+
+
+class TestChainOracle:
+    """The library walk against the linear-scan reference, and its time budget."""
+
+    CASES = ("rounded", "degenerate", "zero-padded", "permutation", "rejection", "mixed")
+
+    def test_matches_linear_scan_reference(self):
+        rng = np.random.default_rng(4242)
+        rejected = 0
+        for trial in range(480):
+            x, y = _tie_heavy_pair(rng, self.CASES[trial % len(self.CASES)])
+            expected = _reference_violation(x, y)
+            assert majorization_violation(x, y) == expected
+            if expected is not None:
+                rejected += 1
+                with pytest.raises(MajorizationError) as exc:
+                    t_transform_chain(x, y)
+                assert (exc.value.k, exc.value.lhs, exc.value.rhs) == expected
+                continue
+            transforms, source, target = _reference_chain(x, y)
+            chain = t_transform_chain(x, y)
+            assert [(tr.i, tr.k, tr.t) for tr in chain.transforms] == transforms
+            assert np.array_equal(chain.source_permutation, source)
+            assert np.array_equal(chain.target_permutation, target)
+        assert rejected >= 60
+
+    def test_schur_sums_match_per_coordinate_loop(self, rng):
+        scalar = {
+            "square": lambda u: u * u,
+            "cube": lambda u: u * u * u,
+            "exp": np.exp,
+            "xlogx": lambda u: u * np.log(u) if u > 0.0 else 0.0,
+            "neg_sqrt": lambda u: -np.sqrt(u),
+        }
+        for trial in range(60):
+            x, y = _tie_heavy_pair(rng, self.CASES[trial % 3])
+            if not is_majorized_by(x, y):
+                continue
+            d = max(len(x), len(y))
+            entries = {e.name: e for e in check_schur_inequalities(x, y).entries}
+            for fname, f in scalar.items():
+                for v, got in ((x, entries[f"sum[{fname}]"].value_x), (y, entries[f"sum[{fname}]"].value_y)):
+                    padded = np.concatenate([np.clip(v, 0.0, None), np.zeros(d - len(v))])
+                    assert got == float(sum(f(u) for u in padded))
+
+    def test_d8192_within_budget(self):
+        rng = np.random.default_rng(8192)
+        d = 8192
+        y = rng.dirichlet(np.ones(d))
+        x = np.full(d, 1.0 / d)
+        start = time.perf_counter()
+        chain = t_transform_chain(x, y)
+        elapsed = time.perf_counter() - start
+        assert len(chain) <= d - 1
+        assert np.max(np.abs(apply_t_chain(chain, y) - x)) <= 1e-10
+        assert elapsed < 2.0
 
 
 class TestUnitaryToStochastic:
