@@ -229,9 +229,9 @@ def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
     So a weight at or below the rank cutoff shares the heaviest weight's
     B-side state, its A-side column Givens-rotated against that weight's, and
     only a weight of exactly 0 gets an unused column and the placeholder e_0.
-    The check allows the pinned 1e-8, as the witness leaves the mismatch of
-    sum(q) and the target's squared norm (each within about 1e-9 of 1) on
-    the smallest weight, plus the amplitude of coefficients below the cutoff.
+    The witness runs against the spectrum scaled to sum(q), so a target whose
+    norm is off 1 by e is rebuilt with an error of about e, and the check
+    allows the pinned 1e-8 plus the amplitude of coefficients below the cutoff.
     """
     states_b, frame, order = _mix(vh, sigma, weights)
     n = frame.shape[0]
@@ -261,7 +261,10 @@ def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
     m = embed_state(psi, max(psi.dim_a, weights.size), psi.dim_b).amplitudes
     u, sigma, vh = _canonical_svd(m)
     lam = sigma**2
-    violation = majorization_violation(weights, lam[lam > SCHMIDT_RANK_CUTOFF])
+    live = lam[lam > SCHMIDT_RANK_CUTOFF]
+    # The coefficients sum to the squared norm, within about 2e-9 of 1, so
+    # they are compared at the total of q, as the mixing core mixes them.
+    violation = majorization_violation(weights, live * (weights.sum() / live.sum()))
     if violation is not None:
         raise MajorizationError(*violation)
     return _cor4_from_svd(u, sigma, vh, weights, m)

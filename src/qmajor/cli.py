@@ -3,7 +3,8 @@
 Each invocation runs one job: parse JSON inputs, dispatch to the library,
 write one machine-readable JSON report.  Exit codes separate the three
 failure classes: 0 success, 1 domain rejection (a precondition such as
-majorization fails), 2 malformed or invalid input.
+majorization fails), 2 malformed or invalid input.  Each command is
+declared once, with its input kinds and the tolerance flags its job applies.
 
 Reports are deterministic: identical inputs, options and seed produce
 byte-identical bytes.  Complex numbers are two-element [re, im] arrays and
@@ -31,8 +32,8 @@ from .numkernel import (
 from .majorize import (
     MajorizationError,
     as_prob_vector,
+    _witness_from_chain,
     check_schur_inequalities,
-    horn_orthogonal,
     majorization_violation,
     t_transform_chain,
 )
@@ -236,33 +237,38 @@ def _transcript_fragment(tr) -> dict:
 
 
 def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: str | None,
-         tols: dict, seed: int | None, job) -> None:
+         flags: dict, seed: int | None, job) -> None:
     """Shared job wrapper: parse, execute, report, map exceptions to exit codes.
 
-    ``kinds`` lists the document kind each input must have, in order.
+    ``kinds`` lists the document kind each input must have, in order, and
+    ``flags`` holds the tolerance flags the command takes, which the report
+    lists.  The parser applies those over ``_DEFAULT_TOLS``, with the
+    probability tolerance derived from the majorization one.
     """
     base = {
         "command": command,
         "version": __version__,
         # JSON has no NaN or infinity; such a tolerance is kept as its string.
-        "tolerances": {k: tols[k] if math.isfinite(tols[k]) else str(tols[k]) for k in sorted(tols)},
+        "tolerances": {k: flags[k] if math.isfinite(flags[k]) else str(flags[k]) for k in sorted(flags)},
         "inputs": [],
     }
     if seed is not None:
         base["seed"] = seed
     try:
-        for k in sorted(tols):
-            if not (math.isfinite(tols[k]) and tols[k] >= 0.0):
-                raise InputError(f"tolerance {k!r} must be finite and non-negative, got {tols[k]!r}")
+        for k in sorted(flags):
+            if not (math.isfinite(flags[k]) and flags[k] >= 0.0):
+                raise InputError(f"tolerance {k!r} must be finite and non-negative, got {flags[k]!r}")
         if seed is not None and seed < 0:
             raise InputError(f"seed must be non-negative, got {seed}")
         if len(inputs) != len(kinds):
             raise InputError(
                 f"{command} takes {len(kinds)} input(s) ({', '.join(kinds)}), got {len(inputs)}"
             )
+        tols = dict(_DEFAULT_TOLS, **flags)
+        tols["prob"] = max(tols["major"], 1e-9)
         base["inputs"] = [_digest(p) for p in inputs]
         values = [parse_input(p, tols, kind) for p, kind in zip(inputs, kinds)]
-        base["result"] = job(values)
+        base["result"] = job(values, tols)
     except (InputError, ValidationError) as exc:
         base["status"] = "error"
         base["reason"] = {"class": "input", "detail": str(exc)}
@@ -282,214 +288,160 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
     raise SystemExit(EXIT_OK)
 
 
-def _tol_options(fn):
-    fn = click.option("--tol-herm", type=float, default=_DEFAULT_TOLS["herm"], show_default=True,
-                      help="Hermiticity/trace/positivity tolerance for density matrices.")(fn)
-    fn = click.option("--tol-major", type=float, default=_DEFAULT_TOLS["major"], show_default=True,
-                      help="Majorization partial-sum tolerance.")(fn)
-    fn = click.option("--tol-norm", type=float, default=_DEFAULT_TOLS["norm"], show_default=True,
-                      help="Unit-norm tolerance for states.")(fn)
-    fn = click.option("--tol-recon", type=float, default=_DEFAULT_TOLS["recon"], show_default=True,
-                      help="Reconstruction tolerance for verification reports.")(fn)
-    return fn
-
-
-def _collect_tols(tol_herm, tol_major, tol_norm, tol_recon) -> dict:
-    return {
-        "herm": tol_herm,
-        "major": tol_major,
-        "norm": tol_norm,
-        "recon": tol_recon,
-        "prob": max(tol_major, 1e-9),
-    }
-
-
-def _io_options(fn):
-    fn = click.option("--input", "-i", "inputs", multiple=True, required=True,
-                      help="Input JSON file; repeat in the documented order.")(fn)
-    fn = click.option("--output", "-o", default=None, help="Report path (default: stdout).")(fn)
-    return fn
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="qmajor")
 def main():
     """Decide, construct and simulate pure-state ensemble decompositions."""
 
 
-@main.command("majorize-check")
-@_io_options
-@_tol_options
-def majorize_check(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
+_TOL_HELP = {
+    "herm": "Hermiticity/trace/positivity tolerance for density matrices.",
+    "major": "Majorization partial-sum tolerance.",
+    "recon": "Reconstruction tolerance for verification reports.",
+}
+
+
+def _command(name: str, kinds: tuple[str, ...], flags: tuple[str, ...] = (), options=()):
+    """Register ``job(values, tols, **options)`` as the one-job command ``name``.
+
+    The command reads one input file per entry of ``kinds`` and takes a
+    ``--tol-<k>`` flag for each ``k`` in ``flags``, the tolerances its job
+    applies, plus the extra click ``options``, whose values reach the job by
+    name.  A ``--seed`` is recorded in the report unless ``--exhaustive`` is
+    set.  The job's docstring is the command's help.
+    """
+    def register(job):
+        def callback(inputs, output, **extra):
+            applied = {k: extra.pop(f"tol_{k}") for k in flags}
+            seed = None if extra.get("exhaustive") else extra.get("seed")
+            _run(name, kinds, inputs, output, applied, seed,
+                 lambda values, tols: job(values, tols, **extra))
+
+        params = [
+            click.Option(["--input", "-i", "inputs"], multiple=True, required=True,
+                         help="Input JSON file; repeat in the documented order."),
+            click.Option(["--output", "-o"], default=None, help="Report path (default: stdout)."),
+            *(click.Option([f"--tol-{k}"], type=float, default=_DEFAULT_TOLS[k], show_default=True,
+                           help=_TOL_HELP[k]) for k in flags),
+            *options,
+        ]
+        main.add_command(click.Command(name, callback=callback, params=params, help=job.__doc__))
+        return job
+
+    return register
+
+
+@_command("majorize-check", ("probvec", "probvec"), ("major",))
+def _majorize_check(values, tols):
     """Check x majorized by y.  Inputs: x probvec, y probvec."""
-    tols = _collect_tols(tol_herm, tol_major, tol_norm, tol_recon)
-
-    def job(values):
-        x, y = values
-        violation = majorization_violation(x, y, tol=tols["major"])
-        if violation is not None:
-            raise MajorizationError(*violation)
-        return {
-            "holds": True,
-            "x": encode_probvec(x),
-            "y": encode_probvec(y),
-        }
-
-    _run("majorize-check", ("probvec", "probvec"), inputs, output, tols, None, job)
+    x, y = values
+    violation = majorization_violation(x, y, tol=tols["major"])
+    if violation is not None:
+        raise MajorizationError(*violation)
+    return {
+        "holds": True,
+        "x": encode_probvec(x),
+        "y": encode_probvec(y),
+    }
 
 
-@main.command("majorize-decompose")
-@_io_options
-@_tol_options
-def majorize_decompose(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
+@_command("majorize-decompose", ("probvec", "probvec"), ("major",))
+def _majorize_decompose(values, tols):
     """T-transform chain and ortho-stochastic witness.  Inputs: x probvec, y probvec."""
-    tols = _collect_tols(tol_herm, tol_major, tol_norm, tol_recon)
-
-    def job(values):
-        x, y = values
-        chain = t_transform_chain(x, y, tol=tols["major"])
-        witness = horn_orthogonal(x, y, tol=tols["major"])
-        return {
-            "chain": {
-                "transforms": [{"i": t.i, "k": t.k, "t": t.t} for t in chain.transforms],
-                "source_permutation": [int(j) for j in chain.source_permutation],
-                "target_permutation": [int(j) for j in chain.target_permutation],
-            },
-            "witness": {
-                "orthogonal": encode_matrix(witness.orthogonal),
-                "doubly_stochastic": encode_matrix(witness.doubly_stochastic),
-            },
-        }
-
-    _run("majorize-decompose", ("probvec", "probvec"), inputs, output, tols, None, job)
+    chain = t_transform_chain(*values, tol=tols["major"])
+    witness = _witness_from_chain(chain)
+    return {
+        "chain": {
+            "transforms": [{"i": t.i, "k": t.k, "t": t.t} for t in chain.transforms],
+            "source_permutation": [int(j) for j in chain.source_permutation],
+            "target_permutation": [int(j) for j in chain.target_permutation],
+        },
+        "witness": {
+            "orthogonal": encode_matrix(witness.orthogonal),
+            "doubly_stochastic": encode_matrix(witness.doubly_stochastic),
+        },
+    }
 
 
-@main.command("ensemble-synth")
-@_io_options
-@_tol_options
-def ensemble_synth(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
+@_command("ensemble-synth", ("density", "probvec"), ("herm",))
+def _ensemble_synth(values, tols):
     """Construct an ensemble for rho with weights p.  Inputs: density, probvec."""
-    tols = _collect_tols(tol_herm, tol_major, tol_norm, tol_recon)
-
-    def job(values):
-        rho, p = values
-        ens = synthesize_ensemble(rho, p)
-        audit = verify_ensemble(ens, rho, tol=tols["recon"])
-        entropy = entropy_report(ens)
-        return {
-            "ensemble": encode_ensemble(ens),
-            "reconstruction_error": audit.frobenius_error,
-            "entropy": {
-                "shannon": entropy.shannon,
-                "von_neumann": entropy.von_neumann,
-                "schur": _schur_fragment(entropy.schur),
-            },
-        }
-
-    _run("ensemble-synth", ("density", "probvec"), inputs, output, tols, None, job)
+    rho, p = values
+    ens = synthesize_ensemble(rho, p)
+    entropy = entropy_report(ens)
+    return {
+        "ensemble": encode_ensemble(ens),
+        "reconstruction_error": verify_ensemble(ens, rho).frobenius_error,
+        "entropy": {
+            "shannon": entropy.shannon,
+            "von_neumann": entropy.von_neumann,
+            "schur": _schur_fragment(entropy.schur),
+        },
+    }
 
 
-@main.command("ensemble-verify")
-@_io_options
-@_tol_options
-def ensemble_verify(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
+@_command("ensemble-verify", ("ensemble", "density"), ("herm", "recon"))
+def _ensemble_verify(values, tols):
     """Audit an ensemble against a density matrix.  Inputs: ensemble, density."""
-    tols = _collect_tols(tol_herm, tol_major, tol_norm, tol_recon)
-
-    def job(values):
-        ens, rho = values
-        audit = verify_ensemble(ens, rho, tol=tols["recon"])
-        return {
-            "passed": audit.passed,
-            "frobenius_error": audit.frobenius_error,
-            "majorization_ok": audit.majorization_ok,
-            "norm_deviations": [float(x) for x in audit.norm_deviations],
-        }
-
-    _run("ensemble-verify", ("ensemble", "density"), inputs, output, tols, None, job)
+    ens, rho = values
+    audit = verify_ensemble(ens, rho, tol=tols["recon"])
+    return {
+        "passed": audit.passed,
+        "frobenius_error": audit.frobenius_error,
+        "majorization_ok": audit.majorization_ok,
+        "norm_deviations": [float(x) for x in audit.norm_deviations],
+    }
 
 
-@main.command("schmidt")
-@_io_options
-@_tol_options
-def schmidt_cmd(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
+@_command("schmidt", ("bipartite",))
+def _schmidt(values, tols):
     """Schmidt decomposition.  Inputs: bipartite state."""
-    tols = _collect_tols(tol_herm, tol_major, tol_norm, tol_recon)
-
-    def job(values):
-        (psi,) = values
-        dec = schmidt(psi)
-        return {
-            "coefficients": encode_probvec(dec.coefficients),
-            "basis_a": [encode_statevec(dec.basis_a[:, j]) for j in range(dec.rank)],
-            "basis_b": [encode_statevec(dec.basis_b[:, j]) for j in range(dec.rank)],
-        }
-
-    _run("schmidt", ("bipartite",), inputs, output, tols, None, job)
+    dec = schmidt(*values)
+    return {
+        "coefficients": encode_probvec(dec.coefficients),
+        "basis_a": [encode_statevec(dec.basis_a[:, j]) for j in range(dec.rank)],
+        "basis_b": [encode_statevec(dec.basis_b[:, j]) for j in range(dec.rank)],
+    }
 
 
-@main.command("corollary4")
-@_io_options
-@_tol_options
-def corollary4(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
+@_command("corollary4", ("bipartite", "probvec"))
+def _corollary4(values, tols):
     """Rewrite a bipartite state with prescribed weights.  Inputs: bipartite, probvec."""
-    tols = _collect_tols(tol_herm, tol_major, tol_norm, tol_recon)
-
-    def job(values):
-        psi, q = values
-        dec = corollary4_decompose(psi, q)
-        recon = dec.reconstruct()
-        return {
-            "weights": encode_probvec(dec.weights),
-            "basis_a": [encode_statevec(dec.basis_a[:, j]) for j in range(dec.weights.size)],
-            "states_b": [encode_statevec(s) for s in dec.states_b],
-            "reconstruction": encode_matrix(recon),
-        }
-
-    _run("corollary4", ("bipartite", "probvec"), inputs, output, tols, None, job)
+    dec = corollary4_decompose(*values)
+    return {
+        "weights": encode_probvec(dec.weights),
+        "basis_a": [encode_statevec(dec.basis_a[:, j]) for j in range(dec.weights.size)],
+        "states_b": [encode_statevec(s) for s in dec.states_b],
+        "reconstruction": encode_matrix(dec.reconstruct()),
+    }
 
 
-@main.command("protocol-run")
-@_io_options
-@_tol_options
-@click.option("--d", "dim", type=int, required=True,
-              help="Schmidt rank of the maximally entangled source.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="PRNG seed for outcome sampling.")
-@click.option("--exhaustive", is_flag=True,
-              help="Enumerate all d^2 outcome branches instead of sampling one.")
-def protocol_run(inputs, output, tol_herm, tol_major, tol_norm, tol_recon, dim, seed, exhaustive):
+@_command("protocol-run", ("bipartite",), options=(
+    click.Option(["--d", "dim"], type=int, required=True,
+                 help="Schmidt rank of the maximally entangled source."),
+    click.Option(["--seed"], type=int, default=0, show_default=True,
+                 help="PRNG seed for outcome sampling."),
+    click.Option(["--exhaustive"], is_flag=True,
+                 help="Enumerate all d^2 outcome branches instead of sampling one."),
+))
+def _protocol_run(values, tols, dim, seed, exhaustive):
     """Simulate the conversion protocol.  Inputs: bipartite target state."""
-    tols = _collect_tols(tol_herm, tol_major, tol_norm, tol_recon)
-
-    def job(values):
-        (target,) = values
-        if exhaustive:
-            transcripts = enumerate_protocol(target, dim)
-            return {
-                "d": dim,
-                "exhaustive": True,
-                "transcripts": [_transcript_fragment(t) for t in transcripts],
-            }
-        tr = run_protocol(target, dim, seed)
-        return {"d": dim, "exhaustive": False, "transcript": _transcript_fragment(tr)}
-
-    _run("protocol-run", ("bipartite",), inputs, output, tols, None if exhaustive else seed, job)
+    (target,) = values
+    if exhaustive:
+        transcripts = enumerate_protocol(target, dim)
+        return {
+            "d": dim,
+            "exhaustive": True,
+            "transcripts": [_transcript_fragment(t) for t in transcripts],
+        }
+    tr = run_protocol(target, dim, seed)
+    return {"d": dim, "exhaustive": False, "transcript": _transcript_fragment(tr)}
 
 
-@main.command("schur-report")
-@_io_options
-@_tol_options
-def schur_report(inputs, output, tol_herm, tol_major, tol_norm, tol_recon):
+@_command("schur-report", ("probvec", "probvec"), ("major",))
+def _schur_report(values, tols):
     """Schur-convex comparisons for x majorized by y.  Inputs: x probvec, y probvec."""
-    tols = _collect_tols(tol_herm, tol_major, tol_norm, tol_recon)
-
-    def job(values):
-        x, y = values
-        report = check_schur_inequalities(x, y, tol=tols["major"])
-        return _schur_fragment(report)
-
-    _run("schur-report", ("probvec", "probvec"), inputs, output, tols, None, job)
+    return _schur_fragment(check_schur_inequalities(*values, tol=tols["major"]))
 
 
 if __name__ == "__main__":

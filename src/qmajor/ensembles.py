@@ -60,6 +60,10 @@ class Ensemble:
         flags = np.array(self.synthetic, dtype=bool)
         if flags.shape != w.shape:
             raise ValidationError("synthetic flags must align with weights")
+        flagged = np.nonzero(flags & (w > 0.0))[0]
+        if flagged.size:
+            i = int(flagged[0])
+            raise ValidationError(f"synthetic member {i} has weight {w[i]!r}, not 0")
         norms = np.linalg.norm(s, axis=1)
         bad = np.nonzero((w > TOL_PROB) & (np.abs(norms - 1.0) > TOL_NORM))[0]
         if bad.size:
@@ -135,7 +139,10 @@ def _mix(rows: np.ndarray, sigma: np.ndarray, weights: np.ndarray):
     x = weights[order[:n_live]]
     heavy = int(np.argmax(x))
     x[heavy] += weights[order[n_live:n_pos]].sum()
-    witness = horn_orthogonal(x, lam[:rank]).orthogonal
+    # The spectrum sums to the trace or squared norm, which may be off 1 by
+    # the input tolerance; the witness runs on it scaled to the weights'
+    # total, and normalizing the mixed rows below removes the scale again.
+    witness = horn_orthogonal(x, lam[:rank] * (x.sum() / lam[:rank].sum())).orthogonal
     frame = np.eye(max(witness.shape[0], n_pos))
     frame[: witness.shape[0], : witness.shape[0]] = witness
     carry = x[heavy]

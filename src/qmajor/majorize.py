@@ -176,6 +176,8 @@ class TChain:
                 raise ValidationError(f"{name} is not a 1-D integer permutation of range(dim)")
         d = self.dim
         for tr in self.transforms:
+            if not isinstance(tr, TTransform):
+                raise ValidationError(f"chain entry {tr!r} is not a TTransform")
             if tr.i >= d or tr.k >= d:
                 raise ValidationError(
                     f"TTransform indices ({tr.i}, {tr.k}) out of range for chain dimension {d}"
@@ -286,7 +288,11 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
     and target permutations are column and row permutations, which commute
     with the entrywise square.
     """
-    chain = t_transform_chain(x, y, tol)
+    return _witness_from_chain(t_transform_chain(x, y, tol))
+
+
+def _witness_from_chain(chain: TChain) -> HornWitness:
+    """The witness of ``horn_orthogonal`` for a chain already built."""
     d = chain.dim
     # A column permutation commutes with left rotations, and a row permutation
     # only relabels the rows a rotation acts on.  So start from the identity

@@ -320,6 +320,17 @@ class TestCorollary4:
         # it is split off the heaviest weight and shares its B-side state
         assert np.linalg.norm(dec.states_b[-1] - dec.states_b[0]) <= 1e-12
 
+    @pytest.mark.parametrize("norm", [1 + 9e-10, 1 - 9e-10])
+    def test_near_unit_norm_target(self, rng, norm):
+        # The coefficients sum to norm**2, off 1 by up to 1.8e-9, while q sums
+        # to 1; compared unscaled they failed the majorization total.
+        for _ in range(20):
+            psi = random_bipartite(6, 6, rng)
+            psi = BipartiteState(amplitudes=psi.amplitudes * norm)
+            coeffs = np.linalg.svd(psi.amplitudes, compute_uv=False) ** 2
+            q = mix_down(coeffs / coeffs.sum(), rng)
+            assert_rewrites(psi, q, corollary4_decompose(psi, q))
+
     def test_reconstruction_defect_is_caught(self, rng):
         psi = random_bipartite(3, 3, rng)
         u, sigma, vh = bipartite._canonical_svd(psi.amplitudes)

@@ -26,12 +26,17 @@ def runner():
 
 
 @pytest.fixture
-def files(tmp_path):
+def write(tmp_path):
     def write(name, doc):
         path = tmp_path / name
         path.write_text(json.dumps(doc))
         return str(path)
 
+    return write
+
+
+@pytest.fixture
+def files(write, tmp_path):
     r = np.sqrt(0.5)
     return {
         "rho": write("rho.json", {
@@ -142,15 +147,6 @@ class TestExitCodes:
 class TestExitContract:
     """Inputs that once escaped as tracebacks: each exits 2 and writes a report."""
 
-    @pytest.fixture
-    def write(self, tmp_path):
-        def write(name, doc):
-            path = tmp_path / name
-            path.write_text(json.dumps(doc))
-            return str(path)
-
-        return write
-
     def assert_input_error(self, runner, args, tmp_path, detail):
         out = tmp_path / "rep.json"
         res = runner.invoke(main, [*args, "-o", str(out)])
@@ -220,7 +216,8 @@ class TestExitContract:
 
     def test_negative_tolerance(self, runner, files, tmp_path):
         self.assert_input_error(
-            runner, ["schmidt", "-i", files["bell"], "--tol-norm", "-1e-9"], tmp_path, "tolerance 'norm'"
+            runner, ["schur-report", "-i", files["x"], "-i", files["y"], "--tol-major", "-1e-9"],
+            tmp_path, "tolerance 'major'",
         )
 
     def test_wrong_input_count(self, runner, files, tmp_path):
@@ -231,6 +228,90 @@ class TestExitContract:
     def test_missing_input_file(self, runner, files, tmp_path):
         missing = str(files["dir"] / "missing.json")
         self.assert_input_error(runner, ["schmidt", "-i", missing], tmp_path, "missing.json")
+
+
+class TestCommandFlags:
+    """Each command takes exactly the tolerance flags its job applies."""
+
+    FLAGS = {
+        "majorize-check": ["--tol-major"],
+        "majorize-decompose": ["--tol-major"],
+        "schur-report": ["--tol-major"],
+        "ensemble-synth": ["--tol-herm"],
+        "ensemble-verify": ["--tol-herm", "--tol-recon"],
+        "schmidt": [],
+        "corollary4": [],
+        "protocol-run": ["--d", "--exhaustive", "--seed"],
+    }
+
+    def test_option_names(self):
+        assert sorted(main.commands) == sorted(self.FLAGS)
+        for name, flags in self.FLAGS.items():
+            opts = sorted(o for p in main.commands[name].params for o in p.opts)
+            assert opts == sorted(["--input", "-i", "--output", "-o", *flags]), name
+
+    @pytest.mark.parametrize("args, keys", [
+        (["majorize-check", "-i", "x", "-i", "y"], ["major"]),
+        (["majorize-decompose", "-i", "x", "-i", "y"], ["major"]),
+        (["schur-report", "-i", "x", "-i", "y"], ["major"]),
+        (["ensemble-synth", "-i", "rho", "-i", "p3"], ["herm"]),
+        (["schmidt", "-i", "bell"], []),
+        (["corollary4", "-i", "bell", "-i", "x"], []),
+        (["protocol-run", "-i", "bell", "--d", "2"], []),
+    ])
+    def test_tolerances_block_lists_the_flags(self, runner, files, args, keys):
+        args = [files.get(a, a) for a in args]
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_OK, res.output
+        tolerances = json.loads(res.output)["tolerances"]
+        assert tolerances == {k: _DEFAULT_TOLS[k] for k in keys}
+
+    @pytest.mark.parametrize("command", ["majorize-check", "majorize-decompose", "schur-report"])
+    def test_tol_major_decides(self, runner, write, command):
+        # x exceeds y's largest entry by 5e-4
+        x = write("x.json", {"kind": "probvec", "weights": [0.5005, 0.4995]})
+        y = write("y.json", {"kind": "probvec", "weights": [0.5, 0.5]})
+        args = [command, "-i", x, "-i", y]
+        assert runner.invoke(main, args).exit_code == EXIT_REJECTED
+        assert runner.invoke(main, [*args, "--tol-major", "1e-3"]).exit_code == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["ensemble-synth", "ensemble-verify"])
+    def test_tol_herm_decides(self, runner, files, write, command):
+        rho = write("rho.json", {
+            "kind": "density", "entries": [[[0.5 + 1e-6, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+        })
+        ens = write("ens.json", {
+            "kind": "ensemble", "weights": [0.5, 0.5], "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        })
+        args = ["ensemble-synth", "-i", rho, "-i", files["p3"]] if command == "ensemble-synth" else [
+            "ensemble-verify", "-i", ens, "-i", rho]
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_INPUT
+        assert "trace" in json.loads(res.output)["reason"]["detail"]
+        assert runner.invoke(main, [*args, "--tol-herm", "1e-3"]).exit_code == EXIT_OK
+
+    def test_tol_recon_decides(self, runner, write):
+        # the audit's Frobenius error is sqrt(2) * 5e-7
+        rho = write("rho.json", {
+            "kind": "density", "entries": [[[0.5 + 5e-7, 0], [0, 0]], [[0, 0], [0.5 - 5e-7, 0]]],
+        })
+        ens = write("ens.json", {
+            "kind": "ensemble", "weights": [0.5, 0.5], "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        })
+        args = ["ensemble-verify", "-i", ens, "-i", rho]
+        for extra, passed in (([], False), (["--tol-recon", "1e-5"], True)):
+            res = runner.invoke(main, [*args, *extra])
+            assert res.exit_code == EXIT_OK
+            report = json.loads(res.output)
+            assert report["result"]["passed"] is passed
+            assert sorted(report["tolerances"]) == ["herm", "recon"]
+
+    def test_flag_not_taken_is_a_usage_error(self, runner, files, tmp_path):
+        out = tmp_path / "rep.json"
+        res = runner.invoke(main, ["schmidt", "-i", files["bell"], "--tol-recon", "1e-3", "-o", str(out)])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+        assert not out.exists()
 
 
 class TestCommands:

@@ -161,8 +161,10 @@ def invocation(draw):
         if draw(st.booleans()):
             opts.append("--exhaustive")
         opts += ["--seed", str(draw(st.integers(-3, 2**64)))]
-    if draw(st.integers(0, 4)) == 0:
-        name = draw(st.sampled_from(["--tol-herm", "--tol-major", "--tol-norm", "--tol-recon"]))
+    # Each command takes only the tolerance flags it applies.
+    flags = [o for p in main.commands[command].params for o in p.opts if o.startswith("--tol-")]
+    if flags and draw(st.integers(0, 4)) == 0:
+        name = draw(st.sampled_from(flags))
         opts += [name, repr(draw(st.floats() | st.sampled_from([0.0, 1e-12, 0.5])))]
     return command, texts, opts
 

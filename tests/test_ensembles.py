@@ -99,6 +99,13 @@ class TestSynthesizeEnsemble:
         assert ens.synthetic.tolist() == [False, False, True]
         assert np.allclose(ens.states[2], KET0)
 
+    def test_synthetic_flag_on_positive_weight_rejected(self):
+        with pytest.raises(ValidationError, match="synthetic member 0"):
+            Ensemble(weights=[0.5, 0.5], states=np.eye(2), synthetic=[True, False])
+        # a flag on an exact zero weight is what synthesis itself produces
+        ens = Ensemble(weights=[1.0, 0.0], states=np.eye(2), synthetic=[False, True])
+        assert ens.synthetic.tolist() == [False, True]
+
     def test_tiny_weights_get_real_states(self):
         # a placeholder for each 1e-9 weight would cost 2e-7 in the audit
         rho = random_density(4, 4, seed=11)

@@ -159,6 +159,12 @@ class TestApplyTChain:
         with pytest.raises(ValidationError, match="out of range"):
             TChain.plain([TTransform(3, 1, 0.5)], 3)
 
+    def test_transform_entries_must_be_ttransforms(self):
+        with pytest.raises(ValidationError, match="not a TTransform"):
+            TChain(transforms=[3], source_permutation=np.arange(3), target_permutation=np.arange(3))
+        with pytest.raises(ValidationError, match="not a TTransform"):
+            TChain.plain([(0, 1, 0.5)], 3)
+
     def test_permutation_lengths_must_agree(self):
         with pytest.raises(ValidationError, match="target_permutation is not"):
             TChain(transforms=(), source_permutation=np.arange(3), target_permutation=np.arange(4))

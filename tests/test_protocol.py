@@ -217,6 +217,19 @@ class TestRunProtocol:
             want = fix_global_phase(target.amplitudes)
             assert np.linalg.norm(tr.final_state.amplitudes - want) <= 1e-8
 
+    @pytest.mark.parametrize("norm", [1 + 9e-10, 1 - 9e-10])
+    def test_near_unit_norm_target(self, rng, norm):
+        # The target's squared norm is off 1 by up to 1.8e-9, the uniform
+        # weights of the rewrite sum to 1; the witness must still run.
+        for seed in range(10):
+            target = random_bipartite(4, 4, rng)
+            target = BipartiteState(amplitudes=target.amplitudes * norm)
+            want = fix_global_phase(target.amplitudes)
+            tr = run_protocol(target, 4, seed)
+            assert np.linalg.norm(tr.final_state.amplitudes - want) <= 1e-8
+        for tr in enumerate_protocol(target, 4):
+            assert np.linalg.norm(tr.final_state.amplitudes - want) <= 1e-8
+
     def test_rank_too_high_rejected(self):
         with pytest.raises(DomainError, match="Schmidt rank"):
             run_protocol(maximally_entangled(4), d=2, seed=0)
