@@ -20,6 +20,7 @@ from .numkernel import (
     ValidationError,
     _RANK_FLOOR,
     _canonical_phases,
+    as_complex_matrix,
     validate_density,
 )
 from .majorize import MajorizationError, as_prob_vector, majorization_violation
@@ -36,11 +37,7 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.amplitudes, dtype=np.complex128)
-        if m.ndim != 2:
-            raise ValidationError(f"bipartite amplitudes must be 2-D, got ndim={m.ndim}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise ValidationError("bipartite amplitudes contain non-finite entries")
+        m = as_complex_matrix(self.amplitudes, "bipartite amplitudes")
         object.__setattr__(self, "amplitudes", m)
 
     @property
@@ -55,10 +52,10 @@ class BipartiteState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _require_unit(psi: BipartiteState, tol: float = TOL_NORM) -> None:
+def _require_unit(psi: BipartiteState) -> None:
     norm = psi.norm()
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"state norm {norm!r} deviates from 1 by more than {tol}")
+    if abs(norm - 1.0) > TOL_NORM:
+        raise ValidationError(f"state norm {norm!r} deviates from 1 by more than {TOL_NORM}")
 
 
 def embed_state(psi: BipartiteState, dim_a: int, dim_b: int) -> BipartiteState:
@@ -151,17 +148,13 @@ def purify(rho: DensityMatrix, weights, states, tol: float = 1e-8) -> BipartiteS
     out returns rho.  The ensemble must actually realize rho within ``tol``.
     """
     w = as_prob_vector(weights, name="weights")
-    s = np.array(states, dtype=np.complex128)
-    if s.ndim != 2 or s.shape[0] != w.shape[0]:
-        raise ValidationError("states must be a 2-D array aligned with weights")
-    ens = Ensemble(weights=w, states=s, synthetic=np.zeros(w.shape[0], dtype=bool))
+    ens = Ensemble(weights=w, states=states, synthetic=np.zeros(w.shape[0], dtype=bool))
     mismatch = float(np.linalg.norm(mixture_matrix(ens) - rho.matrix))
     if mismatch > tol:
         raise DomainError(
             f"ensemble does not realize the density matrix: Frobenius mismatch {mismatch:.3e}"
         )
-    amps = np.sqrt(w)[:, None] * s
-    return BipartiteState(amplitudes=amps)
+    return BipartiteState(amplitudes=np.sqrt(w)[:, None] * ens.states)
 
 
 def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 1e-8) -> np.ndarray:

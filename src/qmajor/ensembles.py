@@ -19,11 +19,13 @@ from .numkernel import (
     DensityMatrix,
     ValidationError,
     _RANK_FLOOR,
+    as_complex_matrix,
     validate_density,
 )
 from .majorize import (
     MajorizationError,
     SchurReport,
+    _neg_entropy,
     as_prob_vector,
     check_schur_inequalities,
     horn_orthogonal,
@@ -48,15 +50,11 @@ class Ensemble:
 
     def __post_init__(self):
         w = as_prob_vector(self.weights, name="ensemble weights")
-        s = np.array(self.states, dtype=np.complex128)
-        if s.ndim != 2:
-            raise ValidationError(f"ensemble states must be a 2-D array, got ndim={s.ndim}")
+        s = as_complex_matrix(self.states, "ensemble states")
         if s.shape[0] != w.shape[0]:
             raise ValidationError(
                 f"{w.shape[0]} weights but {s.shape[0]} states"
             )
-        if not (np.all(np.isfinite(s.real)) and np.all(np.isfinite(s.imag))):
-            raise ValidationError("ensemble states contain non-finite entries")
         flags = np.array(self.synthetic, dtype=bool)
         if flags.shape != w.shape:
             raise ValidationError("synthetic flags must align with weights")
@@ -182,9 +180,9 @@ def synthesize_ensemble(rho: DensityMatrix, p) -> Ensemble:
     return Ensemble(weights=weights, states=states, synthetic=weights == 0.0)
 
 
-def rank_of(rho: DensityMatrix, tol: float = 1e-9) -> int:
-    """Number of eigenvalues above tol."""
-    return int(np.sum(rho.eigenvalues() > tol))
+def rank_of(rho: DensityMatrix) -> int:
+    """Number of eigenvalues above 1e-9."""
+    return int(np.sum(rho.eigenvalues() > 1e-9))
 
 
 def uniform_ensemble(rho: DensityMatrix, m: int) -> Ensemble:
@@ -241,9 +239,7 @@ def verify_ensemble(ensemble: Ensemble, rho: DensityMatrix, tol: float = 1e-8) -
 
 def shannon_entropy(weights) -> float:
     """Shannon entropy in nats, with 0 log 0 := 0."""
-    w = np.asarray(weights, dtype=np.float64)
-    pos = w[w > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    return -_neg_entropy(np.asarray(weights, dtype=np.float64))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -60,17 +60,17 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(am - bm))
 
 
-def fix_global_phase(v: np.ndarray, floor: float = _PHASE_FLOOR) -> np.ndarray:
+def fix_global_phase(v: np.ndarray) -> np.ndarray:
     """Multiply by a unit phase so the largest-magnitude entry is real positive.
 
-    Returns the input unchanged when every entry is below ``floor``.  Works on
+    Returns the input unchanged when every entry is at most 1e-12.  Works on
     arrays of any shape; the convention picks the first entry attaining the
     maximum magnitude in C-order, which makes equality assertions well-defined.
     """
     flat = np.asarray(v, dtype=np.complex128).reshape(-1)
     idx = int(np.argmax(np.abs(flat)))
     pivot = flat[idx]
-    if abs(pivot) <= floor:
+    if abs(pivot) <= _PHASE_FLOOR:
         return np.array(v, dtype=np.complex128)
     return np.asarray(v, dtype=np.complex128) * (pivot.conjugate() / abs(pivot))
 
@@ -197,14 +197,15 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     order = np.lexsort(keys)
     eigvals = eigvals[order]
     vecs = v[:, order]
+    spect = Spectrum(eigenvalues=eigvals, eigenvectors=vecs)
 
     gram_defect = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)))
     if gram_defect > TOL_ORTH * max(1.0, float(np.linalg.norm(m))):
         raise ValidationError(f"eigenvector orthonormality defect {gram_defect:.3e}")
-    recon = float(np.linalg.norm((vecs * eigvals) @ vecs.conj().T - m))
+    recon = float(np.linalg.norm(spect.reconstruct() - m))
     if recon > TOL_RECON * max(1.0, float(np.linalg.norm(m))):
         raise ValidationError(f"eigendecomposition reconstruction defect {recon:.3e}")
-    return Spectrum(eigenvalues=eigvals, eigenvectors=vecs)
+    return spect
 
 
 @dataclass(frozen=True)
@@ -245,17 +246,10 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     Hermiticity, unit trace and positivity are each enforced within ``tol``;
     eigenvalues in [-tol, 0) are clipped to zero and the trace is renormalized
     to exactly 1.  Violations beyond ``tol`` raise a descriptive
-    :class:`ValidationError`.
+    :class:`ValidationError`.  The trace is checked before the eigensolve,
+    which checks squareness and Hermiticity at the same ``tol``.
     """
     mat = as_complex_matrix(m, "density matrix")
-    n, cols = mat.shape
-    if n != cols:
-        raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-    defect = _hermiticity_defect(mat)
-    if defect > tol:
-        raise ValidationError(
-            f"Hermiticity violated: max |M_ij - conj(M_ji)| = {defect:.3e} exceeds {tol}"
-        )
     trace = complex(np.trace(mat))
     if abs(trace - 1.0) > tol:
         raise ValidationError(f"trace {trace.real!r} deviates from 1 by more than {tol}")
@@ -265,12 +259,10 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     if lam[-1] < -tol:
         raise ValidationError(f"eigenvalue {lam[-1]!r} < -{tol}: matrix is not positive semidefinite")
     lam = np.where(lam < 0.0, 0.0, lam)
-    lam = lam / lam.sum()
-    vecs = spect.eigenvectors
-    clean = (vecs * lam) @ vecs.conj().T
-    clean = (clean + clean.conj().T) / 2.0
-    rho = DensityMatrix(matrix=clean)
-    object.__setattr__(rho, "_spectrum", Spectrum(eigenvalues=lam, eigenvectors=vecs))
+    spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=spect.eigenvectors)
+    clean = spect.reconstruct()
+    rho = DensityMatrix(matrix=(clean + clean.conj().T) / 2.0)
+    object.__setattr__(rho, "_spectrum", spect)
     return rho
 
 

@@ -31,20 +31,12 @@ from .bipartite import (
 
 def shift_op(d: int) -> np.ndarray:
     """Cyclic shift X with X|j> = |j+1 mod d>."""
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
-    x = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    return x
+    return weyl_op(WeylPair(d=d, s=min(1, d - 1), t=0))
 
 
 def clock_op(d: int) -> np.ndarray:
     """Phase gradient Z = diag(omega^j) with omega = exp(2 pi i / d)."""
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
-    omega = np.exp(2j * np.pi / d)
-    return np.diag(omega ** np.arange(d))
+    return weyl_op(WeylPair(d=d, s=0, t=min(1, d - 1)))
 
 
 @dataclass(frozen=True)
@@ -65,13 +57,8 @@ class WeylPair:
 
 
 def weyl_op(pair: WeylPair) -> np.ndarray:
-    """Unitary X^s Z^t, built directly: column j maps to omega^(j t) |j+s mod d>."""
-    d, s, t = pair.d, pair.s, pair.t
-    omega = np.exp(2j * np.pi / d)
-    u = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        u[(j + s) % d, j] = omega ** (j * t)
-    return u
+    """Unitary X^s Z^t, the twirl of the identity: column j is omega^(j t) |j+s mod d>."""
+    return _twirled(np.eye(pair.d, dtype=np.complex128), pair.d, pair.s, pair.t)
 
 
 @dataclass(frozen=True)
@@ -91,12 +78,9 @@ class MeasurementSet:
         expected = (self.d, self.d, self.dim_b, self.dim_b)
         if ops.shape != expected:
             raise ValidationError(f"operators must have shape {expected}, got {ops.shape}")
-        total = np.zeros((self.dim_b, self.dim_b), dtype=np.complex128)
-        for s in range(self.d):
-            for t in range(self.d):
-                e = ops[s, t]
-                total += e.conj().T @ e
-        defect = float(np.linalg.norm(total - np.eye(self.dim_b)))
+        # sum_{s,t} E_st^dagger E_st is one product of the stacked rows.
+        rows = ops.reshape(-1, self.dim_b)
+        defect = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_b)))
         if defect > 1e-10:
             raise ValidationError(f"measurement completeness defect {defect:.3e}")
         object.__setattr__(self, "operators", ops)
@@ -131,10 +115,15 @@ def _measurement_operator(target_states_b, d: int) -> np.ndarray:
     return f / np.sqrt(d * weight)
 
 
-def _twirled(e: np.ndarray, d: int, s: int, t: int) -> np.ndarray:
-    """The first d columns of E X^s Z^t: column j is omega^(j t) E[:, (j+s) mod d]."""
+def _twirled(e: np.ndarray, d: int, s, t) -> np.ndarray:
+    """The first d columns of E X^s Z^t: column j is omega^(j t) E[:, (j+s) mod d].
+
+    ``s`` and ``t`` may be integer arrays that broadcast together; their
+    shape then leads the (rows, d) block of each result.
+    """
     j = np.arange(d)
-    return e[:, (j + s) % d] * np.exp(2j * np.pi / d) ** (j * t)
+    s, t = np.asarray(s)[..., None], np.asarray(t)[..., None]
+    return (e.T[(j + s) % d] * np.exp(2j * np.pi / d) ** (j * t)[..., None]).swapaxes(-1, -2)
 
 
 def _completeness_defect(e: np.ndarray, d: int) -> float:
@@ -167,15 +156,9 @@ def build_measurement(target_states_b, d: int) -> MeasurementSet:
     dim_b = e.shape[0]
     ops = np.zeros((d, d, dim_b, dim_b), dtype=np.complex128)
     ops[:, :, d:, d:] = np.eye(dim_b - d) / d
-    for s in range(d):
-        for t in range(d):
-            ops[s, t, :, :d] = _twirled(e, d, s, t)
+    labels = np.arange(d)
+    ops[:, :, :, :d] = _twirled(e, d, labels[:, None], labels)
     return MeasurementSet(d=d, dim_b=dim_b, operators=ops)
-
-
-def _apply_bob(psi: BipartiteState, op: np.ndarray) -> np.ndarray:
-    """Amplitudes of (I x op) |psi>."""
-    return psi.amplitudes @ op.T
 
 
 def outcome_distribution(meas: MeasurementSet, psi: BipartiteState) -> np.ndarray:
@@ -188,12 +171,9 @@ def outcome_distribution(meas: MeasurementSet, psi: BipartiteState) -> np.ndarra
         raise ValidationError(
             f"Bob dimension mismatch: state {psi.dim_b}, measurement {meas.dim_b}"
         )
-    d = meas.d
-    probs = np.empty(d * d)
-    for s in range(d):
-        for t in range(d):
-            probs[s * d + t] = np.linalg.norm(_apply_bob(psi, meas.operators[s, t])) ** 2
-    return probs
+    # Outcome (s, t) leaves the amplitudes of (I x E_st) |psi>, psi E_st^T.
+    post = psi.amplitudes @ meas.operators.swapaxes(-1, -2)
+    return (np.linalg.norm(post, axis=(-2, -1)) ** 2).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -264,8 +244,11 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     defect = _completeness_defect(e, d)
     if defect > 1e-10:
         raise ValidationError(f"measurement completeness defect {defect:.3e}")
+    # Every branch ends on the unit target, so fidelity is measured against
+    # the target normalized once here, not against its accepted norm.
+    unit = BipartiteState(amplitudes=target.amplitudes / target.norm())
     return _ProtocolSetup(
-        operator=e, alice_basis=rewrite.basis_a, bob_basis=vh.T, target=target, d=d
+        operator=e, alice_basis=rewrite.basis_a, bob_basis=vh.T, target=unit, d=d
     )
 
 

@@ -225,6 +225,19 @@ class TestExitContract:
             runner, ["majorize-check", "-i", files["x"]], tmp_path, "takes 2 input(s)"
         )
 
+    @pytest.mark.parametrize("command, extra", [
+        ("schmidt", []), ("corollary4", ["-i", "p_hot"]), ("protocol-run", ["--d", "2"]),
+    ])
+    def test_non_unit_bipartite_state(self, runner, files, write, tmp_path, command, extra):
+        # The library call of each bipartite command checks the unit norm.
+        r = 0.9 * np.sqrt(0.5)
+        bad = write("norm.json", {
+            "kind": "bipartite", "dimA": 2, "dimB": 2,
+            "amplitudes": [[[r, 0], [0, 0]], [[0, 0], [r, 0]]],
+        })
+        args = [command, "-i", bad, *(files.get(e, e) for e in extra)]
+        self.assert_input_error(runner, args, tmp_path, "norm")
+
     def test_missing_input_file(self, runner, files, tmp_path):
         missing = str(files["dir"] / "missing.json")
         self.assert_input_error(runner, ["schmidt", "-i", missing], tmp_path, "missing.json")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmajor import numkernel
 from qmajor.numkernel import (
     DensityMatrix,
     ValidationError,
@@ -99,6 +100,15 @@ class TestValidateDensity:
     def test_one_dimensional(self):
         rho = validate_density([[1.0]])
         assert rho.eigenvalues() == pytest.approx([1.0])
+
+    def test_hermiticity_checked_once(self, monkeypatch):
+        calls = []
+        defect = numkernel._hermiticity_defect
+        monkeypatch.setattr(numkernel, "_hermiticity_defect", lambda m: calls.append(1) or defect(m))
+        validate_density(np.eye(3) / 3)
+        assert len(calls) == 1
+        with pytest.raises(ValidationError, match="Hermiticity"):
+            validate_density([[0.5, 0.1], [0.0, 0.5]])
 
 
 class TestFrobeniusDistance:

@@ -227,8 +227,11 @@ class TestRunProtocol:
             want = fix_global_phase(target.amplitudes)
             tr = run_protocol(target, 4, seed)
             assert np.linalg.norm(tr.final_state.amplitudes - want) <= 1e-8
+            # fidelity is measured against the normalized target
+            assert tr.fidelity >= 1 - 1e-9
         for tr in enumerate_protocol(target, 4):
             assert np.linalg.norm(tr.final_state.amplitudes - want) <= 1e-8
+            assert tr.fidelity >= 1 - 1e-9
 
     def test_rank_too_high_rejected(self):
         with pytest.raises(DomainError, match="Schmidt rank"):
@@ -328,6 +331,67 @@ class TestStructuredMeasurement:
         target = random_bipartite(3, 4, rng)
         assert all(tr.fidelity >= 1 - 1e-9 for tr in enumerate_protocol(target, 3))
         assert run_protocol(target, 4, seed=5).fidelity >= 1 - 1e-9
+
+
+class TestOneTwirl:
+    """Explicit per-column and per-outcome loops are the oracle of the twirl."""
+
+    @staticmethod
+    def weyl_loop(d, s, t):
+        omega = np.exp(2j * np.pi / d)
+        u = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            u[(j + s) % d, j] = omega ** (j * t)
+        return u
+
+    def test_shift_clock_weyl_match_column_loops(self):
+        for d in range(1, 9):
+            x = np.zeros((d, d), dtype=complex)
+            for j in range(d):
+                x[(j + 1) % d, j] = 1.0
+            assert np.array_equal(shift_op(d), x)
+            assert np.array_equal(clock_op(d), np.diag(np.exp(2j * np.pi / d) ** np.arange(d)))
+            for s in range(d):
+                for t in range(d):
+                    assert np.array_equal(weyl_op(WeylPair(d=d, s=s, t=t)), self.weyl_loop(d, s, t))
+
+    @staticmethod
+    def measurement(d, dim_b, rng):
+        # unit target states, not orthogonal, supported on the first d coordinates
+        states = np.zeros((d, dim_b), dtype=complex)
+        states[:, :d] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        return build_measurement(states, d)
+
+    def test_outcome_distribution_matches_outcome_loop(self, rng):
+        for d in range(1, 6):
+            for dim_b in (d, d + 2):
+                meas = self.measurement(d, dim_b, rng)
+                psi = random_bipartite(d + 1, dim_b, rng)
+                loop = np.array([
+                    np.linalg.norm(psi.amplitudes @ meas.operators[s, t].T) ** 2
+                    for s in range(d) for t in range(d)
+                ])
+                assert np.max(np.abs(outcome_distribution(meas, psi) - loop)) <= 1e-15
+
+    def test_completeness_check_matches_outcome_loop(self, rng):
+        # Scale a complete stack so the looped defect sits just inside or
+        # just outside the 1e-10 bound; the check must agree within 1e-15.
+        for d in range(1, 6):
+            for dim_b in (d, d + 2):
+                ops = self.measurement(d, dim_b, rng).operators
+                for target in (1e-10 - 1e-14, 1e-10 + 1e-14):
+                    scaled = ops * np.sqrt(1.0 + target / np.sqrt(dim_b))
+                    total = sum(scaled[s, t].conj().T @ scaled[s, t]
+                                for s in range(d) for t in range(d))
+                    defect = np.linalg.norm(total - np.eye(dim_b))
+                    assert abs(defect - 1e-10) > 1e-15
+                    assert (defect > 1e-10) == (target > 1e-10)
+                    if defect < 1e-10:
+                        MeasurementSet(d=d, dim_b=dim_b, operators=scaled)
+                    else:
+                        with pytest.raises(ValidationError, match="completeness"):
+                            MeasurementSet(d=d, dim_b=dim_b, operators=scaled)
 
 
 class TestProtocolEdgeCases:
