@@ -15,6 +15,7 @@ import numpy as np
 
 from .numkernel import (
     TOL_NORM,
+    TOL_PROB,
     DensityMatrix,
     DomainError,
     ValidationError,
@@ -23,7 +24,7 @@ from .numkernel import (
     as_complex_matrix,
     validate_density,
 )
-from .majorize import MajorizationError, as_prob_vector, majorization_violation
+from .majorize import _majorized_pair, as_prob_vector
 from .ensembles import Ensemble, _mix, mixture_matrix
 
 # Schmidt coefficients at or below this are treated as zero when deciding rank.
@@ -257,9 +258,7 @@ def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
     live = lam[lam > SCHMIDT_RANK_CUTOFF]
     # The coefficients sum to the squared norm, within about 2e-9 of 1, so
     # they are compared at the total of q, as the mixing core mixes them.
-    violation = majorization_violation(weights, live * (weights.sum() / live.sum()))
-    if violation is not None:
-        raise MajorizationError(*violation)
+    _majorized_pair(weights, live * (weights.sum() / live.sum()), TOL_PROB)
     return _cor4_from_svd(u, sigma, vh, weights, m)
 
 

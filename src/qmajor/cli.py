@@ -25,11 +25,10 @@ import numpy as np
 from . import __version__
 from .numkernel import DomainError, ValidationError, validate_density
 from .majorize import (
-    MajorizationError,
     as_prob_vector,
+    _majorized_pair,
     _witness_from_chain,
     check_schur_inequalities,
-    majorization_violation,
     t_transform_chain,
 )
 from .ensembles import (
@@ -323,9 +322,7 @@ def _command(name: str, kinds: tuple[str, ...], flags: tuple[str, ...] = (), opt
 def _majorize_check(values, tols):
     """Check x majorized by y.  Inputs: x probvec, y probvec."""
     x, y = values
-    violation = majorization_violation(x, y, tol=tols["major"])
-    if violation is not None:
-        raise MajorizationError(*violation)
+    _majorized_pair(x, y, tols["major"])
     return {
         "holds": True,
         "x": encode_probvec(x),

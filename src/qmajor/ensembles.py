@@ -23,9 +23,10 @@ from .numkernel import (
     validate_density,
 )
 from .majorize import (
-    MajorizationError,
     SchurReport,
+    _majorized_pair,
     _neg_entropy,
+    _rotate_rows,
     as_prob_vector,
     check_schur_inequalities,
     horn_orthogonal,
@@ -146,7 +147,7 @@ def _mix(rows: np.ndarray, sigma: np.ndarray, weights: np.ndarray):
     carry = x[heavy]
     for row in range(n_live, n_pos):
         c, s = np.sqrt([1.0 - weights[order[row]] / carry, weights[order[row]] / carry])
-        frame[[heavy, row]] = np.array([[c, -s], [s, c]]) @ frame[[heavy, row]]
+        _rotate_rows(frame[heavy], frame[row], c, s)
         carry -= weights[order[row]]
 
     mixed = (frame[:n_pos, :rank] * sigma[:rank]) @ rows[:rank]
@@ -172,9 +173,7 @@ def synthesize_ensemble(rho: DensityMatrix, p) -> Ensemble:
     """
     weights = as_prob_vector(p, name="weights")
     spect = rho.spectrum()
-    violation = majorization_violation(weights, spect.eigenvalues)
-    if violation is not None:
-        raise MajorizationError(*violation)
+    _majorized_pair(weights, spect.eigenvalues, TOL_PROB)
     sigma = np.sqrt(np.clip(spect.eigenvalues, 0.0, None))
     states, _, _ = _mix(spect.eigenvectors.T, sigma, weights)
     return Ensemble(weights=weights, states=states, synthetic=weights == 0.0)
@@ -189,14 +188,11 @@ def uniform_ensemble(rho: DensityMatrix, m: int) -> Ensemble:
     """Equal-weight ensemble of m pure states realizing rho.
 
     Exists exactly when m >= rank(rho); smaller m fails the majorization
-    precondition.
+    precondition of synthesize_ensemble, which raises MajorizationError at
+    the first failing partial sum.
     """
     if m < 1:
         raise ValidationError(f"ensemble size must be positive, got {m}")
-    r = rank_of(rho)
-    if m < r:
-        lam = rho.eigenvalues()
-        raise MajorizationError(m, 1.0, float(np.sum(lam[:m])))
     return synthesize_ensemble(rho, np.full(m, 1.0 / m))
 
 

@@ -30,9 +30,9 @@ class MajorizationError(DomainError):
         super().__init__(f"majorization violated at k={k}: {lhs:.6g} > {rhs:.6g}")
 
 
-def as_prob_vector(weights, tol: float = TOL_PROB, name: str = "probability vector") -> np.ndarray:
-    """Validate a probability vector: entries >= -tol (clipped to 0), sum within tol of 1."""
-    w = np.array(weights, dtype=np.float64)
+def _nonneg_vector(v, tol: float, name: str) -> np.ndarray:
+    """Validate a non-empty finite 1-D vector with entries >= -tol, clipped to 0."""
+    w = np.array(v, dtype=np.float64)
     if w.ndim != 1:
         raise ValidationError(f"{name} must be 1-dimensional, got ndim={w.ndim}")
     if w.size == 0:
@@ -42,7 +42,12 @@ def as_prob_vector(weights, tol: float = TOL_PROB, name: str = "probability vect
     low = float(w.min())
     if low < -tol:
         raise ValidationError(f"{name} entry {low!r} is negative beyond -{tol}")
-    w = np.where(w < 0.0, 0.0, w)
+    return np.where(w < 0.0, 0.0, w)
+
+
+def as_prob_vector(weights, tol: float = TOL_PROB, name: str = "probability vector") -> np.ndarray:
+    """Validate a probability vector: entries >= -tol (clipped to 0), sum within tol of 1."""
+    w = _nonneg_vector(weights, tol, name)
     total = float(w.sum())
     if abs(total - 1.0) > tol:
         raise ValidationError(f"{name} sum {total!r} deviates from 1 by more than {tol}")
@@ -56,18 +61,11 @@ def _sorted_pair(x, y, tol: float):
     stable orders that sort each one decreasing, and the first failing
     partial sum ``(k, lhs, rhs)`` or None.
     """
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    for name, v in (("x", xv), ("y", yv)):
-        if v.size == 0:
-            raise ValidationError(f"{name} must be non-empty")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError(f"{name} contains non-finite entries")
-        if float(v.min()) < -tol:
-            raise ValidationError(f"{name} entry {float(v.min())!r} is negative beyond -{tol}")
+    xv = _nonneg_vector(x, tol, "x")
+    yv = _nonneg_vector(y, tol, "y")
     d = max(xv.size, yv.size)
-    xv = np.concatenate([np.clip(xv, 0.0, None), np.zeros(d - xv.size)])
-    yv = np.concatenate([np.clip(yv, 0.0, None), np.zeros(d - yv.size)])
+    xv = np.concatenate([xv, np.zeros(d - xv.size)])
+    yv = np.concatenate([yv, np.zeros(d - yv.size)])
     perm_x = np.argsort(-xv, kind="stable")
     perm_y = np.argsort(-yv, kind="stable")
     cx = np.cumsum(xv[perm_x])
@@ -291,6 +289,15 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
     return _witness_from_chain(t_transform_chain(x, y, tol))
 
 
+def _rotate_rows(ri: np.ndarray, rk: np.ndarray, c: float, s: float) -> None:
+    """Givens rotation of two rows in place: (ri, rk) <- (c ri - s rk, s ri + c rk)."""
+    old_i = ri.copy()
+    ri *= c
+    ri -= s * rk
+    rk *= c
+    rk += s * old_i
+
+
 def _witness_from_chain(chain: TChain) -> HornWitness:
     """The witness of ``horn_orthogonal`` for a chain already built."""
     d = chain.dim
@@ -304,13 +311,7 @@ def _witness_from_chain(chain: TChain) -> HornWitness:
     w = np.zeros((d, d))
     w[pos, chain.source_permutation] = 1.0
     for tr in chain.transforms:
-        c, s = math.sqrt(tr.t), math.sqrt(1.0 - tr.t)
-        ri, rk = w[pos[tr.i]], w[pos[tr.k]]
-        old_i = ri.copy()
-        ri *= c
-        ri -= s * rk
-        rk *= c
-        rk += s * old_i
+        _rotate_rows(w[pos[tr.i]], w[pos[tr.k]], math.sqrt(tr.t), math.sqrt(1.0 - tr.t))
     witness = HornWitness(orthogonal=w, doubly_stochastic=w * w)
 
     gram_defect = w @ w.T

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances.  Every operation that checks one of these accepts a
-# per-call override.
+# Default tolerances.  A check that takes a per-call ``tol`` defaults to one
+# of these; the state norm checks, entropy_report's trace check, the
+# eigensolver's Gram and reconstruction checks and the majorization
+# precondition of synthesis and Corollary 4 always apply them.
 TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_ORTH = 1e-9

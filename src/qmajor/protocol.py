@@ -261,17 +261,6 @@ def _branch_rows(setup: _ProtocolSetup, s: int, t: int) -> np.ndarray:
     return _twirled(setup.operator, setup.d, s, t).T / np.sqrt(setup.d)
 
 
-def _outcome_probabilities(setup: _ProtocolSetup) -> np.ndarray:
-    """Squared norms of the branch rows for every outcome, indexed s*d + t.
-
-    Row j of branch (s, t) is a unit phase times column (j+s) mod d of E over
-    sqrt(d), so every branch holds each of the first d columns once and every
-    outcome has probability tr(E_d^dagger E_d) / d, with E_d those columns.
-    """
-    d = setup.d
-    return np.full(d * d, np.linalg.norm(setup.operator[:, :d]) ** 2 / d)
-
-
 def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None) -> ProtocolTranscript:
     d = setup.d
     post = _branch_rows(setup, s, t)
@@ -302,17 +291,16 @@ def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None) -> Prot
 def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTranscript:
     """Simulate one protocol run with the outcome sampled from the exact distribution.
 
-    The target must have Schmidt rank at most d.  Every branch ends within
-    numerical precision of the target, so the reported fidelity is 1 up to
-    roundoff; replaying the same seed reproduces the transcript exactly.
+    Every branch holds each of the first d columns of E once, so the twirl
+    identity makes all d^2 outcomes equally likely: one PCG64 draw u picks
+    outcome s*d + t = min(floor(u d^2), d^2 - 1).  The target must have
+    Schmidt rank at most d.  Every branch ends within numerical precision of
+    the target, so the reported fidelity is 1 up to roundoff; replaying the
+    same seed reproduces the transcript exactly.
     """
     setup = _prepare(phi_target, d)
-    probs = _outcome_probabilities(setup)
-    rng = np.random.default_rng(seed)
-    draw = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), draw, side="right"))
-    idx = min(idx, probs.size - 1)
-    s, t = divmod(idx, d)
+    u = np.random.default_rng(seed).random()
+    s, t = divmod(min(int(u * d * d), d * d - 1), d)
     return _run_branch(setup, s, t, seed)
 
 

@@ -159,6 +159,21 @@ class TestUniformEnsemble:
         with pytest.raises(MajorizationError):
             uniform_ensemble(identity_half(), 1)
 
+    def test_below_rank_names_first_failing_partial_sum(self):
+        # Sorted partial sums of (1/2, 1/2) against (0.4, 0.3, 0.3) first fail
+        # at k = 1 (0.5 > 0.4), before the k = m = 2 sum (1.0 > 0.7).
+        rho = validate_density(np.diag([0.4, 0.3, 0.3]))
+        fields = []
+        for build in (lambda: uniform_ensemble(rho, 2), lambda: synthesize_ensemble(rho, [0.5, 0.5])):
+            with pytest.raises(MajorizationError) as info:
+                build()
+            fields.append((info.value.k, info.value.lhs, info.value.rhs))
+        assert fields[0] == fields[1]
+        k, lhs, rhs = fields[0]
+        assert k == 1
+        assert lhs == pytest.approx(0.5, abs=1e-15)
+        assert rhs == pytest.approx(0.4, abs=1e-15)
+
     def test_rank_window(self):
         rho = random_density(5, 3, seed=11)
         assert rank_of(rho) == 3

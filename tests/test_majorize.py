@@ -49,6 +49,18 @@ class TestIsMajorizedBy:
             is_majorized_by([-0.2, 1.2], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [majorization_violation, is_majorized_by, t_transform_chain, horn_orthogonal, check_schur_inequalities],
+)
+@pytest.mark.parametrize("bad", [[[0.5, 0.5]], 1.0], ids=["2-D", "0-D"])
+def test_pair_operations_reject_non_vectors(call, bad):
+    # Neither side is flattened: a matrix or a scalar is not a weight vector.
+    for x, y in ((bad, [1.0, 0.0]), ([1.0, 0.0], bad)):
+        with pytest.raises(ValidationError, match="must be 1-dimensional"):
+            call(x, y)
+
+
 class TestTTransform:
     def test_validation(self):
         with pytest.raises(ValidationError):

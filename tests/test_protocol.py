@@ -12,7 +12,6 @@ from qmajor.protocol import (
     _branch_rows,
     _completeness_defect,
     _measurement_operator,
-    _outcome_probabilities,
     _prepare,
     _run_branch,
     build_measurement,
@@ -237,6 +236,19 @@ class TestRunProtocol:
         with pytest.raises(DomainError, match="Schmidt rank"):
             run_protocol(maximally_entangled(4), d=2, seed=0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24])
+    def test_outcome_law_matches_cumulative_search(self, rng, d):
+        # Reference rule: search the draw in the cumulative sum of the d^2
+        # equal outcome probabilities ||E_d||^2 / d, clipped to the last outcome.
+        target = random_bipartite(d, d, rng)
+        p = np.linalg.norm(_prepare(target, d).operator[:, :d]) ** 2 / d
+        cumulative = np.cumsum(np.full(d * d, p))
+        for seed in range(2000):
+            u = np.random.default_rng(seed).random()
+            idx = min(int(np.searchsorted(cumulative, u, "right")), d * d - 1)
+            tr = run_protocol(target, d, seed)
+            assert (tr.outcome.s, tr.outcome.t) == divmod(idx, d)
+
     def test_small_alice_large_bob(self, rng):
         # target dims differ from d on both sides
         target = random_bipartite(2, 5, rng)
@@ -285,7 +297,6 @@ class TestStructuredMeasurement:
                 j = np.arange(d)
                 source[j, j] = 1 / np.sqrt(d)
                 dense_probs = outcome_distribution(meas, BipartiteState(amplitudes=source))
-                assert np.max(np.abs(_outcome_probabilities(setup) - dense_probs)) <= 1e-15
                 omega = np.exp(2j * np.pi / d)
                 for s in range(d):
                     for t in range(d):
@@ -299,6 +310,7 @@ class TestStructuredMeasurement:
                         final = fix_global_phase(final / np.sqrt(prob))
                         tr = _run_branch(setup, s, t, None)
                         assert tr.outcome_probability == pytest.approx(prob, abs=1e-15)
+                        assert tr.outcome_probability == pytest.approx(dense_probs[s * d + t], abs=1e-15)
                         assert np.linalg.norm(tr.final_state.amplitudes - final) <= 1e-12
 
     def test_twirl_completeness_defect_matches_dense_sum(self, rng):
