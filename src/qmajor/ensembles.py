@@ -26,6 +26,7 @@ from .majorize import (
     SchurReport,
     _majorized_pair,
     _neg_entropy,
+    _nonneg_vector,
     _rotate_rows,
     as_prob_vector,
     check_schur_inequalities,
@@ -234,8 +235,8 @@ def verify_ensemble(ensemble: Ensemble, rho: DensityMatrix, tol: float = 1e-8) -
 
 
 def shannon_entropy(weights) -> float:
-    """Shannon entropy in nats, with 0 log 0 := 0."""
-    return -_neg_entropy(np.asarray(weights, dtype=np.float64))
+    """Shannon entropy in nats of a 1-D vector, 0 log 0 := 0; entries in [-1e-9, 0) count as 0."""
+    return -_neg_entropy(_nonneg_vector(weights, TOL_PROB, "weights"))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -247,10 +247,10 @@ def t_transform_chain(x, y, tol: float = TOL_PROB) -> TChain:
 def apply_t_chain(chain: TChain, y) -> np.ndarray:
     """Apply a chain (with its recorded permutations) to y.
 
-    The result is a probability-like vector: averaging transforms preserve
-    nonnegativity and the total.
+    ``y`` is a finite 1-D vector, entries in [-1e-9, 0) counted as 0; the
+    averaging transforms preserve its nonnegativity and its total.
     """
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
+    yv = _nonneg_vector(y, TOL_PROB, "y")
     d = chain.dim
     if yv.size > d:
         raise ValidationError(f"vector of length {yv.size} exceeds chain dimension {d}")

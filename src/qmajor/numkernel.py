@@ -34,6 +34,8 @@ _PHASE_FLOOR = 1e-12
 # since a square root turns their ~1e-16 roundoff into ~1e-8 of amplitude.
 _RANK_FLOOR = 1e-12
 
+_MAX_DIM = 2**24  # dimension ceiling: past it a d x d complex matrix exceeds 2**52 bytes
+
 
 class ValidationError(ValueError):
     """An input value violates a structural invariant (shape, norm, bound)."""
@@ -48,9 +50,19 @@ def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
     m = np.array(entries, dtype=np.complex128)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
+
+
+def _as_dim(value, name: str, minimum: int) -> int:
+    """A Python or numpy integer, not a bool, in minimum.._MAX_DIM, returned as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value > _MAX_DIM:
+        raise ValidationError(f"{name} must be an integer at most {_MAX_DIM}, got {value!r}")
+    if value < minimum:
+        bound = "positive" if minimum == 1 else f"at least {minimum}"
+        raise ValidationError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 def frobenius_distance(a, b) -> float:
@@ -69,12 +81,12 @@ def fix_global_phase(v: np.ndarray) -> np.ndarray:
     arrays of any shape; the convention picks the first entry attaining the
     maximum magnitude in C-order, which makes equality assertions well-defined.
     """
-    flat = np.asarray(v, dtype=np.complex128).reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
-    pivot = flat[idx]
+    m = np.asarray(v, dtype=np.complex128)
+    flat = m.reshape(-1)
+    pivot = flat[np.abs(flat).argmax()]
     if abs(pivot) <= _PHASE_FLOOR:
-        return np.array(v, dtype=np.complex128)
-    return np.asarray(v, dtype=np.complex128) * (pivot.conjugate() / abs(pivot))
+        return m.copy(order="K")
+    return m * (pivot.conjugate() / abs(pivot))
 
 
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
@@ -166,7 +178,11 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     ties are ordered by decreasing lexicographic order of the phase-fixed
     eigenvectors.
     """
-    m = as_complex_matrix(h, "Hermitian input")
+    return _hermitian_eig(as_complex_matrix(h, "Hermitian input"), tol)
+
+
+def _hermitian_eig(m: np.ndarray, tol: float) -> Spectrum:
+    """:func:`hermitian_eig` of a matrix that has been through :func:`as_complex_matrix`."""
     n, cols = m.shape
     if n != cols:
         raise ValidationError(f"Hermitian input must be square, got shape {m.shape}")
@@ -256,14 +272,17 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     if abs(trace - 1.0) > tol:
         raise ValidationError(f"trace {trace.real!r} deviates from 1 by more than {tol}")
 
-    spect = hermitian_eig(mat, tol=tol)
+    spect = _hermitian_eig(mat, tol)
     lam = spect.eigenvalues
     if lam[-1] < -tol:
         raise ValidationError(f"eigenvalue {lam[-1]!r} < -{tol}: matrix is not positive semidefinite")
     lam = np.where(lam < 0.0, 0.0, lam)
     spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=spect.eigenvectors)
     clean = spect.reconstruct()
-    rho = DensityMatrix(matrix=(clean + clean.conj().T) / 2.0)
+    rho = object.__new__(DensityMatrix)  # square by construction; coerced once, above
+    object.__setattr__(rho, "matrix", (clean + clean.conj().T) / 2.0)
+    if not np.isfinite(rho.matrix).all():  # NaN when a large tol let the spectrum sum to 0
+        raise ValidationError("density matrix contains non-finite entries")
     object.__setattr__(rho, "_spectrum", spect)
     return rho
 

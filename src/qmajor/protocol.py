@@ -17,6 +17,7 @@ from .numkernel import (
     TOL_NORM,
     DomainError,
     ValidationError,
+    _as_dim,
     fix_global_phase,
 )
 from .bipartite import (
@@ -58,7 +59,7 @@ class WeylPair:
 
 def weyl_op(pair: WeylPair) -> np.ndarray:
     """Unitary X^s Z^t, the twirl of the identity: column j is omega^(j t) |j+s mod d>."""
-    return _twirled(np.eye(pair.d, dtype=np.complex128), pair.d, pair.s, pair.t)
+    return _twirled(_shifted(np.eye(pair.d, dtype=complex), pair.d, pair.s), _phases(pair.d, pair.t))
 
 
 @dataclass(frozen=True)
@@ -115,15 +116,20 @@ def _measurement_operator(target_states_b, d: int) -> np.ndarray:
     return f / np.sqrt(d * weight)
 
 
-def _twirled(e: np.ndarray, d: int, s, t) -> np.ndarray:
-    """The first d columns of E X^s Z^t: column j is omega^(j t) E[:, (j+s) mod d].
+def _shifted(e: np.ndarray, d: int, s) -> np.ndarray:
+    """Rows E^T[(j+s) mod d] for j < d; ``s`` may be an integer array, whose shape leads."""
+    return e.T[(np.arange(d) + np.asarray(s)[..., None]) % d]
 
-    ``s`` and ``t`` may be integer arrays that broadcast together; their
-    shape then leads the (rows, d) block of each result.
-    """
-    j = np.arange(d)
-    s, t = np.asarray(s)[..., None], np.asarray(t)[..., None]
-    return (e.T[(j + s) % d] * np.exp(2j * np.pi / d) ** (j * t)[..., None]).swapaxes(-1, -2)
+
+def _phases(d: int, t) -> np.ndarray:
+    """Rows omega^(j t) for j < d; ``t`` may be an integer array, whose shape leads."""
+    return np.exp(2j * np.pi / d) ** (np.arange(d) * np.asarray(t)[..., None])
+
+
+def _twirled(shifted: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The first d columns of E X^s Z^t, column j omega^(j t) E[:, (j+s) mod d], from its
+    factors ``_shifted(e, d, s)`` and ``_phases(d, t)``; shapes of s and t broadcast."""
+    return (shifted * phases[..., None]).swapaxes(-1, -2)
 
 
 def _completeness_defect(e: np.ndarray, d: int) -> float:
@@ -157,7 +163,7 @@ def build_measurement(target_states_b, d: int) -> MeasurementSet:
     ops = np.zeros((d, d, dim_b, dim_b), dtype=np.complex128)
     ops[:, :, d:, d:] = np.eye(dim_b - d) / d
     labels = np.arange(d)
-    ops[:, :, :, :d] = _twirled(e, d, labels[:, None], labels)
+    ops[:, :, :, :d] = _twirled(_shifted(e, d, labels[:, None]), _phases(d, labels))
     return MeasurementSet(d=d, dim_b=dim_b, operators=ops)
 
 
@@ -186,8 +192,7 @@ class CommCost:
 
 def comm_cost(d: int) -> CommCost:
     """ceil(2 log2 d) bits to announce one of d^2 outcomes, vs d - 1."""
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
+    d = _as_dim(d, "dimension", 1)
     return CommCost(bits=(d * d - 1).bit_length(), naive_bits=d - 1)
 
 
@@ -217,11 +222,11 @@ class _ProtocolSetup:
     bob_basis: np.ndarray
     target: BipartiteState
     d: int
+    bits: int
 
 
 def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
+    d = _as_dim(d, "dimension", 1)
     n_a = max(phi_target.dim_a, d)
     n_b = max(phi_target.dim_b, d)
     target = embed_state(phi_target, n_a, n_b)
@@ -247,32 +252,26 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     # Every branch ends on the unit target, so fidelity is measured against
     # the target normalized once here, not against its accepted norm.
     unit = BipartiteState(amplitudes=target.amplitudes / target.norm())
-    return _ProtocolSetup(
-        operator=e, alice_basis=rewrite.basis_a, bob_basis=vh.T, target=unit, d=d
-    )
+    return _ProtocolSetup(operator=e, alice_basis=rewrite.basis_a, bob_basis=vh.T, target=unit,
+                          d=d, bits=comm_cost(d).bits)
 
 
-def _branch_rows(setup: _ProtocolSetup, s: int, t: int) -> np.ndarray:
-    """Rows 0..d-1 of the unnormalized post-measurement amplitudes for outcome (s, t).
-
-    Row j is the j-th column of E X^s Z^t over sqrt(d), that is
-    omega^(j t) / sqrt(d) times E[:, (j+s) mod d]; rows past d are zero.
-    """
-    return _twirled(setup.operator, setup.d, s, t).T / np.sqrt(setup.d)
-
-
-def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None) -> ProtocolTranscript:
+def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None,
+                shifted: np.ndarray, phase: np.ndarray, inverse: np.ndarray) -> ProtocolTranscript:
+    """Branch (s, t) from its shared rows _shifted(E, d, s), _phases(d, t) and _phases(d, -t)."""
     d = setup.d
-    post = _branch_rows(setup, s, t)
+    # Row j of the post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
+    post = _twirled(shifted, phase).T
+    post /= np.sqrt(d)
     prob = float(np.linalg.norm(post) ** 2)
-    post = post / np.sqrt(prob)
+    post /= np.sqrt(prob)
 
     # Alice undoes the outcome twirl with X^s Z^-t on her Schmidt support
     # (Z^-t scales row j by omega^(-j t), X^s moves row j to j+s mod d), then
     # rotates into the target's A basis; Bob undoes his alignment.
-    j = np.arange(d)
+    post *= inverse[:, None]
     corrected = np.empty_like(post)
-    corrected[(j + s) % d] = post * (np.exp(2j * np.pi / d) ** (-t * j))[:, None]
+    corrected[(np.arange(d) + s) % d] = post
     final = setup.alice_basis @ corrected @ setup.bob_basis.T
 
     fidelity = min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2))
@@ -280,7 +279,7 @@ def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None) -> Prot
     return ProtocolTranscript(
         outcome=WeylPair(d=d, s=s, t=t),
         outcome_probability=prob,
-        bits_sent=comm_cost(d).bits,
+        bits_sent=setup.bits,
         correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
         final_state=final_state,
         fidelity=fidelity,
@@ -299,16 +298,22 @@ def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTrans
     same seed reproduces the transcript exactly.
     """
     setup = _prepare(phi_target, d)
-    u = np.random.default_rng(seed).random()
+    try:
+        u = np.random.default_rng(seed).random()
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"seed {seed!r} rejected: {exc}") from None
+    d = setup.d
     s, t = divmod(min(int(u * d * d), d * d - 1), d)
-    return _run_branch(setup, s, t, seed)
+    return _run_branch(setup, s, t, seed, _shifted(setup.operator, d, s), _phases(d, t), _phases(d, -t))
 
 
 def enumerate_protocol(phi_target: BipartiteState, d: int) -> tuple[ProtocolTranscript, ...]:
-    """Deterministically walk all d^2 outcome branches."""
+    """Deterministically walk all d^2 outcome branches; rows shared by branches are formed once."""
     setup = _prepare(phi_target, d)
+    phase, inverse = _phases(d, np.arange(d)), _phases(d, -np.arange(d))
     out = []
     for s in range(d):
+        shifted = _shifted(setup.operator, d, s)
         for t in range(d):
-            out.append(_run_branch(setup, s, t, None))
+            out.append(_run_branch(setup, s, t, None, shifted, phase[t], inverse[t]))
     return tuple(out)

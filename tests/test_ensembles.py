@@ -13,6 +13,7 @@ from qmajor.ensembles import (
     synthesize_ensemble,
     uniform_ensemble,
     verify_ensemble,
+    von_neumann_entropy,
 )
 from qmajor.majorize import MajorizationError, check_schur_inequalities, is_majorized_by
 from qmajor.numkernel import ValidationError, random_density, random_unitary, validate_density
@@ -248,6 +249,24 @@ class TestEntropyReport:
 
     def test_shannon_entropy_zero_convention(self):
         assert shannon_entropy([1.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("weights, match", [
+        ([[0.5, 0.5], [0.5, 0.5]], "1-dimensional"),
+        (0.5, "1-dimensional"),
+        ([0.5, np.nan], "non-finite"),
+        ([1.5, -0.5], "negative"),
+    ])
+    def test_shannon_entropy_rejects_non_vectors(self, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            shannon_entropy(weights)
+
+    def test_von_neumann_entropy_unchanged(self):
+        # The entropy of the spectrum, summed over its positive entries.
+        for seed in range(10):
+            rho = random_density(6, 1 + seed % 6, seed=seed)
+            lam = rho.eigenvalues()
+            pos = lam[lam > 0.0]
+            assert von_neumann_entropy(rho) == -float(np.sum(pos * np.log(pos)))
 
 
 def _synthesized(n, rank, extra=0, seed=0):

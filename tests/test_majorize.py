@@ -165,6 +165,33 @@ class TestApplyTChain:
         with pytest.raises(ValidationError, match="exceeds"):
             apply_t_chain(chain, [0.2, 0.3, 0.5])
 
+    @pytest.mark.parametrize("y, match", [
+        (0.7, "1-dimensional"),
+        ([[0.5, 0.5]], "1-dimensional"),
+        ([[np.nan]], "1-dimensional"),
+        ([np.nan, 0.5], "non-finite"),
+        ([0.5, -0.5], "negative"),
+        ([], "non-empty"),
+    ])
+    def test_non_vector_input_rejected(self, y, match):
+        chain = TChain.plain([TTransform(i=0, k=1, t=0.5)], 2)
+        with pytest.raises(ValidationError, match=match):
+            apply_t_chain(chain, y)
+
+    def test_valid_vectors_unchanged(self, rng):
+        # The image of a probability vector is the plain loop over the transforms.
+        for _ in range(20):
+            d = int(rng.integers(2, 40))
+            y = rng.dirichlet(np.ones(d))
+            x = mix_down(y, rng)
+            chain = t_transform_chain(x, y)
+            w = np.asarray(y, dtype=np.float64)[chain.source_permutation].copy()
+            for tr in chain.transforms:
+                wa, wb = w[tr.i], w[tr.k]
+                w[tr.i] = tr.t * wa + (1.0 - tr.t) * wb
+                w[tr.k] = (1.0 - tr.t) * wa + tr.t * wb
+            assert apply_t_chain(chain, y).tobytes() == w[chain.target_permutation].tobytes()
+
     def test_transform_index_beyond_dimension_rejected(self):
         with pytest.raises(ValidationError, match="out of range"):
             TChain.plain([TTransform(0, 5, 0.5)], 3)

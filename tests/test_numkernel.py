@@ -110,6 +110,33 @@ class TestValidateDensity:
         with pytest.raises(ValidationError, match="Hermiticity"):
             validate_density([[0.5, 0.1], [0.0, 0.5]])
 
+    def test_input_coerced_once(self, monkeypatch):
+        calls = []
+        coerce = numkernel.as_complex_matrix
+        monkeypatch.setattr(numkernel, "as_complex_matrix", lambda *a: calls.append(1) or coerce(*a))
+        rho = validate_density(np.eye(3) / 3)
+        assert len(calls) == 1
+        assert isinstance(rho, DensityMatrix) and rho.matrix.dtype == np.complex128
+        # the public eigensolver still validates its own input
+        hermitian_eig(np.eye(2))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("m, match", [
+        (np.ones((2, 3)) / 2, "square"),
+        ([[0.5, np.inf], [np.inf, 0.5]], "non-finite"),
+        ([[0.5, complex(0, np.nan)], [0, 0.5]], "non-finite"),
+        ([0.5, 0.5], "2-dimensional"),
+    ])
+    def test_input_checks_kept(self, m, match):
+        with pytest.raises(ValidationError, match=match):
+            validate_density(m)
+
+    def test_non_finite_result_rejected(self):
+        # A zero matrix passes a trace tolerance of 2; its zero spectrum
+        # cannot be renormalized.
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="non-finite"):
+            validate_density(np.zeros((2, 2)), tol=2.0)
+
 
 class TestFrobeniusDistance:
     def test_self_distance_zero(self, rng):
@@ -174,3 +201,15 @@ class TestHelpers:
         assert fixed[idx].imag == pytest.approx(0.0, abs=1e-15)
         assert fixed[idx].real > 0
         assert np.linalg.norm(fixed) == pytest.approx(np.linalg.norm(v))
+
+    def test_fix_global_phase_returns_fresh_array(self):
+        for v in (np.zeros((2, 2), dtype=complex), np.array([[0.0, 1j]]), np.asfortranarray(np.eye(2) * 1j)):
+            fixed = fix_global_phase(v)
+            assert fixed is not v and not np.shares_memory(fixed, v)
+            assert fixed.dtype == np.complex128 and fixed.shape == v.shape
+        assert np.array_equal(fix_global_phase([[0.0, -2.0]]), [[0.0, 2.0]])
+
+    def test_complex_non_finite_entries_rejected(self):
+        for bad in (complex(1, np.inf), complex(np.nan, 0), complex(0, -np.inf)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                numkernel.as_complex_matrix([[1.0, bad]])

@@ -9,11 +9,13 @@ from qmajor.numkernel import DomainError, ValidationError, fix_global_phase, ran
 from qmajor.protocol import (
     MeasurementSet,
     WeylPair,
-    _branch_rows,
     _completeness_defect,
     _measurement_operator,
+    _phases,
     _prepare,
     _run_branch,
+    _shifted,
+    _twirled,
     build_measurement,
     clock_op,
     comm_cost,
@@ -32,6 +34,12 @@ def maximally_entangled(d):
 
 
 SKEW2 = BipartiteState(amplitudes=np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(complex))
+
+
+def branch(setup, s, t):
+    """One branch of a prepared instance, its outcome-invariant rows formed for it alone."""
+    d = setup.d
+    return _run_branch(setup, s, t, None, _shifted(setup.operator, d, s), _phases(d, t), _phases(d, -t))
 
 
 class TestShiftClock:
@@ -301,14 +309,15 @@ class TestStructuredMeasurement:
                 for s in range(d):
                     for t in range(d):
                         post = source @ meas.operators[s, t].T
-                        assert np.linalg.norm(post[:d] - _branch_rows(setup, s, t)) <= 1e-14
+                        rows = _twirled(_shifted(setup.operator, d, s), _phases(d, t)).T / np.sqrt(d)
+                        assert np.linalg.norm(post[:d] - rows) <= 1e-14
                         assert not np.any(post[d:])
                         # Alice's dense correction X^s Z^-t reaches the same final state
                         fix = weyl_op(WeylPair(d=d, s=s, t=0)) @ np.diag(omega ** (-t * j))
                         prob = np.linalg.norm(post) ** 2
                         final = setup.alice_basis @ fix @ post[:d] @ setup.bob_basis.T
                         final = fix_global_phase(final / np.sqrt(prob))
-                        tr = _run_branch(setup, s, t, None)
+                        tr = branch(setup, s, t)
                         assert tr.outcome_probability == pytest.approx(prob, abs=1e-15)
                         assert tr.outcome_probability == pytest.approx(dense_probs[s * d + t], abs=1e-15)
                         assert np.linalg.norm(tr.final_state.amplitudes - final) <= 1e-12
@@ -343,6 +352,100 @@ class TestStructuredMeasurement:
         target = random_bipartite(3, 4, rng)
         assert all(tr.fidelity >= 1 - 1e-9 for tr in enumerate_protocol(target, 3))
         assert run_protocol(target, 4, seed=5).fidelity >= 1 - 1e-9
+
+
+class TestBranchOracle:
+    """Sharing the outcome-invariant rows among branches changes no transcript byte.
+
+    The reference is the per-branch formula that forms every row itself:
+    twirl, scale, normalise, correct, rotate, fix the global phase.
+    """
+
+    @staticmethod
+    def reference(setup, s, t):
+        d = setup.d
+        j = np.arange(d)
+        omega = np.exp(2j * np.pi / d)
+        post = setup.operator.T[(j + s) % d] * (omega ** (j * t))[:, None] / np.sqrt(d)
+        prob = float(np.linalg.norm(post) ** 2)
+        post = post / np.sqrt(prob)
+        corrected = np.empty_like(post)
+        corrected[(j + s) % d] = post * (omega ** (-t * j))[:, None]
+        final = setup.alice_basis @ corrected @ setup.bob_basis.T
+        fidelity = min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2))
+        flat = final.reshape(-1)
+        pivot = flat[int(np.argmax(np.abs(flat)))]
+        if abs(pivot) > 1e-12:
+            final = final * (pivot.conjugate() / abs(pivot))
+        return final, fidelity, prob
+
+    @staticmethod
+    def fields(tr):
+        """Every transcript field but the seed, as bytes and exact float spellings."""
+        amps = tr.final_state.amplitudes
+        return (amps.shape, amps.tobytes(), tr.fidelity.hex(), tr.outcome_probability.hex(),
+                tr.bits_sent, tr.correction, tr.outcome)
+
+    @staticmethod
+    def target(kind, d, rng):
+        if kind == "square":
+            return random_bipartite(d, d, rng)
+        if kind == "rectangular":
+            return random_bipartite(d, d + 3, rng)
+        if kind == "rank-deficient":
+            return rank_deficient_bipartite(d, d + 1, max(1, d // 2), rng)
+        return random_bipartite((d + 1) // 2, max(1, d // 3), rng)  # zero-padded to d
+
+    @pytest.mark.parametrize("kind", ["square", "rectangular", "rank-deficient", "zero-padded"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24, 64])
+    def test_transcripts_match_reference_bytes(self, rng, d, kind):
+        target = self.target(kind, d, rng)
+        setup = _prepare(target, d)
+        transcripts = enumerate_protocol(target, d)
+        assert len(transcripts) == d * d
+        for i, tr in enumerate(transcripts):
+            s, t = divmod(i, d)
+            final, fidelity, prob = self.reference(setup, s, t)
+            expected = (final.shape, final.tobytes(), fidelity.hex(), prob.hex(),
+                        (d * d - 1).bit_length(),
+                        f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
+                        WeylPair(d=d, s=s, t=t))
+            assert self.fields(tr) == expected
+            assert tr.seed is None
+        for seed in range(4):
+            tr = run_protocol(target, d, seed)
+            assert tr.seed == seed
+            assert self.fields(tr) == self.fields(transcripts[tr.outcome.s * d + tr.outcome.t])
+
+
+class TestIntegerArguments:
+    """Dimensions are Python or numpy integers within the ceiling; seeds are valid PRNG seeds."""
+
+    @pytest.mark.parametrize("d", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_dimension(self, d):
+        assert comm_cost(d) == comm_cost(2)
+        assert isinstance(comm_cost(np.int64(4)).bits, int)
+        a, b = run_protocol(SKEW2, d, 0), run_protocol(SKEW2, 2, 0)
+        assert a.outcome == b.outcome
+        assert {type(a.outcome.d), type(a.outcome.s), type(a.outcome.t)} == {int}
+        assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+        assert [tr.outcome for tr in enumerate_protocol(SKEW2, d)] == [
+            tr.outcome for tr in enumerate_protocol(SKEW2, 2)
+        ]
+
+    @pytest.mark.parametrize("d, match", [
+        *[(d, "integer") for d in (True, False, 2.0, 2.5, "2", None, np.float64(2), 10**30, 2**24 + 1)],
+        *[(d, "positive") for d in (0, -1, np.int64(0))],
+    ])
+    def test_invalid_dimension_rejected(self, d, match):
+        for call in (comm_cost, lambda d: run_protocol(SKEW2, d, 0), lambda d: enumerate_protocol(SKEW2, d)):
+            with pytest.raises(ValidationError, match=f"dimension must be .*{match}"):
+                call(d)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5), 2.5])
+    def test_invalid_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            run_protocol(SKEW2, 2, seed)
 
 
 class TestOneTwirl:
