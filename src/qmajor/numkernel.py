@@ -178,11 +178,7 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     ties are ordered by decreasing lexicographic order of the phase-fixed
     eigenvectors.
     """
-    return _hermitian_eig(as_complex_matrix(h, "Hermitian input"), tol)
-
-
-def _hermitian_eig(m: np.ndarray, tol: float) -> Spectrum:
-    """:func:`hermitian_eig` of a matrix that has been through :func:`as_complex_matrix`."""
+    m = as_complex_matrix(h, "Hermitian input")
     n, cols = m.shape
     if n != cols:
         raise ValidationError(f"Hermitian input must be square, got shape {m.shape}")
@@ -272,17 +268,14 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     if abs(trace - 1.0) > tol:
         raise ValidationError(f"trace {trace.real!r} deviates from 1 by more than {tol}")
 
-    spect = _hermitian_eig(mat, tol)
+    spect = hermitian_eig(mat, tol=tol)
     lam = spect.eigenvalues
     if lam[-1] < -tol:
         raise ValidationError(f"eigenvalue {lam[-1]!r} < -{tol}: matrix is not positive semidefinite")
     lam = np.where(lam < 0.0, 0.0, lam)
     spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=spect.eigenvectors)
     clean = spect.reconstruct()
-    rho = object.__new__(DensityMatrix)  # square by construction; coerced once, above
-    object.__setattr__(rho, "matrix", (clean + clean.conj().T) / 2.0)
-    if not np.isfinite(rho.matrix).all():  # NaN when a large tol let the spectrum sum to 0
-        raise ValidationError("density matrix contains non-finite entries")
+    rho = DensityMatrix(matrix=(clean + clean.conj().T) / 2.0)
     object.__setattr__(rho, "_spectrum", spect)
     return rho
 

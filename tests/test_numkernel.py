@@ -110,17 +110,6 @@ class TestValidateDensity:
         with pytest.raises(ValidationError, match="Hermiticity"):
             validate_density([[0.5, 0.1], [0.0, 0.5]])
 
-    def test_input_coerced_once(self, monkeypatch):
-        calls = []
-        coerce = numkernel.as_complex_matrix
-        monkeypatch.setattr(numkernel, "as_complex_matrix", lambda *a: calls.append(1) or coerce(*a))
-        rho = validate_density(np.eye(3) / 3)
-        assert len(calls) == 1
-        assert isinstance(rho, DensityMatrix) and rho.matrix.dtype == np.complex128
-        # the public eigensolver still validates its own input
-        hermitian_eig(np.eye(2))
-        assert len(calls) == 2
-
     @pytest.mark.parametrize("m, match", [
         (np.ones((2, 3)) / 2, "square"),
         ([[0.5, np.inf], [np.inf, 0.5]], "non-finite"),
