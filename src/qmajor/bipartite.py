@@ -20,8 +20,11 @@ from .numkernel import (
     DomainError,
     ValidationError,
     _RANK_FLOOR,
+    _as_dim,
+    _as_tol,
     _canonical_phases,
     as_complex_matrix,
+    frobenius_distance,
     validate_density,
 )
 from .majorize import _majorized_pair, as_prob_vector
@@ -61,9 +64,8 @@ def _require_unit(psi: BipartiteState) -> None:
 
 def embed_state(psi: BipartiteState, dim_a: int, dim_b: int) -> BipartiteState:
     """Zero-pad a bipartite state into a larger composite space."""
-    if dim_a < psi.dim_a or dim_b < psi.dim_b:
-        raise ValidationError("embedding dimensions must not shrink the state")
-    m = np.zeros((dim_a, dim_b), dtype=np.complex128)
+    m = np.zeros((_as_dim(dim_a, "non-shrinking A dimension", psi.dim_a),
+                  _as_dim(dim_b, "non-shrinking B dimension", psi.dim_b)), dtype=np.complex128)
     m[: psi.dim_a, : psi.dim_b] = psi.amplitudes
     return BipartiteState(amplitudes=m)
 
@@ -133,9 +135,9 @@ def reduced_density(psi: BipartiteState, side: str) -> DensityMatrix:
     """Partial trace onto subsystem ``side`` ("A" or "B")."""
     _require_unit(psi)
     m = psi.amplitudes
-    if side.upper() == "A":
+    if str(side).upper() == "A":
         raw = m @ m.conj().T
-    elif side.upper() == "B":
+    elif str(side).upper() == "B":
         raw = m.T @ m.conj()
     else:
         raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
@@ -150,8 +152,8 @@ def purify(rho: DensityMatrix, weights, states, tol: float = 1e-8) -> BipartiteS
     """
     w = as_prob_vector(weights, name="weights")
     ens = Ensemble(weights=w, states=states, synthetic=np.zeros(w.shape[0], dtype=bool))
-    mismatch = float(np.linalg.norm(mixture_matrix(ens) - rho.matrix))
-    if mismatch > tol:
+    mismatch = frobenius_distance(mixture_matrix(ens), rho.matrix)
+    if mismatch > _as_tol(tol):
         raise DomainError(
             f"ensemble does not realize the density matrix: Frobenius mismatch {mismatch:.3e}"
         )
@@ -176,7 +178,7 @@ def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 
         )
     f, g = phi.amplitudes, psi.amplitudes
     gap = float(np.linalg.norm(f.T @ f.conj() - g.T @ g.conj()))
-    if gap > tol:
+    if gap > _as_tol(tol):
         raise DomainError(
             f"not co-purifications: B-side reduced densities differ by {gap:.3e} (Frobenius)"
         )

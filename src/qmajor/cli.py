@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .numkernel import DomainError, ValidationError, validate_density
+from .numkernel import DomainError, ValidationError, _as_dim, _as_tol, validate_density
 from .majorize import (
     as_prob_vector,
     _majorized_pair,
@@ -51,20 +51,13 @@ class InputError(Exception):
 
 # ---------------------------------------------------------------- encoding
 
-def _c(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def encode_vector(v) -> list[list[float]]:
-    return [_c(z) for z in np.asarray(v, dtype=np.complex128)]
-
-
-def encode_entries(m) -> list[list[list[float]]]:
-    return [encode_vector(row) for row in np.asarray(m, dtype=np.complex128)]
+def encode_entries(a) -> list:
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def encode_probvec(w) -> dict:
-    return {"kind": "probvec", "weights": [float(x) for x in np.asarray(w, dtype=np.float64)]}
+    return {"kind": "probvec", "weights": np.asarray(w, dtype=np.float64).tolist()}
 
 
 def encode_matrix(m) -> dict:
@@ -72,7 +65,7 @@ def encode_matrix(m) -> dict:
 
 
 def encode_statevec(v) -> dict:
-    return {"kind": "statevec", "amplitudes": encode_vector(v)}
+    return {"kind": "statevec", "amplitudes": encode_entries(v)}
 
 
 def encode_bipartite(psi: BipartiteState) -> dict:
@@ -87,9 +80,9 @@ def encode_bipartite(psi: BipartiteState) -> dict:
 def encode_ensemble(e: Ensemble) -> dict:
     return {
         "kind": "ensemble",
-        "weights": [float(x) for x in e.weights],
+        "weights": e.weights.tolist(),
         "states": encode_entries(e.states),
-        "synthetic": [bool(b) for b in e.synthetic],
+        "synthetic": e.synthetic.tolist(),
     }
 
 
@@ -240,10 +233,9 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
         base["seed"] = seed
     try:
         for k in sorted(flags):
-            if not (math.isfinite(flags[k]) and flags[k] >= 0.0):
-                raise InputError(f"tolerance {k!r} must be finite and non-negative, got {flags[k]!r}")
-        if seed is not None and seed < 0:
-            raise InputError(f"seed must be non-negative, got {seed}")
+            _as_tol(flags[k], f"tolerance {k!r}")
+        if seed is not None:
+            _as_dim(seed, "seed", 0, None)
         if len(inputs) != len(kinds):
             raise InputError(
                 f"{command} takes {len(kinds)} input(s) ({', '.join(kinds)}), got {len(inputs)}"

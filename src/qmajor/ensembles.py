@@ -19,6 +19,8 @@ from .numkernel import (
     DensityMatrix,
     ValidationError,
     _RANK_FLOOR,
+    _as_dim,
+    _as_tol,
     as_complex_matrix,
     validate_density,
 )
@@ -192,8 +194,7 @@ def uniform_ensemble(rho: DensityMatrix, m: int) -> Ensemble:
     precondition of synthesize_ensemble, which raises MajorizationError at
     the first failing partial sum.
     """
-    if m < 1:
-        raise ValidationError(f"ensemble size must be positive, got {m}")
+    m = _as_dim(m, "ensemble size", 1)
     return synthesize_ensemble(rho, np.full(m, 1.0 / m))
 
 
@@ -222,7 +223,7 @@ def verify_ensemble(ensemble: Ensemble, rho: DensityMatrix, tol: float = 1e-8) -
     if ensemble.dim != rho.dim:
         raise ValidationError(f"ensemble states have dimension {ensemble.dim} but rho has {rho.dim}")
     err = float(np.linalg.norm(mixture_matrix(ensemble) - rho.matrix))
-    violation = majorization_violation(ensemble.weights, rho.eigenvalues(), max(tol, TOL_PROB))
+    violation = majorization_violation(ensemble.weights, rho.eigenvalues(), max(_as_tol(tol), TOL_PROB))
     live = ensemble.weights > TOL_PROB
     deviations = np.abs(np.linalg.norm(ensemble.states[live], axis=1) - 1.0)
     return EnsembleAudit(
@@ -281,7 +282,7 @@ def entropy_report(ensemble: Ensemble, tol: float = 1e-9) -> EntropyReport:
     lam = lam / trace
     h = shannon_entropy(ensemble.weights)
     s = shannon_entropy(lam)
-    if h < s - tol:
+    if h < s - _as_tol(tol):
         raise ValidationError(f"mixing entropy {h!r} fell below state entropy {s!r}")
     lam = np.where(lam > _RANK_FLOOR, lam, 0.0)
     schur = check_schur_inequalities(ensemble.weights, lam, tol=tol)

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .numkernel import TOL_PROB, DomainError, ValidationError, as_complex_matrix
+from .numkernel import _as_array, _as_dim, _as_tol
 
 
 class MajorizationError(DomainError):
@@ -32,15 +33,11 @@ class MajorizationError(DomainError):
 
 def _nonneg_vector(v, tol: float, name: str) -> np.ndarray:
     """Validate a non-empty finite 1-D vector with entries >= -tol, clipped to 0."""
-    w = np.array(v, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValidationError(f"{name} must be 1-dimensional, got ndim={w.ndim}")
+    w = _as_array(v, name, np.float64, 1)
     if w.size == 0:
         raise ValidationError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError(f"{name} contains non-finite entries")
     low = float(w.min())
-    if low < -tol:
+    if low < -_as_tol(tol):
         raise ValidationError(f"{name} entry {low!r} is negative beyond -{tol}")
     return np.where(w < 0.0, 0.0, w)
 
@@ -116,11 +113,9 @@ class TTransform:
     t: float
 
     def __post_init__(self):
-        if self.i == self.k:
+        if _as_dim(self.i, "TTransform index", 0, None) == _as_dim(self.k, "TTransform index", 0, None):
             raise ValidationError("TTransform indices must differ")
-        if self.i < 0 or self.k < 0:
-            raise ValidationError("TTransform indices must be non-negative")
-        if not 0.0 <= self.t <= 1.0:
+        if not 0.0 <= _as_tol(self.t, "TTransform parameter t") <= 1.0:
             raise ValidationError(f"TTransform parameter t={self.t!r} outside [0, 1]")
 
     def matrix(self, dim: int) -> np.ndarray:
@@ -329,7 +324,7 @@ def unitary_to_stochastic(u, tol: float = 1e-9) -> np.ndarray:
     if n != cols:
         raise ValidationError(f"unitary must be square, got shape {m.shape}")
     defect = float(np.linalg.norm(m @ m.conj().T - np.eye(n)))
-    if defect > tol:
+    if defect > _as_tol(tol):
         raise ValidationError(f"unitarity defect {defect:.3e} exceeds {tol}")
     d = np.abs(m) ** 2
     return d
@@ -366,12 +361,12 @@ def schur_value(name: str, x, k: float | None = None) -> float:
     -0.5 > -1.
     """
     w = as_prob_vector(x, name="x")
+    if not isinstance(name, str):
+        raise ValidationError(f"Schur-convex function id must be a string, got {name!r}")
     if name == "neg_entropy":
         return _neg_entropy(w)
     if name == "power_sum":
-        if k is None:
-            raise ValidationError("power_sum requires the exponent k")
-        if k < 1.0:
+        if _as_tol(k, "power_sum exponent k") < 1.0:
             raise ValidationError(f"power_sum exponent k={k!r} must be >= 1")
         return float(np.sum(w**k))
     if name == "neg_product":
@@ -415,7 +410,7 @@ def check_schur_inequalities(x, y, tol: float = 1e-9) -> SchurReport:
     the largest component enters with a plus sign: max is Schur-convex
     (its negation is not, despite being a popular disorder measure).
     """
-    xv, yv = _majorized_pair(x, y, max(tol, TOL_PROB))[:2]
+    xv, yv = _majorized_pair(x, y, max(_as_tol(tol), TOL_PROB))[:2]
     entries: list[SchurEntry] = []
     entries.append(SchurEntry("neg_entropy", _neg_entropy(xv), _neg_entropy(yv)))
     for k in _POWER_SUM_EXPONENTS:

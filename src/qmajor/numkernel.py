@@ -8,6 +8,7 @@ returned arrays are fresh and never alias their inputs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,24 +46,46 @@ class DomainError(Exception):
     """A well-formed input is rejected by an operation's mathematical precondition."""
 
 
+def _as_array(values, name: str, dtype, ndim: int) -> np.ndarray:
+    """A fresh finite ``ndim``-dimensional ``dtype`` array; ragged input and entries that
+    ``dtype`` does not hold (strings, objects, complex ones for a real dtype) raise."""
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:
+        raise ValidationError(f"{name} is not an array: {exc}") from None
+    if a.dtype.kind not in ("biufc" if dtype is np.complex128 else "biuf"):
+        raise ValidationError(f"{name}: could not convert {a.dtype} entries to {np.dtype(dtype)}")
+    if a.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-dimensional, got ndim={a.ndim}")
+    a = a.astype(dtype)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return a
+
+
 def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
     """Coerce to a fresh 2-D complex128 array, rejecting non-finite entries."""
-    m = np.array(entries, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValidationError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    return m
+    return _as_array(entries, name, np.complex128, 2)
 
 
-def _as_dim(value, name: str, minimum: int) -> int:
-    """A Python or numpy integer, not a bool, in minimum.._MAX_DIM, returned as an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value > _MAX_DIM:
-        raise ValidationError(f"{name} must be an integer at most {_MAX_DIM}, got {value!r}")
+def _as_dim(value, name: str, minimum: int, maximum: int | None = _MAX_DIM) -> int:
+    """A Python int or numpy integer, not a bool, in minimum..maximum (None: no ceiling), as an int."""
+    integer = type(value) is int or isinstance(value, np.integer)
+    if not integer or maximum is not None and value > maximum:
+        ceiling = "" if maximum is None else f" at most {maximum}"
+        raise ValidationError(f"{name} must be an integer{ceiling}, got {value!r}")
     if value < minimum:
-        bound = "positive" if minimum == 1 else f"at least {minimum}"
+        bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise ValidationError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def _as_tol(tol, name: str = "tolerance") -> float:
+    """A Python or numpy real, not a bool, finite and non-negative, as a float."""
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and type(tol) is not bool
+    if not (real and 0.0 <= tol <= sys.float_info.max):
+        raise ValidationError(f"{name} must be finite and non-negative, got {tol!r}")
+    return float(tol)
 
 
 def frobenius_distance(a, b) -> float:
@@ -183,7 +206,7 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     if n != cols:
         raise ValidationError(f"Hermitian input must be square, got shape {m.shape}")
     defect = _hermiticity_defect(m)
-    if defect > tol:
+    if defect > _as_tol(tol):
         raise ValidationError(
             f"Hermiticity violated: max |M_ij - conj(M_ji)| = {defect:.3e} exceeds {tol}"
         )
@@ -265,7 +288,7 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     """
     mat = as_complex_matrix(m, "density matrix")
     trace = complex(np.trace(mat))
-    if abs(trace - 1.0) > tol:
+    if abs(trace - 1.0) > _as_tol(tol):
         raise ValidationError(f"trace {trace.real!r} deviates from 1 by more than {tol}")
 
     spect = hermitian_eig(mat, tol=tol)
@@ -287,9 +310,8 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     G G^dagger / trace(G G^dagger), so exactly ``rank`` eigenvalues are
     positive (almost surely) and identical seeds give identical matrices.
     """
-    if not 1 <= rank <= dim:
-        raise ValidationError(f"rank must satisfy 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    rng = np.random.default_rng(seed)
+    rank = _as_dim(rank, "rank", 1, _as_dim(dim, "dimension", 1))
+    rng = np.random.default_rng(_as_dim(seed, "seed", 0, None))
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ g.conj().T
     m = m / np.trace(m).real
@@ -298,9 +320,8 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary via QR of a complex Gaussian matrix."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
+    dim = _as_dim(dim, "dimension", 1)
+    rng = np.random.default_rng(_as_dim(seed, "seed", 0, None))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     d = np.diag(r)

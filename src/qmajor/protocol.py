@@ -17,7 +17,9 @@ from .numkernel import (
     TOL_NORM,
     DomainError,
     ValidationError,
+    _as_array,
     _as_dim,
+    as_complex_matrix,
     fix_global_phase,
 )
 from .bipartite import (
@@ -32,11 +34,13 @@ from .bipartite import (
 
 def shift_op(d: int) -> np.ndarray:
     """Cyclic shift X with X|j> = |j+1 mod d>."""
+    d = _as_dim(d, "dimension", 1)
     return weyl_op(WeylPair(d=d, s=min(1, d - 1), t=0))
 
 
 def clock_op(d: int) -> np.ndarray:
     """Phase gradient Z = diag(omega^j) with omega = exp(2 pi i / d)."""
+    d = _as_dim(d, "dimension", 1)
     return weyl_op(WeylPair(d=d, s=0, t=min(1, d - 1)))
 
 
@@ -49,12 +53,9 @@ class WeylPair:
     t: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"dimension must be positive, got {self.d}")
-        if not (0 <= self.s < self.d and 0 <= self.t < self.d):
-            raise ValidationError(
-                f"indices must lie in 0..{self.d - 1}, got s={self.s}, t={self.t}"
-            )
+        last = _as_dim(self.d, "dimension", 1) - 1
+        _as_dim(self.s, "index s", 0, last)
+        _as_dim(self.t, "index t", 0, last)
 
 
 def weyl_op(pair: WeylPair) -> np.ndarray:
@@ -75,14 +76,15 @@ class MeasurementSet:
     operators: np.ndarray
 
     def __post_init__(self):
-        ops = np.array(self.operators, dtype=np.complex128)
-        expected = (self.d, self.d, self.dim_b, self.dim_b)
+        d, dim_b = _as_dim(self.d, "dimension", 1), _as_dim(self.dim_b, "Bob dimension", self.d)
+        ops = _as_array(self.operators, "operators", np.complex128, 4)
+        expected = (d, d, dim_b, dim_b)
         if ops.shape != expected:
             raise ValidationError(f"operators must have shape {expected}, got {ops.shape}")
         # sum_{s,t} E_st^dagger E_st is one product of the stacked rows.
-        rows = ops.reshape(-1, self.dim_b)
-        defect = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_b)))
-        if defect > 1e-10:
+        rows = ops.reshape(-1, dim_b)
+        defect = float(np.linalg.norm(rows.conj().T @ rows - np.eye(dim_b)))
+        if not defect <= 1e-10:
             raise ValidationError(f"measurement completeness defect {defect:.3e}")
         object.__setattr__(self, "operators", ops)
 
@@ -97,9 +99,7 @@ def _measurement_operator(target_states_b, d: int) -> np.ndarray:
     E X^s Z^t resolve the identity on the first d coordinates.  Columns past
     d are zero.
     """
-    states = np.array(target_states_b, dtype=np.complex128)
-    if states.ndim != 2:
-        raise ValidationError("target states must form a 2-D array, one state per row")
+    states = as_complex_matrix(target_states_b, "target states")
     if states.shape[0] != d:
         raise ValidationError(f"need exactly {d} target states, got {states.shape[0]}")
     dim_b = states.shape[1]
@@ -158,6 +158,7 @@ def build_measurement(target_states_b, d: int) -> MeasurementSet:
     so that the d^2 twirled operators E X^s Z^t resolve the identity, and on
     any extra Bob dimensions each operator acts as identity/d.
     """
+    d = _as_dim(d, "dimension", 1)
     e = _measurement_operator(target_states_b, d)
     dim_b = e.shape[0]
     ops = np.zeros((d, d, dim_b, dim_b), dtype=np.complex128)
@@ -298,10 +299,7 @@ def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTrans
     same seed reproduces the transcript exactly.
     """
     setup = _prepare(phi_target, d)
-    try:
-        u = np.random.default_rng(seed).random()
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"seed {seed!r} rejected: {exc}") from None
+    u = np.random.default_rng(_as_dim(seed, "seed", 0, None)).random()
     d = setup.d
     s, t = divmod(min(int(u * d * d), d * d - 1), d)
     return _run_branch(setup, s, t, seed, _shifted(setup.operator, d, s), _phases(d, t), _phases(d, -t))

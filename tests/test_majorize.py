@@ -545,6 +545,9 @@ class TestSchurValue:
             schur_value("power_sum", [0.5, 0.5])
         with pytest.raises(ValidationError, match="k"):
             schur_value("power_sum", [0.5, 0.5], k=0.5)
+        for k in (float("nan"), float("inf"), "2", 1 + 1j, True):
+            with pytest.raises(ValidationError, match="exponent k must be finite"):
+                schur_value("power_sum", [0.5, 0.5], k=k)
 
 
 class TestSchurInequalities:

@@ -4,8 +4,15 @@ import pytest
 import qmajor.bipartite
 import qmajor.numkernel
 import qmajor.protocol
-from qmajor.bipartite import BipartiteState, schmidt
-from qmajor.numkernel import DomainError, ValidationError, fix_global_phase, random_unitary
+from qmajor.bipartite import BipartiteState, embed_state, schmidt
+from qmajor.ensembles import uniform_ensemble
+from qmajor.numkernel import (
+    DomainError,
+    ValidationError,
+    fix_global_phase,
+    random_density,
+    random_unitary,
+)
 from qmajor.protocol import (
     MeasurementSet,
     WeylPair,
@@ -419,7 +426,7 @@ class TestBranchOracle:
 
 
 class TestIntegerArguments:
-    """Dimensions are Python or numpy integers within the ceiling; seeds are valid PRNG seeds."""
+    """Dimensions are Python or numpy integers within the ceiling; seeds are non-negative integers."""
 
     @pytest.mark.parametrize("d", [np.int64(2), np.int32(2), np.uint8(2)])
     def test_numpy_integer_dimension(self, d):
@@ -438,14 +445,37 @@ class TestIntegerArguments:
         *[(d, "positive") for d in (0, -1, np.int64(0))],
     ])
     def test_invalid_dimension_rejected(self, d, match):
-        for call in (comm_cost, lambda d: run_protocol(SKEW2, d, 0), lambda d: enumerate_protocol(SKEW2, d)):
-            with pytest.raises(ValidationError, match=f"dimension must be .*{match}"):
+        unit = BipartiteState(amplitudes=[[1.0]])
+        rho = random_density(2, 2, seed=1)
+        for name, call in (
+            ("dimension", comm_cost),
+            ("dimension", lambda d: run_protocol(SKEW2, d, 0)),
+            ("dimension", lambda d: enumerate_protocol(SKEW2, d)),
+            ("dimension", lambda d: random_density(d, 1, 0)),
+            ("rank", lambda d: random_density(2, d, 0)),
+            ("dimension", lambda d: random_unitary(d, 0)),
+            ("ensemble size", lambda d: uniform_ensemble(rho, d)),
+            ("dimension", shift_op),
+            ("dimension", clock_op),
+            ("dimension", lambda d: weyl_op(WeylPair(d=d, s=0, t=0))),
+            ("dimension", lambda d: build_measurement(np.eye(2), d)),
+            ("A dimension", lambda d: embed_state(unit, d, 1)),
+            ("B dimension", lambda d: embed_state(unit, 1, d)),
+        ):
+            with pytest.raises(ValidationError, match=f"{name} must be .*{match}"):
                 call(d)
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-5), 2.5])
+    @pytest.mark.parametrize("seed", [
+        -1, np.int64(-5), 2.5, None, True, "7", np.array([1, 2]), np.random.default_rng(0),
+    ])
     def test_invalid_seed_rejected(self, seed):
-        with pytest.raises(ValidationError, match="seed"):
-            run_protocol(SKEW2, 2, seed)
+        for call in (
+            lambda seed: run_protocol(SKEW2, 2, seed),
+            lambda seed: random_density(2, 1, seed),
+            lambda seed: random_unitary(2, seed),
+        ):
+            with pytest.raises(ValidationError, match="seed"):
+                call(seed)
 
 
 class TestOneTwirl:
