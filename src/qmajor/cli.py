@@ -143,7 +143,7 @@ def parse_document(doc, path: str, tols: dict, expect: str | None = None):
         if kind == "ensemble":
             weights = np.asarray(doc["weights"], dtype=np.float64)
             states = _decode_matrix(doc["states"], f"{path} states")
-            synthetic = np.asarray(doc.get("synthetic", [False] * weights.size), dtype=bool)
+            synthetic = doc.get("synthetic", [False] * weights.size)
             return Ensemble(weights=weights, states=states, synthetic=synthetic)
     except KeyError as exc:
         raise InputError(f"{path}: missing field {exc}") from exc

@@ -19,6 +19,7 @@ from .numkernel import (
     DensityMatrix,
     ValidationError,
     _RANK_FLOOR,
+    _as_array,
     _as_dim,
     _as_tol,
     as_complex_matrix,
@@ -59,7 +60,7 @@ class Ensemble:
             raise ValidationError(
                 f"{w.shape[0]} weights but {s.shape[0]} states"
             )
-        flags = np.array(self.synthetic, dtype=bool)
+        flags = _as_array(self.synthetic, "synthetic flags", np.bool_, 1)
         if flags.shape != w.shape:
             raise ValidationError("synthetic flags must align with weights")
         flagged = np.nonzero(flags & (w > 0.0))[0]
@@ -79,13 +80,24 @@ class Ensemble:
 
     @classmethod
     def from_members(cls, members) -> "Ensemble":
-        """Build from an iterable of (weight, state) pairs."""
-        weights = [m[0] for m in members]
-        states = [np.asarray(m[1], dtype=np.complex128) for m in members]
+        """Build from an iterable of (weight, state) pairs, the states of one dimension."""
+        try:
+            pairs = [(w, s) for w, s in members]
+        except (TypeError, ValueError):
+            raise ValidationError("ensemble members must be (weight, state) pairs") from None
+        states = [
+            _as_array(s, f"ensemble member {i} state", np.complex128, 1)
+            for i, (_, s) in enumerate(pairs)
+        ]
+        for i, s in enumerate(states):
+            if s.size != states[0].size:
+                raise ValidationError(
+                    f"ensemble member {i} has dimension {s.size}, member 0 has {states[0].size}"
+                )
         return cls(
-            weights=np.array(weights, dtype=np.float64),
-            states=np.array(states, dtype=np.complex128),
-            synthetic=np.zeros(len(weights), dtype=bool),
+            weights=[w for w, _ in pairs],
+            states=np.array(states),
+            synthetic=np.zeros(len(pairs), dtype=bool),
         )
 
     @property

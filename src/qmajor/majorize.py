@@ -118,6 +118,14 @@ class TTransform:
         if not 0.0 <= _as_tol(self.t, "TTransform parameter t") <= 1.0:
             raise ValidationError(f"TTransform parameter t={self.t!r} outside [0, 1]")
 
+    @classmethod
+    def _trusted(cls, i: int, k: int, t: float) -> "TTransform":
+        """Build without ``__post_init__``: the caller guarantees ints i != k >= 0, 0 <= t <= 1."""
+        tr = object.__new__(cls)
+        fields = tr.__dict__
+        fields["i"], fields["k"], fields["t"] = i, k, t
+        return tr
+
     def matrix(self, dim: int) -> np.ndarray:
         """Dense doubly stochastic matrix of the transform."""
         m = np.eye(dim)
@@ -145,11 +153,12 @@ class TTransform:
 class TChain:
     """T-transform witness that y can be mixed into x.
 
-    ``transforms`` are listed in application order and act on coordinates of
-    the sorted copy of y.  ``source_permutation`` sorts y decreasing
-    (w = y[source_permutation]); after applying the transforms the values of
-    sorted x sit in a recorded arrangement, and ``target_permutation`` reads
-    them back in x's original order (x = w_final[target_permutation]).
+    ``transforms`` are listed in application order (any iterable, stored as a
+    tuple) and act on coordinates of the sorted copy of y.
+    ``source_permutation`` sorts y decreasing (w = y[source_permutation]);
+    after applying the transforms the values of sorted x sit in a recorded
+    arrangement, and ``target_permutation`` reads them back in x's original
+    order (x = w_final[target_permutation]).
     """
 
     transforms: tuple[TTransform, ...]
@@ -157,6 +166,10 @@ class TChain:
     target_permutation: np.ndarray
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "transforms", tuple(self.transforms))
+        except TypeError:
+            raise ValidationError(f"chain transforms {self.transforms!r} not iterable") from None
         # The source is checked first, so ``dim`` is defined for the target.
         for name in ("source_permutation", "target_permutation"):
             perm = getattr(self, name)
@@ -179,10 +192,9 @@ class TChain:
     @classmethod
     def plain(cls, transforms, dim: int) -> "TChain":
         """Chain with identity bookkeeping, for hand-built transform lists."""
+        d = _as_dim(dim, "chain dimension", 1)
         return cls(
-            transforms=tuple(transforms),
-            source_permutation=np.arange(dim),
-            target_permutation=np.arange(dim),
+            transforms=transforms, source_permutation=np.arange(d), target_permutation=np.arange(d)
         )
 
     @property
@@ -202,38 +214,40 @@ def t_transform_chain(x, y, tol: float = TOL_PROB) -> TChain:
     xv, yv, perm_x, perm_y = _majorized_pair(x, y, tol)
     d = xv.size
     xs = xv[perm_x].tolist()
-    w = yv[perm_y].tolist()
 
-    # Positions still in play, kept sorted by decreasing current value.  Ties
-    # keep insertion order, so the whole walk is deterministic.
+    # order[h:] holds the positions still in play, sorted by decreasing current
+    # value next to their negated values in neg[h:], which the bisects search;
+    # ties keep insertion order, so the whole walk is deterministic.  order[:h]
+    # is retired: order[j] is left holding the j-th largest component of x.
     order = list(range(d))
-    key = lambda p: -w[p]
-    target_permutation = np.empty(d, dtype=np.intp)
+    neg = (-yv[perm_y]).tolist()
     transforms: list[TTransform] = []
 
-    for step in range(d - 1):
-        target = xs[step]
+    for h in range(d - 1):
+        target = xs[h]
         # Pair the largest remaining component with the deepest component that
         # does not exceed the target value.
-        ib = min(bisect.bisect_right(order, -target, key=key), len(order) - 1)
-        a, b = order[0], order[ib]
-        wa, wb = w[a], w[b]
+        ib = min(bisect.bisect_right(neg, -target, h), d - 1)
+        a, b = order[h], order[ib]
+        wa, wb = -neg[h], -neg[ib]
         if wa > wb:
             t = min(1.0, max(0.0, (target - wb) / (wa - wb)))
         else:
             t = 1.0
-        target_permutation[perm_x[step]] = a
-        del order[0]
         if t < 1.0:
-            transforms.append(TTransform(i=a, k=b, t=t))
-            w[b] = (1.0 - t) * wa + t * wb
+            # wa > wb gives a != b, and the clamp gives 0 <= t < 1.
+            transforms.append(TTransform._trusted(a, b, t))
+            vb = (1.0 - t) * wa + t * wb
             # b's value grew: move it left to keep the order sorted, landing
             # before any equal values so the walk stays deterministic.
-            del order[ib - 1]
-            order.insert(bisect.bisect_left(order, -w[b], key=key), b)
-    target_permutation[perm_x[d - 1]] = order[0]
+            del order[ib], neg[ib]
+            at = bisect.bisect_left(neg, -vb, h + 1)
+            order.insert(at, b)
+            neg.insert(at, -vb)
+    target_permutation = np.empty(d, dtype=np.intp)
+    target_permutation[perm_x] = order
     return TChain(
-        transforms=tuple(transforms),
+        transforms=transforms,
         source_permutation=perm_y,
         target_permutation=target_permutation,
     )
@@ -251,12 +265,15 @@ def apply_t_chain(chain: TChain, y) -> np.ndarray:
         raise ValidationError(f"vector of length {yv.size} exceeds chain dimension {d}")
     if yv.size < d:
         yv = np.concatenate([yv, np.zeros(d - yv.size)])
-    w = yv[chain.source_permutation].copy()
+    # Python floats, not numpy scalars, for speed; float() of t and of 1 - t
+    # keeps a float16 or float32 t's products in float64, as on a float64 array.
+    w = yv[chain.source_permutation].tolist()
     for tr in chain.transforms:
         wa, wb = w[tr.i], w[tr.k]
-        w[tr.i] = tr.t * wa + (1.0 - tr.t) * wb
-        w[tr.k] = (1.0 - tr.t) * wa + tr.t * wb
-    return w[chain.target_permutation]
+        t, s = float(tr.t), float(1.0 - tr.t)
+        w[tr.i] = t * wa + s * wb
+        w[tr.k] = s * wa + t * wb
+    return np.array(w)[chain.target_permutation]
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,13 @@ class DomainError(Exception):
 
 def _as_array(values, name: str, dtype, ndim: int) -> np.ndarray:
     """A fresh finite ``ndim``-dimensional ``dtype`` array; ragged input and entries that
-    ``dtype`` does not hold (strings, objects, complex ones for a real dtype) raise."""
+    ``dtype`` does not hold (strings, objects, complex ones for a real dtype, anything but
+    bools for bool) raise."""
     try:
         a = np.asarray(values)
     except ValueError as exc:
         raise ValidationError(f"{name} is not an array: {exc}") from None
-    if a.dtype.kind not in ("biufc" if dtype is np.complex128 else "biuf"):
+    if a.dtype.kind not in {np.complex128: "biufc", np.bool_: "b"}.get(dtype, "biuf"):
         raise ValidationError(f"{name}: could not convert {a.dtype} entries to {np.dtype(dtype)}")
     if a.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got ndim={a.ndim}")

@@ -8,10 +8,11 @@ scalars, 0-D, 2-D and 3-D arrays, NaN, +-inf, 1e400, negatives, bools,
 complex values, strings and huge integers.  Parameters whose type is a
 library value (a ``DensityMatrix``, a ``BipartiteState``, ...) take instances
 of it, since those are validated when they are built, and the classes are
-fuzzed here themselves; a ``TChain``'s transforms are a tuple whose entries
-are fuzzed.  The error classes are the contract's vocabulary and are not
-fuzzed.  Sizes stay at most 4, so every call is small, and examples
-are derandomized, so the suite runs the same inputs every time.
+fuzzed here themselves, with their public classmethods; a ``TChain``'s
+transforms are a list or tuple of fuzzed entries, or a malformed value.  The
+error classes are the contract's vocabulary and are not fuzzed.  Sizes stay
+at most 4, so every call is small, and examples are derandomized, so the
+suite runs the same inputs every time.
 """
 
 import copy
@@ -74,6 +75,11 @@ MATRIX = pool(
     np.eye(2) / 2, BELL, SKEW, STATES, np.eye(2), -np.eye(2) / 2, np.zeros((2, 2)), np.eye(2, 3)
 )
 ANY = pool(1.0, np.eye(2))
+TRANSFORMS = st.one_of(
+    st.lists(pool(TTransform(0, 1, 0.5)), max_size=2).map(tuple),
+    st.lists(pool(TTransform(0, 1, 0.5)), max_size=2),
+    pool(),
+)
 DENSITY = st.sampled_from(RHO)
 STATE = st.sampled_from(PSI)
 ENSEMBLE = st.sampled_from(
@@ -86,7 +92,7 @@ ARGS = {
     "Ensemble": {"weights": VEC, "states": MATRIX, "synthetic": pool([False, False], np.zeros(3, bool))},
     "MeasurementSet": {"d": DIM, "dim_b": DIM, "operators": pool(MEAS.operators, np.zeros((1, 1, 1, 1)))},
     "TChain": {
-        "transforms": st.lists(pool(TTransform(0, 1, 0.5)), max_size=2).map(tuple),
+        "transforms": TRANSFORMS,
         "source_permutation": pool(np.arange(2), np.array([1, 0]), np.arange(3)),
         "target_permutation": pool(np.arange(2), np.array([1, 0]), np.arange(3)),
     },
@@ -128,6 +134,15 @@ ARGS = {
     "verify_ensemble": {"ensemble": ENSEMBLE, "rho": DENSITY, "tol": TOL},
     "weyl_op": {"pair": st.sampled_from([WeylPair(1, 0, 0), WeylPair(3, 2, 1)])},
 }
+# Public classmethods, fuzzed like the names in ``__all__``.
+CLASSMETHODS = {
+    "Ensemble.from_members": {
+        "members": st.one_of(
+            st.lists(st.tuples(UNIT, pool([1, 0], [0, 1, 0], STATES[1])), max_size=3), pool()
+        ),
+    },
+    "TChain.plain": {"transforms": TRANSFORMS, "dim": DIM},
+}
 ERRORS = {"DomainError", "MajorizationError", "ValidationError"}
 # Result records validate nothing: any fields construct one.
 RECORDS = sorted(
@@ -139,16 +154,26 @@ def test_every_public_name_is_fuzzed():
     for name in RECORDS:
         assert not hasattr(getattr(qmajor, name), "__post_init__"), f"{name} validates its fields"
     assert set(ARGS) | set(RECORDS) | ERRORS == set(qmajor.__all__)
-    for name, params in ARGS.items():
-        assert set(params) == set(inspect.signature(getattr(qmajor, name)).parameters), name
+    for name, params in {**ARGS, **CLASSMETHODS}.items():
+        assert set(params) == set(inspect.signature(_public(name)).parameters), name
 
 
-@pytest.mark.parametrize("name", sorted(ARGS) + RECORDS)
+def _public(name):
+    """``qmajor.<name>``, or the classmethod ``qmajor.<class>.<method>``."""
+    target = qmajor
+    for part in name.split("."):
+        target = getattr(target, part)
+    return target
+
+
+@pytest.mark.parametrize("name", sorted(ARGS) + RECORDS + sorted(CLASSMETHODS))
 @FUZZ
 @given(data=st.data())
 def test_raises_only_library_errors(name, data):
-    target = getattr(qmajor, name)
-    strategies = ARGS.get(name) or {p: ANY for p in inspect.signature(target).parameters}
+    target = _public(name)
+    strategies = {**ARGS, **CLASSMETHODS}.get(name) or {
+        p: ANY for p in inspect.signature(target).parameters
+    }
     kwargs = {p: data.draw(s, label=p) for p, s in strategies.items()}
     # A tolerance of 1 or more lets validate_density clip a whole spectrum to
     # zero; its 0/0 renormalization is then caught as non-finite, as

@@ -202,6 +202,17 @@ class TestExitContract:
             runner, ["ensemble-verify", "-i", bad, "-i", files["rho"]], tmp_path, "could not convert"
         )
 
+    @pytest.mark.parametrize("flags", [["", "x"], [0, 1], [None, False]])
+    def test_non_bool_synthetic_flags(self, runner, files, write, tmp_path, flags):
+        bad = write("ens.json", {
+            "kind": "ensemble", "weights": [1.0, 0.0],
+            "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "synthetic": flags,
+        })
+        self.assert_input_error(
+            runner, ["ensemble-verify", "-i", bad, "-i", files["rho"]], tmp_path,
+            "synthetic flags: could not convert",
+        )
+
     def test_probvec_given_to_schmidt(self, runner, files, tmp_path):
         self.assert_input_error(
             runner, ["schmidt", "-i", files["x"]], tmp_path, "expected kind 'bipartite', got 'probvec'"

@@ -49,6 +49,26 @@ class TestDensityFromEnsemble:
         with pytest.raises(ValidationError, match="sum"):
             Ensemble.from_members([(0.9, KET0), (0.3, KET1)])
 
+    @pytest.mark.parametrize("members, match", [
+        ([(1.0, [1, 0]), (0.0, [0, 1, 0])], "member 1 has dimension 3, member 0 has 2"),
+        ([(1.0, "ab")], "member 0 state: could not convert"),
+        ([(1.0, [[1, 0]])], "member 0 state must be 1-dimensional"),
+        ([(1.0, [np.nan, 0])], "member 0 state contains non-finite"),
+        ([("x", KET0)], "could not convert"),
+        ([(1.0,)], "must be \\(weight, state\\) pairs"),
+        (5, "must be \\(weight, state\\) pairs"),
+    ])
+    def test_from_members_malformed_input_rejected(self, members, match):
+        with pytest.raises(ValidationError, match=match):
+            Ensemble.from_members(members)
+
+    def test_from_members_stacks_valid_states(self):
+        ens = Ensemble.from_members(iter([(0.25, [1, 0]), (0.75, PLUS)]))
+        assert ens.states.dtype == np.complex128
+        assert np.array_equal(ens.states, np.array([KET0, PLUS]))
+        assert ens.weights.tolist() == [0.25, 0.75]
+        assert ens.synthetic.tolist() == [False, False]
+
 
 class TestIsCompatible:
     def test_spectrum_itself(self):
@@ -106,6 +126,20 @@ class TestSynthesizeEnsemble:
         # a flag on an exact zero weight is what synthesis itself produces
         ens = Ensemble(weights=[1.0, 0.0], states=np.eye(2), synthetic=[False, True])
         assert ens.synthetic.tolist() == [False, True]
+
+    @pytest.mark.parametrize("flags", [
+        ["", "x"], ["x", "x"], [0, 1], [0.0, 1.0], [np.nan, 0.0], [None, None], "ab",
+    ])
+    def test_synthetic_flags_must_be_bools(self, flags):
+        # Coerced with bool(), the non-empty string "x" would read as True.
+        with pytest.raises(ValidationError, match="synthetic flags: could not convert"):
+            Ensemble(weights=[1.0, 0.0], states=np.eye(2), synthetic=flags)
+
+    def test_synthetic_flags_must_align(self):
+        with pytest.raises(ValidationError, match="synthetic flags must be 1-dimensional"):
+            Ensemble(weights=[1.0, 0.0], states=np.eye(2), synthetic=[[False, True]])
+        with pytest.raises(ValidationError, match="must align"):
+            Ensemble(weights=[1.0, 0.0], states=np.eye(2), synthetic=[False])
 
     def test_tiny_weights_get_real_states(self):
         # a placeholder for each 1e-9 weight would cost 2e-7 in the audit

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -204,6 +205,24 @@ class TestApplyTChain:
         with pytest.raises(ValidationError, match="not a TTransform"):
             TChain.plain([(0, 1, 0.5)], 3)
 
+    def test_transforms_coerced_to_a_tuple(self):
+        tr = TTransform(i=0, k=1, t=0.5)
+        chain = TChain(transforms=[tr], source_permutation=np.arange(2), target_permutation=np.arange(2))
+        assert chain.transforms == (tr,)
+        assert TChain.plain(iter([tr]), 2).transforms == (tr,)
+
+    @pytest.mark.parametrize("transforms", [5, None, 0.5, TTransform(i=0, k=1, t=0.5)])
+    def test_non_iterable_transforms_rejected(self, transforms):
+        with pytest.raises(ValidationError, match="not iterable"):
+            TChain(transforms=transforms, source_permutation=np.arange(2), target_permutation=np.arange(2))
+        with pytest.raises(ValidationError, match="not iterable"):
+            TChain.plain(transforms, 2)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.0, True, "2", None, 10**30])
+    def test_plain_dimension_validated(self, dim):
+        with pytest.raises(ValidationError, match="chain dimension"):
+            TChain.plain([], dim)
+
     def test_permutation_lengths_must_agree(self):
         with pytest.raises(ValidationError, match="target_permutation is not"):
             TChain(transforms=(), source_permutation=np.arange(3), target_permutation=np.arange(4))
@@ -327,6 +346,25 @@ class TestHornWitnessStructure:
         state = random_bipartite(4, 5, rng)
         corollary4_decompose(state, mix_down(schmidt(state).coefficients, rng))
 
+    def test_library_paths_recheck_no_walk_built_transform(self, monkeypatch, rng):
+        calls = []
+        checked = TTransform.__post_init__
+
+        def counting(tr):
+            calls.append(tr)
+            checked(tr)
+
+        monkeypatch.setattr(TTransform, "__post_init__", counting)
+        y = rng.dirichlet(np.ones(12))
+        x = mix_down(y, rng)
+        assert len(t_transform_chain(x, y)) > 0
+        horn_orthogonal(x, y)
+        rho = random_density(5, 4, seed=3)
+        synthesize_ensemble(rho, mix_down(np.concatenate([rho.eigenvalues(), [0.0]]), rng))
+        assert calls == []
+        TTransform(i=0, k=1, t=0.5)
+        assert len(calls) == 1
+
     def test_witness_and_chain_are_one_construction(self, rng):
         cases = ["uniform", "degenerate", "zero-padded", "permutation", "mixed"]
         for trial in range(100):
@@ -417,6 +455,18 @@ def _reference_chain(x, y):
     return transforms, perm_y, target_permutation
 
 
+def _reference_apply(chain, y):
+    """``apply_t_chain`` as a loop over numpy float64 scalars, for bit comparison."""
+    d = chain.dim
+    yv = np.concatenate([np.clip(np.asarray(y, dtype=np.float64), 0.0, None), np.zeros(d - len(y))])
+    w = yv[chain.source_permutation].copy()
+    for tr in chain.transforms:
+        wa, wb = w[tr.i], w[tr.k]
+        w[tr.i] = tr.t * wa + (1.0 - tr.t) * wb
+        w[tr.k] = (1.0 - tr.t) * wa + tr.t * wb
+    return w[chain.target_permutation]
+
+
 def _tie_heavy_pair(rng, case):
     """(x, y) of dimension up to about 200, rich in equal entries."""
     d = int(rng.integers(1, 201))
@@ -467,6 +517,45 @@ class TestChainOracle:
             assert np.array_equal(chain.source_permutation, source)
             assert np.array_equal(chain.target_permutation, target)
         assert rejected >= 60
+
+    def test_walk_built_transforms_equal_checked_ones(self):
+        rng = np.random.default_rng(4242)
+        built = 0
+        for trial in range(480):
+            x, y = _tie_heavy_pair(rng, self.CASES[trial % len(self.CASES)])
+            if not is_majorized_by(x, y):
+                continue
+            for tr in t_transform_chain(x, y).transforms:
+                checked = TTransform(tr.i, tr.k, tr.t)
+                assert tr == checked and hash(tr) == hash(checked)
+                assert type(tr.i) is int and type(tr.k) is int and type(tr.t) is float
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    tr.t = 0.5
+                built += 1
+        assert built > 10000
+
+    def test_apply_matches_numpy_scalar_loop(self):
+        rng = np.random.default_rng(4242)
+        for trial in range(480):
+            x, y = _tie_heavy_pair(rng, self.CASES[trial % len(self.CASES)])
+            if not is_majorized_by(x, y):
+                continue
+            chain = t_transform_chain(x, y)
+            for v in (y, x):
+                assert apply_t_chain(chain, v).tobytes() == _reference_apply(chain, v).tobytes()
+
+    @pytest.mark.parametrize("index, real", [(np.int64, np.float64), (np.int32, float), (int, float)])
+    def test_apply_hand_built_chain_matches_numpy_scalar_loop(self, index, real):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            d = int(rng.integers(2, 30))
+            y = rng.dirichlet(np.ones(d))
+            transforms = [
+                TTransform(*(index(i) for i in rng.choice(d, 2, replace=False)), t=real(rng.random()))
+                for _ in range(int(rng.integers(0, 3 * d)))
+            ]
+            chain = TChain(transforms, rng.permutation(d), rng.permutation(d))
+            assert apply_t_chain(chain, y).tobytes() == _reference_apply(chain, y).tobytes()
 
     def test_schur_sums_match_per_coordinate_loop(self, rng):
         scalar = {
