@@ -8,8 +8,9 @@ declared once, with its input kinds and the tolerance flags its job applies.
 
 Reports are deterministic: identical inputs, options and seed produce
 byte-identical bytes.  Complex numbers are two-element [re, im] arrays and
-every embedded domain value is a "kind"-tagged fragment that parses back to
-the identical value.
+every embedded domain value is a "kind"-tagged fragment.  Inputs are read by
+the library's own validators, and one decoder inverts ``encode_entries``, so a
+fragment parses back bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .numkernel import DomainError, ValidationError, _as_dim, _as_tol, validate_density
+from .numkernel import DomainError, ValidationError, _as_array, _as_dim, _as_tol, validate_density
 from .majorize import (
     as_prob_vector,
     _majorized_pair,
@@ -86,23 +87,18 @@ def encode_ensemble(e: Ensemble) -> dict:
     }
 
 
-def _decode_complex(item, where: str) -> complex:
-    if not (isinstance(item, list) and len(item) == 2):
+def _decode_entries(value, where: str, ndim: int) -> np.ndarray:
+    """Invert ``encode_entries``: ``ndim``-deep [re, im] pairs to a complex array, bit for bit."""
+    pairs = _as_array(value, where, np.float64, ndim + 1)
+    if pairs.shape[-1] != 2:
         raise InputError(f"{where}: complex entries must be [re, im] pairs")
-    try:
-        return complex(float(item[0]), float(item[1]))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return pairs.view(np.complex128)[..., 0]
 
 
-def _decode_matrix(rows, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise InputError(f"{where}: expected a non-empty list of rows")
-    data = [[_decode_complex(z, where) for z in row] for row in rows]
-    widths = {len(row) for row in data}
-    if len(widths) != 1:
-        raise InputError(f"{where}: ragged rows {sorted(widths)}")
-    return np.array(data, dtype=np.complex128)
+def _declared(doc: dict, field: str, actual: int, path: str) -> None:
+    """Check an optional declared size such as ``dim`` against the decoded one."""
+    if field in doc and _as_dim(doc[field], f"{path} {field}", 1) != actual:
+        raise InputError(f"{path}: declared {field} {doc[field]} but the entries give {actual}")
 
 
 # ---------------------------------------------------------------- parsing
@@ -121,38 +117,25 @@ def parse_document(doc, path: str, tols: dict, expect: str | None = None):
         if kind == "probvec":
             return as_prob_vector(doc["weights"], tol=tols["prob"], name=f"{path} weights")
         if kind == "density":
-            entries = _decode_matrix(doc["entries"], f"{path} entries")
-            if "dim" in doc and int(doc["dim"]) != entries.shape[0]:
-                raise InputError(
-                    f"{path}: declared dim {doc['dim']} but {entries.shape[0]} rows"
-                )
+            entries = _decode_entries(doc["entries"], f"{path} entries", 2)
+            _declared(doc, "dim", entries.shape[0], path)
             return validate_density(entries, tol=tols["herm"])
         if kind == "matrix":
-            return _decode_matrix(doc["entries"], f"{path} entries")
+            return _decode_entries(doc["entries"], f"{path} entries", 2)
         if kind == "statevec":
-            v = np.array([_decode_complex(z, f"{path} amplitudes") for z in doc["amplitudes"]])
-            return v
+            return _decode_entries(doc["amplitudes"], f"{path} amplitudes", 1)
         if kind == "bipartite":
-            amps = _decode_matrix(doc["amplitudes"], f"{path} amplitudes")
-            if "dimA" in doc and int(doc["dimA"]) != amps.shape[0]:
-                raise InputError(f"{path}: declared dimA {doc['dimA']} but {amps.shape[0]} rows")
-            if "dimB" in doc and int(doc["dimB"]) != amps.shape[1]:
-                raise InputError(f"{path}: declared dimB {doc['dimB']} but {amps.shape[1]} columns")
+            amps = _decode_entries(doc["amplitudes"], f"{path} amplitudes", 2)
+            _declared(doc, "dimA", amps.shape[0], path)
+            _declared(doc, "dimB", amps.shape[1], path)
             # Every bipartite command checks the unit norm in its library call.
             return BipartiteState(amplitudes=amps)
         if kind == "ensemble":
-            weights = np.asarray(doc["weights"], dtype=np.float64)
-            states = _decode_matrix(doc["states"], f"{path} states")
-            synthetic = doc.get("synthetic", [False] * weights.size)
-            return Ensemble(weights=weights, states=states, synthetic=synthetic)
+            states = _decode_entries(doc["states"], f"{path} states", 2)
+            synthetic = doc.get("synthetic", np.zeros(states.shape[0], dtype=bool))
+            return Ensemble(weights=doc["weights"], states=states, synthetic=synthetic)
     except KeyError as exc:
         raise InputError(f"{path}: missing field {exc}") from exc
-    except ValidationError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: JSON numbers such as 1e400 decode to inf, which int()
-        # refuses, and integers beyond the float range do not convert.
-        raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: unknown kind {kind!r}")
 
 

@@ -84,7 +84,10 @@ def _as_dim(value, name: str, minimum: int, maximum: int | None = _MAX_DIM) -> i
 def _as_tol(tol, name: str = "tolerance") -> float:
     """A Python or numpy real, not a bool, finite and non-negative, as a float."""
     real = isinstance(tol, (int, float, np.integer, np.floating)) and type(tol) is not bool
-    if not (real and 0.0 <= tol <= sys.float_info.max):
+    # A numpy scalar becomes a Python number (a long double stays one), so the bound is
+    # never cast down to float16 or float32.
+    value = tol.item() if isinstance(tol, np.generic) else tol
+    if not (real and 0.0 <= value <= sys.float_info.max):
         raise ValidationError(f"{name} must be finite and non-negative, got {tol!r}")
     return float(tol)
 

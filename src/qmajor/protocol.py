@@ -93,11 +93,10 @@ class MeasurementSet:
 
 
 def _measurement_operator(target_states_b, d: int) -> np.ndarray:
-    """The operator E of the measurement: column i is target state i, scaled.
+    """The dim_b x d operator E of the measurement: column i is target state i, scaled.
 
     The scale 1/sqrt(d * sum_i |psi_i|^2) makes the twirled operators
-    E X^s Z^t resolve the identity on the first d coordinates.  Columns past
-    d are zero.
+    E X^s Z^t resolve the identity on the first d coordinates.
     """
     states = as_complex_matrix(target_states_b, "target states")
     if states.shape[0] != d:
@@ -110,8 +109,7 @@ def _measurement_operator(target_states_b, d: int) -> np.ndarray:
         i = int(np.argmax(np.abs(norms - 1.0)))
         raise ValidationError(f"target state {i} has norm {norms[i]!r}")
 
-    f = np.zeros((dim_b, dim_b), dtype=np.complex128)
-    f[:, :d] = states.T
+    f = np.ascontiguousarray(states.T)
     weight = float(np.trace(f.conj().T @ f).real)
     return f / np.sqrt(d * weight)
 
@@ -135,17 +133,16 @@ def _twirled(shifted: np.ndarray, phases: np.ndarray) -> np.ndarray:
 def _completeness_defect(e: np.ndarray, d: int) -> float:
     """Frobenius defect of sum_{s,t} E_st^dagger E_st - I for E_st = E X^s Z^t + tail.
 
-    The twirl identity gives d * tr(E_d^dagger E_d) * I on the first d
+    The twirl identity gives d * tr(E^dagger E) * I on the first d
     coordinates and d^2 * (1/d)^2 * I on the tail.  The cross block between
     them is sum_{s,t} (X^s Z^t)^dagger = d |0><1...1| applied to the tail rows
-    of E_d, which vanish when the target states live on the first d
+    of E, which vanish when the target states live on the first d
     coordinates.
     """
     dim_b = e.shape[0]
-    e_d = e[:, :d]
-    block = d * float(np.vdot(e_d, e_d).real) - 1.0
+    block = d * float(np.vdot(e, e).real) - 1.0
     tail = d * d * (1.0 / d) ** 2 - 1.0
-    cross = np.linalg.norm(e_d[d:].sum(axis=1))
+    cross = np.linalg.norm(e[d:].sum(axis=1))
     return float(np.sqrt(d * block**2 + (dim_b - d) * tail**2 + 2.0 * cross**2))
 
 

@@ -11,6 +11,8 @@ from qmajor.cli import (
     EXIT_OK,
     EXIT_REJECTED,
     InputError,
+    _decode_entries,
+    encode_entries,
     main,
     parse_document,
     parse_input,
@@ -18,6 +20,11 @@ from qmajor.cli import (
 from qmajor.bipartite import BipartiteState
 from qmajor.ensembles import Ensemble
 from qmajor.numkernel import DensityMatrix, ValidationError
+
+R = np.sqrt(0.5)
+RHO = {"kind": "density", "dim": 2, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+BELL = {"kind": "bipartite", "dimA": 2, "dimB": 2, "amplitudes": [[[R, 0], [0, 0]], [[0, 0], [R, 0]]]}
+ENSEMBLE = {"kind": "ensemble", "weights": [0.5, 0.5], "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
 
 
 @pytest.fixture
@@ -37,21 +44,14 @@ def write(tmp_path):
 
 @pytest.fixture
 def files(write, tmp_path):
-    r = np.sqrt(0.5)
     return {
-        "rho": write("rho.json", {
-            "kind": "density", "dim": 2,
-            "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
-        }),
+        "rho": write("rho.json", RHO),
         "p3": write("p3.json", {"kind": "probvec", "weights": [1 / 3, 1 / 3, 1 / 3]}),
         "p_hot": write("p_hot.json", {"kind": "probvec", "weights": [0.75, 0.25]}),
         "p_bad": write("p_bad.json", {"kind": "probvec", "weights": [0.6, 0.6]}),
         "x": write("x.json", {"kind": "probvec", "weights": [0.5, 0.5]}),
         "y": write("y.json", {"kind": "probvec", "weights": [1.0, 0.0]}),
-        "bell": write("bell.json", {
-            "kind": "bipartite", "dimA": 2, "dimB": 2,
-            "amplitudes": [[[r, 0], [0, 0]], [[0, 0], [r, 0]]],
-        }),
+        "bell": write("bell.json", BELL),
         "broken": str((tmp_path / "broken.json").write_text("{not json") or tmp_path / "broken.json"),
         "dir": tmp_path,
     }
@@ -160,19 +160,19 @@ class TestExitContract:
     def test_non_integer_declared_dimension(self, runner, files, write, tmp_path):
         doc = json.loads((files["dir"] / "bell.json").read_text())
         bad = write("dim.json", dict(doc, dimA="x"))
-        self.assert_input_error(runner, ["schmidt", "-i", bad], tmp_path, "invalid literal")
+        self.assert_input_error(runner, ["schmidt", "-i", bad], tmp_path, "dimA must be an integer")
 
     @pytest.mark.parametrize("field, command", [
         ("dimA", "schmidt"), ("dimB", "schmidt"), ("dim", "ensemble-synth"),
     ])
     def test_overflowing_declared_dimension(self, runner, files, tmp_path, field, command):
-        # JSON 1e400 decodes to inf, which int() refuses with OverflowError
+        # JSON 1e400 decodes to inf, a float, which no declared size may be
         source = files["rho"] if field == "dim" else files["bell"]
         doc = dict(json.loads(Path(source).read_text()), **{field: 0})
         bad = tmp_path / "big.json"
         bad.write_text(json.dumps(doc).replace(f'"{field}": 0', f'"{field}": 1e400'))
         args = [command, "-i", str(bad)] + (["-i", files["p3"]] if command == "ensemble-synth" else [])
-        self.assert_input_error(runner, args, tmp_path, "cannot convert float infinity")
+        self.assert_input_error(runner, args, tmp_path, f"{field} must be an integer")
 
     def test_negative_seed(self, runner, files, tmp_path):
         report = self.assert_input_error(
@@ -184,7 +184,7 @@ class TestExitContract:
     def test_scalar_statevec(self, runner, write, tmp_path):
         bad = write("sv.json", {"kind": "statevec", "amplitudes": 3})
         self.assert_input_error(runner, ["schmidt", "-i", bad], tmp_path, "expected kind 'bipartite'")
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError):
             parse_input(bad)
 
     def test_string_weights(self, runner, files, write, tmp_path):
@@ -252,6 +252,35 @@ class TestExitContract:
     def test_missing_input_file(self, runner, files, tmp_path):
         missing = str(files["dir"] / "missing.json")
         self.assert_input_error(runner, ["schmidt", "-i", missing], tmp_path, "missing.json")
+
+    @pytest.mark.parametrize("command, doc, detail", [
+        ("ensemble-synth", dict(RHO, dim=2.7), "dim must be an integer"),
+        ("ensemble-synth", dict(RHO, dim="2"), "dim must be an integer"),
+        ("ensemble-synth", {"kind": "density", "dim": True, "entries": [[[1, 0]]]},
+         "dim must be an integer"),
+        ("schmidt", dict(BELL, dimA=2.9), "dimA must be an integer"),
+        ("ensemble-synth", dict(RHO, entries=[[["0.5", "0"], [0, 0]], [[0, 0], [0.5, 0]]]),
+         "entries: could not convert"),
+        ("schmidt", dict(BELL, amplitudes=[[[str(R), "0"], [0, 0]], [[0, 0], [R, 0]]]),
+         "amplitudes: could not convert"),
+        ("ensemble-verify", dict(ENSEMBLE, states=[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]),
+         "states: could not convert"),
+        ("ensemble-verify", dict(ENSEMBLE, weights=["0.5", "0.5"]), "weights: could not convert"),
+    ], ids=["dim-float", "dim-string", "dim-bool", "dimA-float", "density-string",
+            "bipartite-string", "ensemble-state-string", "ensemble-weight-string"])
+    def test_fields_read_by_the_library_rules(self, runner, files, write, tmp_path,
+                                              command, doc, detail):
+        # A declared size must be an integer, and no numeric field may be a string.
+        bad = write("bad.json", doc)
+        other = {"ensemble-synth": ["-i", files["p3"]], "ensemble-verify": ["-i", files["rho"]]}
+        args = [command, "-i", bad, *other.get(command, [])]
+        self.assert_input_error(runner, args, tmp_path, detail)
+
+    @pytest.mark.parametrize("amplitudes", [[["0.5", "0"], ["0.5", "0"]], []], ids=["string", "empty"])
+    def test_statevec_read_by_the_library_rules(self, amplitudes):
+        # No command takes a statevec, so the parser is called directly.
+        with pytest.raises(ValidationError, match="amplitudes"):
+            parse_document({"kind": "statevec", "amplitudes": amplitudes}, "sv", dict(_DEFAULT_TOLS))
 
 
 class TestCommandFlags:
@@ -428,6 +457,22 @@ class TestDeterminism:
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_decoder_inverts_encode_entries_bit_for_bit(self, ndim):
+        # signed zeros, subnormals, both ends of the float range and integer values
+        values = np.array([-0.0, 0.0, 5e-324, -1e-310, 1e308, -1e308, 3.0, -7.0])
+        a = np.empty((values.size, values.size), dtype=complex)
+        a.real, a.imag = values[:, None], values[None, :]
+        if ndim == 1:
+            a = a.reshape(-1)
+        back = _decode_entries(json.loads(json.dumps(encode_entries(a))), "entries", a.ndim)
+        assert back.shape == a.shape
+        assert back.tobytes() == a.tobytes()
+
+    def test_decoder_reads_json_integers_as_floats(self):
+        back = _decode_entries([[3, -7], [0, 1]], "entries", 1)
+        assert back.tobytes() == np.array([complex(3, -7), complex(0, 1)]).tobytes()
+
     def test_report_fragments_parse_back_exactly(self, runner, files, tmp_path):
         out = tmp_path / "rep.json"
         runner.invoke(main, [

@@ -5,7 +5,8 @@ report whose status matches the code: 0 "ok", 1 "rejected" (a domain
 rejection), 2 "error" (malformed or invalid input).  An uncaught exception
 would surface as exit 1 with no report.  Documents are drawn valid most of
 the time so that the commands run to a result, then mutated one field at a
-time, swapped for another kind, truncated or replaced by arbitrary JSON.
+time, swapped for another kind, truncated or replaced by arbitrary JSON.  A
+valid document with one number written as a string must exit 2.
 Dimensions stay at most 4 and ``--d`` at most 8, so every job is small.
 Examples are derandomized, so the suite runs the same inputs every time.
 """
@@ -169,19 +170,33 @@ def invocation(draw):
     return command, texts, opts
 
 
-@FUZZ
-@given(st.sampled_from(sorted(VALID)).flatmap(document), st.sampled_from([None, *sorted(VALID)]))
-def test_parse_document_raises_only_input_errors(doc, expect):
-    try:
-        parse_document(doc, "doc", dict(_DEFAULT_TOLS), expect)
-    except (InputError, ValidationError):
-        pass
+def _numeric_leaves(node, path=()):
+    """Key paths of the int and float leaves of a JSON value; bools are not numbers here."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _numeric_leaves(node[key], (*path, key))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _numeric_leaves(item, (*path, i))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
 
 
-@FUZZ
-@given(invocation())
-def test_cli_exit_contract(inv):
-    command, texts, opts = inv
+@st.composite
+def stringified(draw):
+    """A command with valid documents, one numeric leaf of one of them written as a string."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    docs = [draw(VALID[kind]) for kind in COMMANDS[command]]
+    doc = draw(st.sampled_from(docs))
+    *parents, leaf = draw(st.sampled_from(list(_numeric_leaves(doc))))
+    for key in parents:
+        doc = doc[key]
+    doc[leaf] = str(doc[leaf])
+    return command, [json.dumps(d) for d in docs], ["--d", "2"] if command == "protocol-run" else []
+
+
+def _invoke(command, texts, opts):
+    """Run one CLI job on the input file texts; its exit code and report."""
     with tempfile.TemporaryDirectory() as tmp:
         args = [command]
         for i, text in enumerate(texts):
@@ -195,8 +210,34 @@ def test_cli_exit_contract(inv):
         )
         assert res.exit_code in STATUS, res.output
         assert out.exists(), f"exit {res.exit_code} wrote no report"
-        report = json.loads(out.read_text())
+        return res.exit_code, json.loads(out.read_text())
+
+
+@FUZZ
+@given(st.sampled_from(sorted(VALID)).flatmap(document), st.sampled_from([None, *sorted(VALID)]))
+def test_parse_document_raises_only_input_errors(doc, expect):
+    try:
+        parse_document(doc, "doc", dict(_DEFAULT_TOLS), expect)
+    except (InputError, ValidationError):
+        pass
+
+
+@FUZZ
+@given(invocation())
+def test_cli_exit_contract(inv):
+    command, texts, opts = inv
+    code, report = _invoke(command, texts, opts)
     # --hypothesis-show-statistics prints the mix of commands and exit codes
-    event(f"{command} exit {res.exit_code}")
-    assert report["status"] == STATUS[res.exit_code], report
+    event(f"{command} exit {code}")
+    assert report["status"] == STATUS[code], report
     assert report["command"] == command
+
+
+@FUZZ
+@given(stringified())
+def test_string_numbers_are_input_errors(case):
+    # No numeric field accepts a string, whatever the string holds.
+    code, report = _invoke(*case)
+    assert code == 2, report
+    assert report["status"] == "error"
+    assert report["reason"]["class"] == "input"

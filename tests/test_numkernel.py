@@ -198,6 +198,20 @@ class TestHelpers:
             assert fixed.dtype == np.complex128 and fixed.shape == v.shape
         assert np.array_equal(fix_global_phase([[0.0, -2.0]]), [[0.0, 2.0]])
 
+    @pytest.mark.parametrize("tol", [np.float16(1e-3), np.float32(0.5), np.longdouble(1e-9)],
+                             ids=["float16", "float32", "longdouble"])
+    def test_tolerance_of_any_float_width_validates_silently(self, tol):
+        # Warnings are errors in this suite, so a bound cast down to float16 would fail here.
+        assert numkernel._as_tol(tol) == float(tol)
+
+    @pytest.mark.parametrize("tol", [
+        10**400, float("nan"), float("inf"), -1e-9, np.float16("nan"), np.float32("inf"),
+        np.longdouble("1e4000"),
+    ])
+    def test_tolerance_out_of_range_rejected(self, tol):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            numkernel._as_tol(tol)
+
     def test_complex_non_finite_entries_rejected(self):
         for bad in (complex(1, np.inf), complex(np.nan, 0), complex(0, -np.inf)):
             with pytest.raises(ValidationError, match="non-finite"):

@@ -282,8 +282,10 @@ class TestStructuredMeasurement:
 
     @staticmethod
     def dense_stack(e, d):
-        # E (X^s Z^t + identity on the tail) + identity/d on the tail, from weyl_op
+        # E (X^s Z^t + identity on the tail) + identity/d on the tail, from weyl_op,
+        # with E padded to dim_b x dim_b by zero columns
         dim_b = e.shape[0]
+        e = np.hstack([e, np.zeros((dim_b, dim_b - d))])
         ops = np.zeros((d, d, dim_b, dim_b), dtype=complex)
         for s in range(d):
             for t in range(d):
@@ -307,7 +309,7 @@ class TestStructuredMeasurement:
             for dim_a, dim_b in ((d, d), (d, d + 2), (d + 2, d), (1, d + 1)):
                 setup = _prepare(random_bipartite(dim_a, dim_b, rng), d)
                 # E = F / d for unit target states, so E * d recovers them
-                meas = build_measurement(setup.operator[:, :d].T * d, d)
+                meas = build_measurement(setup.operator.T * d, d)
                 source = np.zeros((setup.alice_basis.shape[0], meas.dim_b), dtype=complex)
                 j = np.arange(d)
                 source[j, j] = 1 / np.sqrt(d)
