@@ -22,7 +22,10 @@ from .numkernel import (
     _RANK_FLOOR,
     _as_dim,
     _as_tol,
+    _below_floor,
     _canonical_phases,
+    _check_defect,
+    _gram_defect,
     as_complex_matrix,
     frobenius_distance,
     validate_density,
@@ -124,10 +127,9 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
     decomp = SchmidtDecomposition(
         coefficients=lam[:rank], basis_a=u[:, :rank], basis_b=vh[:rank].T
     )
-    err = float(np.linalg.norm(decomp.reconstruct() - m))
     # Weight below the rank cutoff is honestly unreconstructable; budget for it.
-    if err > 1e-9 + float(np.sqrt(np.sum(lam[rank:]))):
-        raise ValidationError(f"Schmidt reconstruction defect {err:.3e}")
+    _check_defect(float(np.linalg.norm(decomp.reconstruct() - m)), 1e-9 + _below_floor(lam),
+                  "Schmidt reconstruction defect")
     return decomp
 
 
@@ -186,16 +188,12 @@ def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 
     w, lam, zh = np.linalg.svd(g @ f.conj().T)
     u = w @ zh
 
-    unitarity = float(np.linalg.norm(u @ u.conj().T - np.eye(phi.dim_a)))
-    if unitarity > 1e-9:
-        raise ValidationError(f"constructed map has unitarity defect {unitarity:.3e}")
+    _check_defect(_gram_defect(u.conj().T), 1e-9, "constructed map unitarity defect")
     # lam holds the Schmidt coefficients; below the rank cutoff the polar
     # factor is not determined, and that weight of each state rides through
     # unmatched.
-    slack = 2.0 * float(np.sqrt(np.sum(lam[lam <= SCHMIDT_RANK_CUTOFF])))
-    residual = float(np.linalg.norm(u @ f - g))
-    if residual > tol + slack:
-        raise ValidationError(f"purification map residual {residual:.3e} exceeds {tol}")
+    _check_defect(float(np.linalg.norm(u @ f - g)), tol + 2.0 * _below_floor(lam),
+                  "purification map residual")
     return u
 
 
@@ -237,10 +235,8 @@ def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
     basis_a[:, order] = rotated[:, : weights.size]
     decomp = Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
 
-    err = float(np.linalg.norm(decomp.reconstruct() - target))
-    lam = sigma**2
-    if err > 1e-8 + float(np.sqrt(np.sum(lam[lam <= SCHMIDT_RANK_CUTOFF]))):
-        raise ValidationError(f"decomposition reconstruction defect {err:.3e}")
+    _check_defect(float(np.linalg.norm(decomp.reconstruct() - target)),
+                  1e-8 + _below_floor(sigma**2), "decomposition reconstruction defect")
     return decomp
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .numkernel import TOL_PROB, DomainError, ValidationError, as_complex_matrix
-from .numkernel import _as_array, _as_dim, _as_tol
+from .numkernel import _as_array, _as_dim, _as_tol, _check_defect, _gram_defect
 
 
 class MajorizationError(DomainError):
@@ -32,14 +32,19 @@ class MajorizationError(DomainError):
 
 
 def _nonneg_vector(v, tol: float, name: str) -> np.ndarray:
-    """Validate a non-empty finite 1-D vector with entries >= -tol, clipped to 0."""
+    """Validate a non-empty finite 1-D vector with entries >= -tol, clipped to 0, and a finite total."""
     w = _as_array(v, name, np.float64, 1)
     if w.size == 0:
         raise ValidationError(f"{name} must be non-empty")
     low = float(w.min())
     if low < -_as_tol(tol):
         raise ValidationError(f"{name} entry {low!r} is negative beyond -{tol}")
-    return np.where(w < 0.0, 0.0, w)
+    w = np.where(w < 0.0, 0.0, w)
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not math.isfinite(total):
+        raise ValidationError(f"{name} total overflows float64")
+    return w
 
 
 def as_prob_vector(weights, tol: float = TOL_PROB, name: str = "probability vector") -> np.ndarray:
@@ -324,14 +329,8 @@ def _witness_from_chain(chain: TChain) -> HornWitness:
     w[pos, chain.source_permutation] = 1.0
     for tr in chain.transforms:
         _rotate_rows(w[pos[tr.i]], w[pos[tr.k]], math.sqrt(tr.t), math.sqrt(1.0 - tr.t))
-    witness = HornWitness(orthogonal=w, doubly_stochastic=w * w)
-
-    gram_defect = w @ w.T
-    gram_defect.flat[:: d + 1] -= 1.0
-    gram = float(np.linalg.norm(gram_defect))
-    if gram > 1e-10:
-        raise ValidationError(f"orthogonality defect {gram:.3e} in constructed witness")
-    return witness
+    _check_defect(_gram_defect(w.T), 1e-10, "orthogonality defect of constructed witness")
+    return HornWitness(orthogonal=w, doubly_stochastic=w * w)
 
 
 def unitary_to_stochastic(u, tol: float = 1e-9) -> np.ndarray:
@@ -340,11 +339,8 @@ def unitary_to_stochastic(u, tol: float = 1e-9) -> np.ndarray:
     n, cols = m.shape
     if n != cols:
         raise ValidationError(f"unitary must be square, got shape {m.shape}")
-    defect = float(np.linalg.norm(m @ m.conj().T - np.eye(n)))
-    if defect > _as_tol(tol):
-        raise ValidationError(f"unitarity defect {defect:.3e} exceeds {tol}")
-    d = np.abs(m) ** 2
-    return d
+    _check_defect(_gram_defect(m.conj().T), _as_tol(tol), "unitarity defect")
+    return np.abs(m) ** 2
 
 
 def _neg_entropy(x: np.ndarray) -> float:

@@ -8,6 +8,7 @@ returned arrays are fresh and never alias their inputs.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -67,6 +68,25 @@ def _as_array(values, name: str, dtype, ndim: int) -> np.ndarray:
 def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
     """Coerce to a fresh 2-D complex128 array, rejecting non-finite entries."""
     return _as_array(entries, name, np.complex128, 2)
+
+
+def _check_defect(defect: float, bound: float, what: str) -> None:
+    """The one rule of every numerical check: a NaN, inf or negative defect, or one above
+    ``bound``, raises."""
+    if not (math.isfinite(defect) and 0.0 <= defect <= bound):
+        raise ValidationError(f"{what} {defect:.3e} exceeds {bound:.3g}")
+
+
+def _gram_defect(a: np.ndarray) -> float:
+    """Frobenius norm of a^H a - I, with 1 subtracted from the diagonal in place."""
+    gram = a.conj().T @ a
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return float(np.linalg.norm(gram))
+
+
+def _below_floor(lam: np.ndarray) -> float:
+    """sqrt(sum lam_i) over lam_i at or below the rank floor: the unresolved amplitude."""
+    return float(np.sqrt(np.sum(lam[lam <= _RANK_FLOOR])))
 
 
 def _as_dim(value, name: str, minimum: int, maximum: int | None = _MAX_DIM) -> int:
@@ -154,40 +174,25 @@ def _hermiticity_defect(m: np.ndarray) -> float:
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] with a complex plane rotation, updating a and v in place.
-
-    Accumulates the rotation into the eigenvector matrix v (as columns).
-    """
-    apq = a[p, q]
+    """Zero a[p, q] with a complex plane rotation J, updating a <- J^H a J and v <- v J."""
+    apq = complex(a[p, q])
     mag = abs(apq)
-    phase = apq / mag
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    # Smaller-magnitude root of t^2 + 2*tau*t - 1 = 0, stable for large |tau|.
-    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    sp = s * phase
-    spc = s * phase.conjugate()
-
-    # Column update: A <- A J with J acting on columns (p, q).
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - spc * col_q
-    a[:, q] = sp * col_p + c * col_q
-    # Row update: A <- J^dagger A.
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - sp * row_q
-    a[q, :] = spc * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p - spc * vcol_q
-    v[:, q] = sp * vcol_p + c * vcol_q
+    delta = a[q, q].real - a[p, p].real
+    # Smaller-magnitude root t of t^2 + 2*tau*t - 1 = 0, tau = delta / (2|a_pq|), with
+    # numerator and denominator scaled by 2|a_pq| so a subnormal entry cannot overflow.
+    # delta == 0 takes t = 1; copysign would turn delta = -0.0 into t = -1.
+    t = math.copysign(2.0 * mag, delta) / (abs(delta) + math.hypot(delta, 2.0 * mag)) if delta else 1.0
+    c = 1.0 / math.hypot(1.0, t)
+    # Python's complex division divides by |a_pq| itself, not by a product with its
+    # reciprocal, which is inf for a subnormal entry.
+    s = t * c * (apq / mag)
+    j = np.array([[c, s], [-s.conjugate(), c]])
+    pq = [p, q]
+    a[:, pq] = a[:, pq] @ j
+    a[pq] = j.conj().T @ a[pq]
+    a[p, q] = a[q, p] = 0.0
+    a[p, p], a[q, q] = a[p, p].real, a[q, q].real
+    v[:, pq] = v[:, pq] @ j
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -240,12 +245,11 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     vecs = v[:, order]
     spect = Spectrum(eigenvalues=eigvals, eigenvectors=vecs)
 
-    gram_defect = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)))
-    if gram_defect > TOL_ORTH * max(1.0, float(np.linalg.norm(m))):
-        raise ValidationError(f"eigenvector orthonormality defect {gram_defect:.3e}")
+    # Orthonormality does not depend on scale; the reconstruction bound does.
+    _check_defect(_gram_defect(vecs), TOL_ORTH, "eigenvector orthonormality defect")
     recon = float(np.linalg.norm(spect.reconstruct() - m))
-    if recon > TOL_RECON * max(1.0, float(np.linalg.norm(m))):
-        raise ValidationError(f"eigendecomposition reconstruction defect {recon:.3e}")
+    _check_defect(recon, TOL_RECON * max(1.0, float(np.linalg.norm(m))),
+                  "eigendecomposition reconstruction defect")
     return spect
 
 

@@ -19,6 +19,8 @@ from .numkernel import (
     ValidationError,
     _as_array,
     _as_dim,
+    _check_defect,
+    _gram_defect,
     as_complex_matrix,
     fix_global_phase,
 )
@@ -82,10 +84,8 @@ class MeasurementSet:
         if ops.shape != expected:
             raise ValidationError(f"operators must have shape {expected}, got {ops.shape}")
         # sum_{s,t} E_st^dagger E_st is one product of the stacked rows.
-        rows = ops.reshape(-1, dim_b)
-        defect = float(np.linalg.norm(rows.conj().T @ rows - np.eye(dim_b)))
-        if not defect <= 1e-10:
-            raise ValidationError(f"measurement completeness defect {defect:.3e}")
+        _check_defect(_gram_defect(ops.reshape(-1, dim_b)), 1e-10,
+                      "measurement completeness defect")
         object.__setattr__(self, "operators", ops)
 
     def operator(self, s: int, t: int) -> np.ndarray:
@@ -244,9 +244,7 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     aligned = target.amplitudes @ vh.conj().T
     rewrite = _cor4_from_svd(u, sigma, np.eye(n_b), np.full(d, 1.0 / d), aligned)
     e = _measurement_operator(rewrite.states_b, d)
-    defect = _completeness_defect(e, d)
-    if defect > 1e-10:
-        raise ValidationError(f"measurement completeness defect {defect:.3e}")
+    _check_defect(_completeness_defect(e, d), 1e-10, "measurement completeness defect")
     # Every branch ends on the unit target, so fidelity is measured against
     # the target normalized once here, not against its accepted norm.
     unit = BipartiteState(amplitudes=target.amplitudes / target.norm())

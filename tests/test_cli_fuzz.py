@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 from click.testing import CliRunner
-from hypothesis import event, given, strategies as st
+from hypothesis import event, example, given, strategies as st
 
 from qmajor.cli import _DEFAULT_TOLS, InputError, main, parse_document
 from qmajor.numkernel import ValidationError
@@ -81,7 +81,8 @@ def density(draw):
     g = draw(complex_matrix(n, draw(st.integers(1, n))))
     m = g @ g.conj().T
     trace = float(np.trace(m).real)
-    m = m / trace if trace > 0 else np.eye(n) / n
+    # Below about 1e-200 the products lose the precision that keeps |m_ij| <= trace.
+    m = m / trace if trace > 1e-200 else np.eye(n) / n
     return {"kind": "density", "dim": n, "entries": _entries(m)}
 
 
@@ -222,8 +223,25 @@ def test_parse_document_raises_only_input_errors(doc, expect):
         pass
 
 
+# A valid density with subnormal off-diagonal entries: the eigensolver's
+# rotations must stay finite on it.
+SUBNORMAL_DENSITY = {
+    "kind": "density",
+    "dim": 3,
+    "entries": [
+        [[0.5, 0.0], [0.0, -0.5], [0.0, -1.1e-313]],
+        [[0.0, 0.5], [0.5, 0.0], [1.1e-313, 0.0]],
+        [[0.0, 1.1e-313], [1.1e-313, 0.0], [0.0, 0.0]],
+    ],
+}
+SUBNORMAL_JOB = (
+    "ensemble-synth", [json.dumps(SUBNORMAL_DENSITY), json.dumps({"kind": "probvec", "weights": [1.0]})], []
+)
+
+
 @FUZZ
 @given(invocation())
+@example(SUBNORMAL_JOB)
 def test_cli_exit_contract(inv):
     command, texts, opts = inv
     code, report = _invoke(command, texts, opts)
@@ -231,6 +249,12 @@ def test_cli_exit_contract(inv):
     event(f"{command} exit {code}")
     assert report["status"] == STATUS[code], report
     assert report["command"] == command
+
+
+def test_subnormal_density_is_synthesized():
+    code, report = _invoke(*SUBNORMAL_JOB)
+    assert code == 0, report
+    assert report["status"] == "ok"
 
 
 @FUZZ

@@ -49,6 +49,23 @@ class TestIsMajorizedBy:
         with pytest.raises(ValidationError, match="negative"):
             is_majorized_by([-0.2, 1.2], [0.5, 0.5])
 
+    @pytest.mark.parametrize("x, y", [
+        ([1e308, 1e308], [1.5e308, 4e307]),
+        ([0.5, 0.5], [1.5e308, 1.5e308]),
+    ])
+    def test_overflowing_total_is_an_input_error(self, x, y):
+        # A total past float64's range compares as inf - inf = NaN, which no
+        # partial-sum test can judge.
+        with pytest.raises(ValidationError, match="total overflows float64"):
+            is_majorized_by(x, y)
+        with pytest.raises(ValidationError, match="total overflows float64"):
+            majorization_violation(x, y)
+
+    def test_total_just_below_overflow_is_judged(self):
+        big = np.finfo(np.float64).max / 2
+        assert is_majorized_by([big, big], [2 * big, 0.0])
+        assert not is_majorized_by([big, big], [big, 0.5 * big])
+
 
 @pytest.mark.parametrize(
     "call",
@@ -605,6 +622,12 @@ class TestUnitaryToStochastic:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError, match="unitarity"):
             unitary_to_stochastic([[1, 1], [0, 1]])
+
+    def test_overflowing_product_is_rejected(self):
+        # m m^H overflows to inf, and inf - inf = NaN off the diagonal: a NaN
+        # unitarity defect must fail its check.
+        with np.errstate(all="ignore"), pytest.raises(ValidationError, match="unitarity defect nan"):
+            unitary_to_stochastic([[1e200, -1e200], [1e200, 1e200]])
 
     def test_forward_majorization(self, rng):
         # mixing any distribution through squared unitary moduli only

@@ -63,6 +63,14 @@ class TestHermitianEig:
         with pytest.raises(ValidationError, match="Hermiticity"):
             hermitian_eig([[0, 1], [0, 0]])
 
+    def test_orthonormality_bound_does_not_grow_with_the_norm(self, monkeypatch):
+        # Columns of the null space scaled by 1 + 1e-6 leave the reconstruction
+        # exact but are 2e-6 from orthonormal, at any norm of the input.
+        phases = numkernel._canonical_phases
+        monkeypatch.setattr(numkernel, "_canonical_phases", lambda v: phases(v) * [1.0, 1 + 1e-6, 1 + 1e-6])
+        with pytest.raises(ValidationError, match="eigenvector orthonormality defect .* exceeds 1e-09"):
+            hermitian_eig(np.diag([1e6, 0.0, 0.0]))
+
     def test_exact_tie_order(self):
         # equal eigenvalues order their phase-fixed eigenvectors by decreasing
         # (re, im) of each component in turn, so e0 comes before e2
