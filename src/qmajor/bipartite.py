@@ -25,7 +25,9 @@ from .numkernel import (
     _below_floor,
     _canonical_phases,
     _check_defect,
+    _check_unit,
     _gram_defect,
+    _norm,
     as_complex_matrix,
     frobenius_distance,
     validate_density,
@@ -56,13 +58,11 @@ class BipartiteState:
         return int(self.amplitudes.shape[1])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
 
 def _require_unit(psi: BipartiteState) -> None:
-    norm = psi.norm()
-    if abs(norm - 1.0) > TOL_NORM:
-        raise ValidationError(f"state norm {norm!r} deviates from 1 by more than {TOL_NORM}")
+    _check_unit(psi.norm(), TOL_NORM, "state norm")
 
 
 def embed_state(psi: BipartiteState, dim_a: int, dim_b: int) -> BipartiteState:
@@ -143,7 +143,7 @@ def reduced_density(psi: BipartiteState, side: str) -> DensityMatrix:
         raw = m.T @ m.conj()
     else:
         raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
-    return validate_density((raw + raw.conj().T) / 2.0)
+    return validate_density(raw)
 
 
 def purify(rho: DensityMatrix, weights, states, tol: float = 1e-8) -> BipartiteState:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
-    TOL_NORM,
     TOL_PROB,
     TOL_TRACE,
     DensityMatrix,
@@ -22,6 +21,8 @@ from .numkernel import (
     _as_array,
     _as_dim,
     _as_tol,
+    _check_unit,
+    _check_unit_rows,
     as_complex_matrix,
     validate_density,
 )
@@ -43,10 +44,10 @@ from .majorize import (
 class Ensemble:
     """Weighted collection of pure states realizing a density matrix.
 
-    ``states`` holds one state per row, aligned with ``weights``.  Members
-    flagged in ``synthetic`` carry weight exactly zero and the placeholder
-    basis state e_0; they exist only to keep the member count equal to the
-    requested weight vector's length.
+    ``states`` holds one unit state per row, aligned with ``weights``, at
+    every weight.  Members flagged in ``synthetic`` carry weight exactly zero
+    and the placeholder basis state e_0; they exist only to keep the member
+    count equal to the requested weight vector's length.
     """
 
     weights: np.ndarray
@@ -67,13 +68,7 @@ class Ensemble:
         if flagged.size:
             i = int(flagged[0])
             raise ValidationError(f"synthetic member {i} has weight {w[i]!r}, not 0")
-        norms = np.linalg.norm(s, axis=1)
-        bad = np.nonzero((w > TOL_PROB) & (np.abs(norms - 1.0) > TOL_NORM))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"ensemble member {i} with weight {w[i]!r} has norm {norms[i]!r}"
-            )
+        _check_unit_rows(s, "ensemble member")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "synthetic", flags)
@@ -289,8 +284,7 @@ def entropy_report(ensemble: Ensemble, tol: float = 1e-9) -> EntropyReport:
     lam = np.zeros(ensemble.dim)
     lam[: min(amps.shape)] = np.linalg.svd(amps, compute_uv=False) ** 2
     trace = float(lam.sum())
-    if abs(trace - 1.0) > TOL_TRACE:
-        raise ValidationError(f"trace {trace!r} deviates from 1 by more than {TOL_TRACE}")
+    _check_unit(trace, TOL_TRACE, "trace")
     lam = lam / trace
     h = shannon_entropy(ensemble.weights)
     s = shannon_entropy(lam)

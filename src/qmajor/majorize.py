@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .numkernel import TOL_PROB, DomainError, ValidationError, as_complex_matrix
-from .numkernel import _as_array, _as_dim, _as_tol, _check_defect, _gram_defect
+from .numkernel import _as_array, _as_dim, _as_tol, _check_defect, _check_unit, _gram_defect
 
 
 class MajorizationError(DomainError):
@@ -50,9 +50,7 @@ def _nonneg_vector(v, tol: float, name: str) -> np.ndarray:
 def as_prob_vector(weights, tol: float = TOL_PROB, name: str = "probability vector") -> np.ndarray:
     """Validate a probability vector: entries >= -tol (clipped to 0), sum within tol of 1."""
     w = _nonneg_vector(weights, tol, name)
-    total = float(w.sum())
-    if abs(total - 1.0) > tol:
-        raise ValidationError(f"{name} sum {total!r} deviates from 1 by more than {tol}")
+    _check_unit(float(w.sum()), tol, f"{name} sum")
     return w
 
 

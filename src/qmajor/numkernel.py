@@ -77,11 +77,37 @@ def _check_defect(defect: float, bound: float, what: str) -> None:
         raise ValidationError(f"{what} {defect:.3e} exceeds {bound:.3g}")
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of ``a`` prescaled by a power of two at its largest modulus, so no square
+    overflows or underflows; the scaling is exact, so in range this is ``np.linalg.norm(a)``."""
+    peak = float(np.abs(a).max(initial=0.0))
+    if not 0.0 < peak < math.inf:
+        return peak
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    return float(np.linalg.norm(a / scale)) * scale
+
+
+def _check_unit(value, tol: float, what: str) -> None:
+    """The one rule of every quantity that must be 1: NaN, inf or a farther value raises."""
+    if not abs(value - 1.0) <= tol:  # a complex trace is judged by its modulus, shown by its real part
+        raise ValidationError(f"{what} {float(value.real)!r} deviates from 1 by more than {tol}")
+
+
+def _check_unit_rows(rows: np.ndarray, what: str) -> None:
+    """``_check_unit`` at TOL_NORM on the row norm farthest from 1, as ``"{what} {i} norm"``."""
+    with np.errstate(over="ignore"):  # no square is formed: only a norm past float64 is inf
+        norms = np.hypot.reduce(np.abs(rows), axis=-1)
+    i = int(np.argmax(np.abs(norms - 1.0)))
+    _check_unit(float(norms[i]), TOL_NORM, f"{what} {i} norm")
+
+
 def _gram_defect(a: np.ndarray) -> float:
-    """Frobenius norm of a^H a - I, with 1 subtracted from the diagonal in place."""
-    gram = a.conj().T @ a
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
-    return float(np.linalg.norm(gram))
+    """Frobenius norm of a^H a - I, with 1 subtracted from the diagonal in place.  Far from
+    orthonormal columns it may be inf or NaN, with no warning, and the rule rejects both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.conj().T @ a
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        return float(np.linalg.norm(gram))
 
 
 def _below_floor(lam: np.ndarray) -> float:
@@ -113,12 +139,16 @@ def _as_tol(tol, name: str = "tolerance") -> float:
 
 
 def frobenius_distance(a, b) -> float:
-    """Frobenius norm of the difference of two equal-shape matrices."""
+    """Frobenius norm of the difference of two equal-shape matrices; one past float64 raises."""
     am = as_complex_matrix(a, "first operand")
     bm = as_complex_matrix(b, "second operand")
     if am.shape != bm.shape:
         raise ValidationError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return float(np.linalg.norm(am - bm))
+    # Halving is exact above the subnormal range, and a difference of halves cannot overflow.
+    distance = 2.0 * _norm(am / 2.0 - bm / 2.0)
+    if not math.isfinite(distance):
+        raise ValidationError("Frobenius distance overflows float64")
+    return distance
 
 
 def fix_global_phase(v: np.ndarray) -> np.ndarray:
@@ -170,7 +200,7 @@ class Spectrum:
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return 2.0 * float(np.max(np.abs(m / 2.0 - m.conj().T / 2.0))) if m.size else 0.0
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -197,7 +227,9 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
 
 def _off_norm(a: np.ndarray) -> float:
     off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    # Unscaled, as the sweep target is absolute: an overflowing norm reads inf and sweeps on.
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(off))
 
 
 def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
@@ -220,7 +252,8 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
             f"Hermiticity violated: max |M_ij - conj(M_ji)| = {defect:.3e} exceeds {tol}"
         )
 
-    a = (m + m.conj().T) / 2.0
+    # The Hermitian part from halves, which cannot overflow.
+    a = m / 2.0 + m.conj().T / 2.0
     v = np.eye(n, dtype=np.complex128)
     for _ in range(_JACOBI_MAX_SWEEPS):
         if _off_norm(a) <= _JACOBI_OFF_TARGET:
@@ -245,10 +278,9 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     vecs = v[:, order]
     spect = Spectrum(eigenvalues=eigvals, eigenvectors=vecs)
 
-    # Orthonormality does not depend on scale; the reconstruction bound does.
+    # Orthonormality does not depend on scale; the reconstruction bound is relative to it.
     _check_defect(_gram_defect(vecs), TOL_ORTH, "eigenvector orthonormality defect")
-    recon = float(np.linalg.norm(spect.reconstruct() - m))
-    _check_defect(recon, TOL_RECON * max(1.0, float(np.linalg.norm(m))),
+    _check_defect(_norm(spect.reconstruct() - m), TOL_RECON * _norm(m),
                   "eigendecomposition reconstruction defect")
     return spect
 
@@ -295,9 +327,8 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     which checks squareness and Hermiticity at the same ``tol``.
     """
     mat = as_complex_matrix(m, "density matrix")
-    trace = complex(np.trace(mat))
-    if abs(trace - 1.0) > _as_tol(tol):
-        raise ValidationError(f"trace {trace.real!r} deviates from 1 by more than {tol}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a diagonal past float64 sums to inf or NaN
+        _check_unit(complex(np.trace(mat)), _as_tol(tol), "trace")
 
     spect = hermitian_eig(mat, tol=tol)
     lam = spect.eigenvalues

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
-    TOL_NORM,
     DomainError,
     ValidationError,
     _as_array,
     _as_dim,
     _check_defect,
+    _check_unit_rows,
     _gram_defect,
     as_complex_matrix,
     fix_global_phase,
@@ -104,10 +104,7 @@ def _measurement_operator(target_states_b, d: int) -> np.ndarray:
     dim_b = states.shape[1]
     if dim_b < d:
         raise ValidationError(f"Bob dimension {dim_b} smaller than d={d}")
-    norms = np.linalg.norm(states, axis=1)
-    if np.any(np.abs(norms - 1.0) > TOL_NORM):
-        i = int(np.argmax(np.abs(norms - 1.0)))
-        raise ValidationError(f"target state {i} has norm {norms[i]!r}")
+    _check_unit_rows(states, "target state")
 
     f = np.ascontiguousarray(states.T)
     weight = float(np.trace(f.conj().T @ f).real)

@@ -276,6 +276,19 @@ class TestExitContract:
         args = [command, "-i", bad, *other.get(command, [])]
         self.assert_input_error(runner, args, tmp_path, detail)
 
+    def test_missing_field(self, runner, files, write, tmp_path):
+        bad = write("w.json", {"kind": "probvec"})
+        self.assert_input_error(
+            runner, ["majorize-check", "-i", bad, "-i", files["y"]], tmp_path, "missing field 'weights'"
+        )
+
+    def test_entries_that_are_not_pairs(self, runner, files, write, tmp_path):
+        bad = write("rho.json", dict(RHO, entries=[[[0.5, 0, 0], [0, 0, 0]], [[0, 0, 0], [0.5, 0, 0]]]))
+        self.assert_input_error(
+            runner, ["ensemble-synth", "-i", bad, "-i", files["p3"]], tmp_path,
+            "complex entries must be [re, im] pairs",
+        )
+
     @pytest.mark.parametrize("amplitudes", [[["0.5", "0"], ["0.5", "0"]], []], ids=["string", "empty"])
     def test_statevec_read_by_the_library_rules(self, amplitudes):
         # No command takes a statevec, so the parser is called directly.

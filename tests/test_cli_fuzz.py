@@ -12,6 +12,9 @@ Examples are derandomized, so the suite runs the same inputs every time.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import traceback
 from pathlib import Path
@@ -239,9 +242,21 @@ SUBNORMAL_JOB = (
 )
 
 
+# A member of weight 1e-10 and norm 1e100: its audit once overflowed to an
+# error JSON cannot carry, and the job ended in a traceback.
+TINY_WEIGHT_HUGE_MEMBER_JOB = (
+    "ensemble-verify",
+    [json.dumps({"kind": "ensemble", "weights": [1 - 1e-10, 1e-10],
+                 "states": [[[1, 0], [0, 0]], [[0, 0], [1e100, 0]]]}),
+     json.dumps({"kind": "density", "dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})],
+    [],
+)
+
+
 @FUZZ
 @given(invocation())
 @example(SUBNORMAL_JOB)
+@example(TINY_WEIGHT_HUGE_MEMBER_JOB)
 def test_cli_exit_contract(inv):
     command, texts, opts = inv
     code, report = _invoke(command, texts, opts)
@@ -255,6 +270,23 @@ def test_subnormal_density_is_synthesized():
     code, report = _invoke(*SUBNORMAL_JOB)
     assert code == 0, report
     assert report["status"] == "ok"
+
+
+def test_non_unit_member_of_tiny_weight_is_an_input_error(tmp_path):
+    # In a process of its own under -W error: a report, exit 2 and nothing on stderr.
+    command, texts, _ = TINY_WEIGHT_HUGE_MEMBER_JOB
+    args = [sys.executable, "-W", "error", "-m", "qmajor.cli", command, "-o", str(tmp_path / "report.json")]
+    for i, text in enumerate(texts):
+        (tmp_path / f"in{i}.json").write_text(text)
+        args += ["-i", str(tmp_path / f"in{i}.json")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(args, capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (res.returncode, res.stderr) == (2, b"")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "error"
+    assert report["reason"] == {
+        "class": "input", "detail": "ensemble member 1 norm 1e+100 deviates from 1 by more than 1e-09",
+    }
 
 
 @FUZZ

@@ -62,6 +62,24 @@ class TestDensityFromEnsemble:
         with pytest.raises(ValidationError, match=match):
             Ensemble.from_members(members)
 
+    @pytest.mark.parametrize("weights, synthetic", [
+        ([1.0, 0.0], [False, False]),
+        ([1.0, 0.0], [False, True]),
+        ([1 - 1e-9, 1e-9], [False, False]),
+        ([1 - 1e-10, 1e-10], [False, False]),
+    ], ids=["zero", "zero-synthetic", "at-floor", "below-floor"])
+    def test_every_member_is_a_unit_state(self, weights, synthetic):
+        # No weight, zero included, exempts a member from the unit-norm rule.
+        with pytest.raises(ValidationError, match=r"^ensemble member 1 norm 2\.0 deviates from 1 by more"):
+            Ensemble(weights=weights, states=[KET0, 2 * KET1], synthetic=synthetic)
+
+    def test_members_yields_weight_state_pairs(self):
+        ens = Ensemble.from_members([(0.25, KET0), (0.75, PLUS)])
+        members = list(ens.members())
+        assert [w for w, _ in members] == [0.25, 0.75]
+        assert all(type(w) is float for w, _ in members)
+        assert np.array_equal([s for _, s in members], ens.states)
+
     def test_from_members_stacks_valid_states(self):
         ens = Ensemble.from_members(iter([(0.25, [1, 0]), (0.75, PLUS)]))
         assert ens.states.dtype == np.complex128
@@ -354,9 +372,16 @@ class TestEntropyReportOracle:
         assert report.schur.passed
 
     def test_trace_check_kept(self):
-        # the norm of a member at or below TOL_PROB weight is not validated,
-        # so only the trace of the mixture can catch it: 1 + 1e-10 * (1e6 - 1)
-        ens = Ensemble.from_members([(1 - 1e-10, KET0), (1e-10, 1e3 * KET1)])
+        # Every member norm is validated, whatever its weight, so a 1e-10 weight
+        # no longer hides a state of norm 1e3 from the constructor.
+        huge = r"^ensemble member 1 norm 1000\.0 deviates from 1 by more than 1e-09$"
+        with pytest.raises(ValidationError, match=huge):
+            Ensemble.from_members([(1 - 1e-10, KET0), (1e-10, 1e3 * KET1)])
+        # A weight total and two norms, each within 1e-9 of 1, still add up to
+        # a trace (1 + 9e-10)^3 = 1 + 2.7e-9 that both trace checks reject.
+        w, scale = 0.5 + 4.5e-10, 1 + 9e-10
+        ens = Ensemble.from_members([(w, scale * KET0), (w, scale * KET1)])
+        trace = r"^trace 1\.0000000027000002 deviates from 1 by more than 1e-09$"
         for fn in (entropy_report, density_from_ensemble):
-            with pytest.raises(ValidationError, match=r"trace 1\.0000999\d* deviates from 1 by more than 1e-09"):
+            with pytest.raises(ValidationError, match=trace):
                 fn(ens)

@@ -3,31 +3,39 @@
 A NaN or inf defect fails, so a non-finite value made inside a construction
 raises at the first check that sees it instead of reaching the caller.  The
 injection tests plant a NaN in one step of each construction and assert the
-check that names it.
+check that names it.  A quantity that must be 1 (a weight total, a trace, a
+state norm) has its own one rule, ``abs(value - 1) <= tol``, which NaN and
+inf fail as well.  Public functions on unnormalised input are right or raise
+at any finite scale.
 """
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import qmajor
 from qmajor import bipartite, majorize, numkernel
-from qmajor.bipartite import corollary4_decompose, schmidt
-from qmajor.ensembles import synthesize_ensemble
-from qmajor.majorize import horn_orthogonal
+from qmajor.bipartite import BipartiteState, corollary4_decompose, schmidt
+from qmajor.ensembles import Ensemble, synthesize_ensemble
+from qmajor.majorize import horn_orthogonal, unitary_to_stochastic
 from qmajor.numkernel import (
     ValidationError,
     _check_defect,
+    _check_unit,
+    frobenius_distance,
     hermitian_eig,
     random_density,
+    random_unitary,
     validate_density,
 )
-from qmajor.protocol import run_protocol
+from qmajor.protocol import build_measurement, run_protocol
 
-from conftest import random_bipartite
+from conftest import FUZZ, random_bipartite
 
 
 class TestCheckDefect:
@@ -43,6 +51,67 @@ class TestCheckDefect:
     def test_message_names_defect_and_bound(self):
         with pytest.raises(ValidationError, match=r"^probe defect 2\.000e-10 exceeds 1e-10$"):
             _check_defect(2e-10, 1e-10, "probe defect")
+
+
+class TestCheckUnit:
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, np.float64("nan"), complex(math.nan, 0.0), complex(1.0, math.inf),
+    ])
+    def test_non_finite_value_fails(self, value):
+        # A complex value is shown by its real part: 1.0 for 1 + inf*1j.
+        shown = r"^probe (nan|inf|-inf|1\.0) deviates from 1 by more than 1e-09$"
+        with pytest.raises(ValidationError, match=shown):
+            _check_unit(value, 1e-9, "probe")
+
+    def test_value_at_its_tolerance_passes(self):
+        _check_unit(1.0, 0.0, "probe")
+        _check_unit(1.5, 0.5, "probe")
+        _check_unit(0.5, 0.5, "probe")
+
+    def test_complex_value_judged_by_its_modulus_and_shown_by_its_real_part(self):
+        _check_unit(complex(1.0, 1e-9), 1e-9, "trace")
+        with pytest.raises(ValidationError, match=r"^trace 1\.0 deviates from 1 by more than 1e-09$"):
+            _check_unit(complex(1.0, 2e-9), 1e-9, "trace")
+
+
+def _refuse_eigensolve(*args, **kwargs):
+    raise AssertionError("an eigensolve ran")
+
+
+# Sixteen entries of +-1e308 and a 1: numpy's pairwise sum overflows to +inf
+# in one partial sum and -inf in another, so the trace is NaN.
+NAN_TRACE_DIAGONAL = [1e308 * s for s in (1, 1, 1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1, 1)] + [1.0]
+
+
+class TestUnitQuantities:
+    """NaN, inf and huge values of every quantity that must be 1 raise ValidationError, with no warning."""
+
+    @pytest.mark.parametrize("diagonal, shown", [(NAN_TRACE_DIAGONAL, "nan"), ([1e308, 1e308], "inf")])
+    def test_non_finite_trace_raises_before_any_eigensolve(self, monkeypatch, diagonal, shown):
+        monkeypatch.setattr(numkernel, "hermitian_eig", _refuse_eigensolve)
+        with pytest.raises(ValidationError, match=f"^trace {shown} deviates from 1 by more than 1e-09$"):
+            validate_density(np.diag(diagonal))
+
+    @pytest.mark.parametrize("amplitudes, shown", [
+        (np.full((2, 2), 1.5e308), "inf"),
+        ([[1e200, 0.0], [0.0, 0.0]], "1e+200"),
+        ([[1e-200, 0.0], [0.0, 0.0]], "1e-200"),
+    ])
+    def test_state_norm_computed_without_overflow(self, amplitudes, shown):
+        with pytest.raises(ValidationError, match=f"^state norm {re.escape(shown)} deviates from 1"):
+            schmidt(BipartiteState(amplitudes=amplitudes))
+
+    def test_target_state_norm_computed_without_overflow(self):
+        with pytest.raises(ValidationError, match=r"^target state 0 norm 1e\+200 deviates from 1 by more"):
+            build_measurement([[1e200, 0.0], [0.0, 1.0]], 2)
+
+    @pytest.mark.parametrize("state, shown", [
+        ([1e200, 1e200], r"1\.41421356237309\d*e\+200"),
+        ([1.5e308, 1.5e308], "inf"),
+    ])
+    def test_member_norm_computed_without_overflow(self, state, shown):
+        with pytest.raises(ValidationError, match=f"^ensemble member 0 norm {shown} deviates"):
+            Ensemble(weights=[1.0], states=[state], synthetic=[False])
 
 
 def _nan_first_phase(phases):
@@ -110,30 +179,129 @@ def _raises_validation_error(node):
     return isinstance(exc, ast.Name) and exc.id == "ValidationError"
 
 
+def _function_nodes():
+    """(module file name, function name, node) for every node inside a function of src/qmajor."""
+    for path in sorted(Path(qmajor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    yield path.name, func.name, node
+
+
+def _raises_outside(rule: str, phrase: str) -> list:
+    """Raises of ValidationError whose message holds ``phrase``, outside ``numkernel.<rule>``."""
+    offenders = []
+    for module, func, node in _function_nodes():
+        if not (isinstance(node, ast.Raise) and node.exc is not None and _raises_validation_error(node)):
+            continue
+        words = " ".join(
+            c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)
+        )
+        if phrase in words and (module, func) != ("numkernel.py", rule):
+            offenders.append(f"{module}:{node.lineno} in {func}")
+    return offenders
+
+
+def _callers(*names: str) -> list:
+    """The function name of every call of one of ``names``, once per call."""
+    return [func for _, func, node in _function_nodes()
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names]
+
+
 def test_every_defect_check_goes_through_the_one_rule():
     # A raise of ValidationError whose message speaks of a defect belongs in
     # numkernel._check_defect alone, so a defect can be recorded in one place.
-    src = Path(qmajor.__file__).parent
-    offenders = []
-    calls = 0
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for func in functions:
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_defect":
-                    calls += 1
-                if not (isinstance(node, ast.Raise) and node.exc is not None and _raises_validation_error(node)):
-                    continue
-                words = " ".join(
-                    c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)
-                )
-                if "defect" in words and not (path.name == "numkernel.py" and func.name == "_check_defect"):
-                    offenders.append(f"{path.name}:{node.lineno} in {func.name}")
+    offenders = _raises_outside("_check_defect", "defect")
     assert not offenders, offenders
     # hermitian_eig (2), witness, unitary_to_stochastic, schmidt,
     # relate_purifications (2), _cor4_from_svd, MeasurementSet and _prepare.
-    assert calls >= 10
+    assert len(_callers("_check_defect")) >= 10
+
+
+def test_every_unit_quantity_goes_through_the_one_rule():
+    # A raise of ValidationError whose message says "deviates from 1" belongs in
+    # numkernel._check_unit alone: a weight total, a trace and a norm are judged alike.
+    offenders = _raises_outside("_check_unit", "deviates from 1")
+    assert not offenders, offenders
+    # The six sites; Ensemble's is its __post_init__.
+    assert {"as_prob_vector", "validate_density", "entropy_report", "_require_unit",
+            "_measurement_operator", "__post_init__"} <= set(_callers("_check_unit", "_check_unit_rows"))
+
+
+# A 4x4 Hermitian matrix with entries of modulus at most sqrt(2) and
+# eigenvalue gaps above 0.2, so its eigenvectors are well conditioned.
+_H = (lambda g: (g + g.conj().T) / 2)(
+    (lambda rng: rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4)))(np.random.default_rng(5))
+)
+_A, _B = (lambda rng: (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+                       rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))))(np.random.default_rng(6))
+_U = random_unitary(3, 1)
+
+
+def _close(got, want, scale):
+    return np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+class TestScaleInvariance:
+    """At scale 10**k a public function returns its scale-1 result times 10**k, or raises ValidationError."""
+
+    @FUZZ
+    @given(st.integers(-300, 307))
+    @example(-12)
+    @example(154)
+    def test_hermitian_eig(self, k):
+        base = hermitian_eig(_H)
+        s = 10.0**k
+        try:
+            spect = hermitian_eig(_H * s)
+        except ValidationError:
+            return
+        assert _close(spect.eigenvalues, base.eigenvalues * s, s * np.abs(base.eigenvalues).max()), k
+        assert _close(spect.eigenvectors, base.eigenvectors, 1.0), k
+
+    def test_hermitian_eig_at_the_top_of_the_range(self):
+        spect = hermitian_eig([[1e308, 0], [0, 1e308]])
+        assert spect.eigenvalues.tolist() == [1e308, 1e308]
+        assert np.array_equal(spect.eigenvectors, np.eye(2))
+
+    def test_hermiticity_defect_past_float64_raises(self):
+        # m - m^H would overflow here; its halves do not.
+        with pytest.raises(ValidationError, match=r"^Hermiticity violated: .* = inf exceeds 1e-09$"):
+            hermitian_eig([[0.0, 1e308], [-1e308, 0.0]])
+
+    @FUZZ
+    @given(st.integers(-300, 307))
+    @example(-200)
+    def test_frobenius_distance(self, k):
+        base = frobenius_distance(_A, _B)
+        s = 10.0**k
+        try:
+            got = frobenius_distance(_A * s, _B * s)
+        except ValidationError:
+            return
+        assert _close(got, base * s, base * s), k
+
+    def test_frobenius_distance_past_float64_raises(self):
+        with pytest.raises(ValidationError, match="overflows float64"):
+            frobenius_distance([[1e308]], [[-1e308]])
+
+    def test_frobenius_distance_does_not_underflow(self):
+        # The squares of entries near 1e-200 underflow to 0, so an unscaled norm reads 0.
+        want = 2e-200 * np.linalg.norm(_H)
+        assert abs(frobenius_distance(_H * 1e-200, -_H * 1e-200) - want) <= 1e-15 * want
+
+    @FUZZ
+    @given(st.integers(-300, 307))
+    @example(100)
+    def test_unitary_to_stochastic(self, k):
+        base = unitary_to_stochastic(_U)
+        s = 10.0**k
+        try:
+            got = unitary_to_stochastic(_U * s)
+        except ValidationError:
+            return
+        assert _close(got, base * s * s, s * s), k
 
 
 class TestSubnormalJacobi:

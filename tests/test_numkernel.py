@@ -105,6 +105,17 @@ class TestValidateDensity:
         with pytest.raises(ValidationError, match="square"):
             DensityMatrix(matrix=np.ones((2, 3)))
 
+    def test_directly_built_density_solves_on_first_spectrum_call(self, monkeypatch):
+        calls = []
+        solve = numkernel.hermitian_eig
+        monkeypatch.setattr(numkernel, "hermitian_eig", lambda m: calls.append(1) or solve(m))
+        rho = DensityMatrix(matrix=np.diag([0.25, 0.75]))
+        assert calls == []
+        spect = rho.spectrum()
+        assert spect.eigenvalues.tolist() == [0.75, 0.25]
+        assert rho.spectrum() is spect and rho.eigenvalues() is spect.eigenvalues
+        assert calls == [1]
+
     def test_one_dimensional(self):
         rho = validate_density([[1.0]])
         assert rho.eigenvalues() == pytest.approx([1.0])

@@ -172,6 +172,16 @@ class TestBuildMeasurement:
         )
         assert np.linalg.norm(total - np.eye(4)) <= 1e-10
 
+    def test_rejects_bob_dimension_below_d(self):
+        with pytest.raises(ValidationError, match="Bob dimension 2 smaller than d=3"):
+            build_measurement(np.eye(3, 2, dtype=complex), 3)
+
+    def test_operator_indexes_the_stack(self):
+        meas = build_measurement(np.eye(3, dtype=complex), 3)
+        for s in range(3):
+            for t in range(3):
+                assert np.array_equal(meas.operator(s, t), meas.operators[s, t])
+
     def test_invalid_operator_block_rejected(self):
         ops = np.zeros((1, 1, 2, 2), dtype=complex)
         with pytest.raises(ValidationError, match="completeness"):
