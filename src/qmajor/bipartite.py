@@ -28,6 +28,7 @@ from .numkernel import (
     _check_unit,
     _gram_defect,
     _norm,
+    _trusted,
     as_complex_matrix,
     frobenius_distance,
     validate_density,
@@ -70,7 +71,7 @@ def embed_state(psi: BipartiteState, dim_a: int, dim_b: int) -> BipartiteState:
     m = np.zeros((_as_dim(dim_a, "non-shrinking A dimension", psi.dim_a),
                   _as_dim(dim_b, "non-shrinking B dimension", psi.dim_b)), dtype=np.complex128)
     m[: psi.dim_a, : psi.dim_b] = psi.amplitudes
-    return BipartiteState(amplitudes=m)
+    return _trusted(BipartiteState, amplitudes=m)
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def purify(rho: DensityMatrix, weights, states, tol: float = 1e-8) -> BipartiteS
         raise DomainError(
             f"ensemble does not realize the density matrix: Frobenius mismatch {mismatch:.3e}"
         )
-    return BipartiteState(amplitudes=np.sqrt(w)[:, None] * ens.states)
+    return _trusted(BipartiteState, amplitudes=np.sqrt(w)[:, None] * ens.states)
 
 
 def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 1e-8) -> np.ndarray:

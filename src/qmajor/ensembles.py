@@ -23,6 +23,7 @@ from .numkernel import (
     _as_tol,
     _check_unit,
     _check_unit_rows,
+    _trusted,
     as_complex_matrix,
     validate_density,
 )
@@ -30,11 +31,12 @@ from .majorize import (
     SchurReport,
     _majorized_pair,
     _neg_entropy,
+    _nonneg,
     _nonneg_vector,
     _rotate_rows,
+    _witness,
     as_prob_vector,
     check_schur_inequalities,
-    horn_orthogonal,
     is_majorized_by,
     majorization_violation,
 )
@@ -151,7 +153,7 @@ def _mix(rows: np.ndarray, sigma: np.ndarray, weights: np.ndarray):
     # The spectrum sums to the trace or squared norm, which may be off 1 by
     # the input tolerance; the witness runs on it scaled to the weights'
     # total, and normalizing the mixed rows below removes the scale again.
-    witness = horn_orthogonal(x, lam[:rank] * (x.sum() / lam[:rank].sum())).orthogonal
+    witness = _witness(x, lam[:rank] * (x.sum() / lam[:rank].sum()), TOL_PROB).orthogonal
     frame = np.eye(max(witness.shape[0], n_pos))
     frame[: witness.shape[0], : witness.shape[0]] = witness
     carry = x[heavy]
@@ -183,10 +185,12 @@ def synthesize_ensemble(rho: DensityMatrix, p) -> Ensemble:
     """
     weights = as_prob_vector(p, name="weights")
     spect = rho.spectrum()
-    _majorized_pair(weights, spect.eigenvalues, TOL_PROB)
+    # rho may have been built directly, so its spectrum is held to the weights' rule.
+    _majorized_pair(weights, _nonneg(spect.eigenvalues, TOL_PROB, "y"), TOL_PROB)
     sigma = np.sqrt(np.clip(spect.eigenvalues, 0.0, None))
     states, _, _ = _mix(spect.eigenvectors.T, sigma, weights)
-    return Ensemble(weights=weights, states=states, synthetic=weights == 0.0)
+    _check_unit_rows(states, "ensemble member")
+    return _trusted(Ensemble, weights=weights, states=states, synthetic=weights == 0.0)
 
 
 def rank_of(rho: DensityMatrix) -> int:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .numkernel import TOL_PROB, DomainError, ValidationError, as_complex_matrix
-from .numkernel import _as_array, _as_dim, _as_tol, _check_defect, _check_unit, _gram_defect
+from .numkernel import _as_array, _as_dim, _as_tol, _check_defect, _check_unit, _gram_defect, _trusted
 
 
 class MajorizationError(DomainError):
@@ -33,7 +33,11 @@ class MajorizationError(DomainError):
 
 def _nonneg_vector(v, tol: float, name: str) -> np.ndarray:
     """Validate a non-empty finite 1-D vector with entries >= -tol, clipped to 0, and a finite total."""
-    w = _as_array(v, name, np.float64, 1)
+    return _nonneg(_as_array(v, name, np.float64, 1), tol, name)
+
+
+def _nonneg(w: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """``_nonneg_vector`` for a finite 1-D float array the library built, which needs no coercion."""
     if w.size == 0:
         raise ValidationError(f"{name} must be non-empty")
     low = float(w.min())
@@ -54,15 +58,18 @@ def as_prob_vector(weights, tol: float = TOL_PROB, name: str = "probability vect
     return w
 
 
-def _sorted_pair(x, y, tol: float):
-    """Validate, zero-pad and sort a pair once, and judge it.
+def _nonneg_pair(x, y, tol: float):
+    """A public pair through ``_nonneg_vector``, once; internal callers hand theirs on as is."""
+    return _nonneg_vector(x, tol, "x"), _nonneg_vector(y, tol, "y")
+
+
+def _sorted_pair(xv, yv, tol: float):
+    """Zero-pad and sort a pair that ``_nonneg_vector`` passed, or the library built, and judge it.
 
     Returns ``(xv, yv, perm_x, perm_y, violation)``: the padded vectors, the
     stable orders that sort each one decreasing, and the first failing
     partial sum ``(k, lhs, rhs)`` or None.
     """
-    xv = _nonneg_vector(x, tol, "x")
-    yv = _nonneg_vector(y, tol, "y")
     d = max(xv.size, yv.size)
     xv = np.concatenate([xv, np.zeros(d - xv.size)])
     yv = np.concatenate([yv, np.zeros(d - yv.size)])
@@ -87,7 +94,7 @@ def majorization_violation(x, y, tol: float = TOL_PROB):
     zero-padded to d = max(len(x), len(y)), and k == d flags a total
     mismatch: ``([0.4, 0.4], [0.5, 0.3, 0.1, 0.1])`` gives ``(4, 0.8, 1.0)``.
     """
-    return _sorted_pair(x, y, tol)[4]
+    return _sorted_pair(*_nonneg_pair(x, y, tol), tol)[4]
 
 
 def is_majorized_by(x, y, tol: float = TOL_PROB) -> bool:
@@ -95,9 +102,9 @@ def is_majorized_by(x, y, tol: float = TOL_PROB) -> bool:
     return majorization_violation(x, y, tol) is None
 
 
-def _majorized_pair(x, y, tol: float):
+def _majorized_pair(xv, yv, tol: float):
     """``_sorted_pair`` minus its verdict; raises MajorizationError on a violation."""
-    xv, yv, perm_x, perm_y, violation = _sorted_pair(x, y, tol)
+    xv, yv, perm_x, perm_y, violation = _sorted_pair(xv, yv, tol)
     if violation is not None:
         raise MajorizationError(*violation)
     return xv, yv, perm_x, perm_y
@@ -120,14 +127,6 @@ class TTransform:
             raise ValidationError("TTransform indices must differ")
         if not 0.0 <= _as_tol(self.t, "TTransform parameter t") <= 1.0:
             raise ValidationError(f"TTransform parameter t={self.t!r} outside [0, 1]")
-
-    @classmethod
-    def _trusted(cls, i: int, k: int, t: float) -> "TTransform":
-        """Build without ``__post_init__``: the caller guarantees ints i != k >= 0, 0 <= t <= 1."""
-        tr = object.__new__(cls)
-        fields = tr.__dict__
-        fields["i"], fields["k"], fields["t"] = i, k, t
-        return tr
 
     def matrix(self, dim: int) -> np.ndarray:
         """Dense doubly stochastic matrix of the transform."""
@@ -214,7 +213,11 @@ def t_transform_chain(x, y, tol: float = TOL_PROB) -> TChain:
     Raises :class:`MajorizationError` naming the first failing partial sum
     when the precondition does not hold.
     """
-    xv, yv, perm_x, perm_y = _majorized_pair(x, y, tol)
+    return _chain(*_majorized_pair(*_nonneg_pair(x, y, tol), tol))
+
+
+def _chain(xv, yv, perm_x, perm_y) -> TChain:
+    """The walk of ``t_transform_chain`` from a pair ``_majorized_pair`` judged."""
     d = xv.size
     xs = xv[perm_x].tolist()
 
@@ -239,7 +242,7 @@ def t_transform_chain(x, y, tol: float = TOL_PROB) -> TChain:
             t = 1.0
         if t < 1.0:
             # wa > wb gives a != b, and the clamp gives 0 <= t < 1.
-            transforms.append(TTransform._trusted(a, b, t))
+            transforms.append(_trusted(TTransform, i=a, k=b, t=t))
             vb = (1.0 - t) * wa + t * wb
             # b's value grew: move it left to keep the order sorted, landing
             # before any equal values so the walk stays deterministic.
@@ -249,11 +252,9 @@ def t_transform_chain(x, y, tol: float = TOL_PROB) -> TChain:
             neg.insert(at, -vb)
     target_permutation = np.empty(d, dtype=np.intp)
     target_permutation[perm_x] = order
-    return TChain(
-        transforms=transforms,
-        source_permutation=perm_y,
-        target_permutation=target_permutation,
-    )
+    # Both orders are permutations of range(d), and every transform is in range.
+    return _trusted(TChain, transforms=tuple(transforms), source_permutation=perm_y,
+                    target_permutation=target_permutation)
 
 
 def apply_t_chain(chain: TChain, y) -> np.ndarray:
@@ -302,6 +303,11 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
     with the entrywise square.
     """
     return _witness_from_chain(t_transform_chain(x, y, tol))
+
+
+def _witness(xv, yv, tol: float) -> HornWitness:
+    """``horn_orthogonal`` for a pair the library built, judged but not validated again."""
+    return _witness_from_chain(_chain(*_majorized_pair(xv, yv, tol)))
 
 
 def _rotate_rows(ri: np.ndarray, rk: np.ndarray, c: float, s: float) -> None:
@@ -421,7 +427,8 @@ def check_schur_inequalities(x, y, tol: float = 1e-9) -> SchurReport:
     the largest component enters with a plus sign: max is Schur-convex
     (its negation is not, despite being a popular disorder measure).
     """
-    xv, yv = _majorized_pair(x, y, max(_as_tol(tol), TOL_PROB))[:2]
+    bound = max(_as_tol(tol), TOL_PROB)
+    xv, yv = _majorized_pair(*_nonneg_pair(x, y, bound), bound)[:2]
     entries: list[SchurEntry] = []
     entries.append(SchurEntry("neg_entropy", _neg_entropy(xv), _neg_entropy(yv)))
     for k in _POWER_SUM_EXPONENTS:

@@ -83,8 +83,20 @@ def _norm(a: np.ndarray) -> float:
     peak = float(np.abs(a).max(initial=0.0))
     if not 0.0 < peak < math.inf:
         return peak
+    if peak < sys.float_info.min:
+        # numpy divides complex entries by multiplying with the divisor's reciprocal, which
+        # is inf for a subnormal power of two; lifting every entry by 2^1022 is exact here.
+        return _norm(a * 2.0**1022) * 2.0**-1022
     scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
     return float(np.linalg.norm(a / scale)) * scale
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without ``__post_init__``, for a value
+    the library built: the caller guarantees each field is what validation would store."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _check_unit(value, tol: float, what: str) -> None:
@@ -252,8 +264,10 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
             f"Hermiticity violated: max |M_ij - conj(M_ji)| = {defect:.3e} exceeds {tol}"
         )
 
-    # The Hermitian part from halves, which cannot overflow.
-    a = m / 2.0 + m.conj().T / 2.0
+    # The Hermitian part from halves, which cannot overflow; it is what is decomposed, so
+    # the reconstruction is measured against it, not against m.
+    herm = m / 2.0 + m.conj().T / 2.0
+    a = herm.copy()
     v = np.eye(n, dtype=np.complex128)
     for _ in range(_JACOBI_MAX_SWEEPS):
         if _off_norm(a) <= _JACOBI_OFF_TARGET:
@@ -280,7 +294,7 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
 
     # Orthonormality does not depend on scale; the reconstruction bound is relative to it.
     _check_defect(_gram_defect(vecs), TOL_ORTH, "eigenvector orthonormality defect")
-    _check_defect(_norm(spect.reconstruct() - m), TOL_RECON * _norm(m),
+    _check_defect(_norm(spect.reconstruct() - herm), TOL_RECON * _norm(herm),
                   "eigendecomposition reconstruction defect")
     return spect
 
@@ -337,9 +351,10 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     lam = np.where(lam < 0.0, 0.0, lam)
     spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=spect.eigenvectors)
     clean = spect.reconstruct()
-    rho = DensityMatrix(matrix=(clean + clean.conj().T) / 2.0)
-    object.__setattr__(rho, "_spectrum", spect)
-    return rho
+    matrix = (clean + clean.conj().T) / 2.0
+    if not np.isfinite(matrix).all():  # a spectrum clipped to all zeros renormalizes to NaN
+        raise ValidationError("density matrix contains non-finite entries")
+    return _trusted(DensityMatrix, matrix=matrix, _spectrum=spect)
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:

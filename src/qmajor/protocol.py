@@ -9,6 +9,7 @@ branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .numkernel import (
     _check_defect,
     _check_unit_rows,
     _gram_defect,
+    _trusted,
     as_complex_matrix,
     fix_global_phase,
 )
@@ -92,18 +94,13 @@ class MeasurementSet:
         return self.operators[s, t]
 
 
-def _measurement_operator(target_states_b, d: int) -> np.ndarray:
+def _measurement_operator(states: np.ndarray, d: int) -> np.ndarray:
     """The dim_b x d operator E of the measurement: column i is target state i, scaled.
 
-    The scale 1/sqrt(d * sum_i |psi_i|^2) makes the twirled operators
-    E X^s Z^t resolve the identity on the first d coordinates.
+    ``states`` is a d x dim_b complex array, dim_b >= d, of unit rows.  The
+    scale 1/sqrt(d * sum_i |psi_i|^2) makes the twirled operators E X^s Z^t
+    resolve the identity on the first d coordinates.
     """
-    states = as_complex_matrix(target_states_b, "target states")
-    if states.shape[0] != d:
-        raise ValidationError(f"need exactly {d} target states, got {states.shape[0]}")
-    dim_b = states.shape[1]
-    if dim_b < d:
-        raise ValidationError(f"Bob dimension {dim_b} smaller than d={d}")
     _check_unit_rows(states, "target state")
 
     f = np.ascontiguousarray(states.T)
@@ -153,7 +150,12 @@ def build_measurement(target_states_b, d: int) -> MeasurementSet:
     any extra Bob dimensions each operator acts as identity/d.
     """
     d = _as_dim(d, "dimension", 1)
-    e = _measurement_operator(target_states_b, d)
+    states = as_complex_matrix(target_states_b, "target states")
+    if states.shape[0] != d:
+        raise ValidationError(f"need exactly {d} target states, got {states.shape[0]}")
+    if states.shape[1] < d:
+        raise ValidationError(f"Bob dimension {states.shape[1]} smaller than d={d}")
+    e = _measurement_operator(states, d)
     dim_b = e.shape[0]
     ops = np.zeros((d, d, dim_b, dim_b), dtype=np.complex128)
     ops[:, :, d:, d:] = np.eye(dim_b - d) / d
@@ -218,6 +220,7 @@ class _ProtocolSetup:
     target: BipartiteState
     d: int
     bits: int
+    root_d: float
 
 
 def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
@@ -244,18 +247,18 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     _check_defect(_completeness_defect(e, d), 1e-10, "measurement completeness defect")
     # Every branch ends on the unit target, so fidelity is measured against
     # the target normalized once here, not against its accepted norm.
-    unit = BipartiteState(amplitudes=target.amplitudes / target.norm())
+    unit = _trusted(BipartiteState, amplitudes=target.amplitudes / target.norm())
     return _ProtocolSetup(operator=e, alice_basis=rewrite.basis_a, bob_basis=vh.T, target=unit,
-                          d=d, bits=comm_cost(d).bits)
+                          d=d, bits=comm_cost(d).bits, root_d=math.sqrt(d))
 
 
-def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None,
+def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None, index: np.ndarray,
                 shifted: np.ndarray, phase: np.ndarray, inverse: np.ndarray) -> ProtocolTranscript:
-    """Branch (s, t) from its shared rows _shifted(E, d, s), _phases(d, t) and _phases(d, -t)."""
-    d = setup.d
+    """Branch (s, t) from its shared rows: the index (j + s) mod d, E^T at that index,
+    _phases(d, t) and _phases(d, -t)."""
     # Row j of the post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
     post = _twirled(shifted, phase).T
-    post /= np.sqrt(d)
+    post /= setup.root_d
     prob = float(np.linalg.norm(post) ** 2)
     post /= np.sqrt(prob)
 
@@ -264,17 +267,19 @@ def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None,
     # rotates into the target's A basis; Bob undoes his alignment.
     post *= inverse[:, None]
     corrected = np.empty_like(post)
-    corrected[(np.arange(d) + s) % d] = post
+    corrected[index] = post
     final = setup.alice_basis @ corrected @ setup.bob_basis.T
+    # min(1.0, nan) is 1.0, so a non-finite branch must fail here, not report fidelity 1.
+    if not np.isfinite(final).all():
+        raise ValidationError(f"final state of branch ({s}, {t}) contains non-finite entries")
 
     fidelity = min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2))
-    final_state = BipartiteState(amplitudes=fix_global_phase(final))
     return ProtocolTranscript(
-        outcome=WeylPair(d=d, s=s, t=t),
+        outcome=_trusted(WeylPair, d=setup.d, s=s, t=t),
         outcome_probability=prob,
         bits_sent=setup.bits,
         correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
-        final_state=final_state,
+        final_state=_trusted(BipartiteState, amplitudes=fix_global_phase(final)),
         fidelity=fidelity,
         seed=seed,
     )
@@ -294,7 +299,8 @@ def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTrans
     u = np.random.default_rng(_as_dim(seed, "seed", 0, None)).random()
     d = setup.d
     s, t = divmod(min(int(u * d * d), d * d - 1), d)
-    return _run_branch(setup, s, t, seed, _shifted(setup.operator, d, s), _phases(d, t), _phases(d, -t))
+    index = (np.arange(d) + s) % d
+    return _run_branch(setup, s, t, seed, index, setup.operator.T[index], _phases(d, t), _phases(d, -t))
 
 
 def enumerate_protocol(phi_target: BipartiteState, d: int) -> tuple[ProtocolTranscript, ...]:
@@ -303,7 +309,8 @@ def enumerate_protocol(phi_target: BipartiteState, d: int) -> tuple[ProtocolTran
     phase, inverse = _phases(d, np.arange(d)), _phases(d, -np.arange(d))
     out = []
     for s in range(d):
-        shifted = _shifted(setup.operator, d, s)
+        index = (np.arange(d) + s) % d
+        shifted = setup.operator.T[index]
         for t in range(d):
-            out.append(_run_branch(setup, s, t, None, shifted, phase[t], inverse[t]))
+            out.append(_run_branch(setup, s, t, None, index, shifted, phase[t], inverse[t]))
     return tuple(out)

@@ -382,6 +382,28 @@ class TestHornWitnessStructure:
         TTransform(i=0, k=1, t=0.5)
         assert len(calls) == 1
 
+    def test_library_paths_recheck_no_walk_built_chain(self, monkeypatch, rng):
+        calls = []
+        checked = TChain.__post_init__
+
+        def counting(chain):
+            calls.append(chain)
+            checked(chain)
+
+        monkeypatch.setattr(TChain, "__post_init__", counting)
+        y = rng.dirichlet(np.ones(12))
+        x = mix_down(y, rng)
+        chain = t_transform_chain(x, y)
+        assert len(chain) > 0 and isinstance(chain.transforms, tuple)
+        horn_orthogonal(x, y)
+        rho = random_density(5, 4, seed=3)
+        synthesize_ensemble(rho, mix_down(np.concatenate([rho.eigenvalues(), [0.0]]), rng))
+        state = random_bipartite(4, 5, rng)
+        corollary4_decompose(state, mix_down(schmidt(state).coefficients, rng))
+        assert calls == []
+        TChain(chain.transforms, chain.source_permutation, chain.target_permutation)
+        assert len(calls) == 1
+
     def test_witness_and_chain_are_one_construction(self, rng):
         cases = ["uniform", "degenerate", "zero-padded", "permutation", "mixed"]
         for trial in range(100):

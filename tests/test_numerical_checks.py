@@ -282,6 +282,43 @@ class TestScaleInvariance:
             return
         assert _close(got, base * s, base * s), k
 
+    @FUZZ
+    @given(st.integers(-323, -290))
+    @example(-309)
+    @example(-323)
+    def test_frobenius_distance_at_subnormal_scales(self, k):
+        # Below 2**-1022 the complex entries are prescaled by a subnormal power
+        # of two, and each entry of _A * s keeps fewer bits: allow a few of the
+        # subnormal spacing 2**-1074 besides the relative 1e-12.
+        base = frobenius_distance(_A, _B)
+        s = 10.0**k
+        assert abs(frobenius_distance(_A * s, _B * s) - base * s) <= 1e-12 * base * s + 16 * 2.0**-1074, k
+
+    @FUZZ
+    @given(st.integers(-323, -290))
+    @example(-309)
+    def test_hermitian_eig_at_subnormal_scales(self, k):
+        m = _H * 10.0**k
+        try:
+            spect = hermitian_eig(m)
+        except ValidationError as exc:
+            assert "nan" not in str(exc), k
+            return
+        # Weyl's bound for entries rounded to the subnormal spacing.
+        assert np.abs(spect.eigenvalues - np.linalg.eigvalsh(m)[::-1]).max() <= 32 * 2.0**-1074, k
+
+    def test_subnormal_complex_entries(self):
+        assert abs(frobenius_distance([[3e-309 + 3e-309j]], [[0j]]) - math.hypot(3e-309, 3e-309)) <= 2.0**-1074
+        with pytest.raises(ValidationError, match=r"^state norm 4\.24\d*e-309 deviates from 1"):
+            schmidt(BipartiteState(amplitudes=[[3e-309 + 3e-309j]]))
+        try:
+            spect = hermitian_eig([[3e-309, 1e-309j], [-1e-309j, 2e-309]])
+        except ValidationError as exc:
+            assert "nan" not in str(exc)
+        else:
+            expected = np.linalg.eigvalsh(np.array([[3e-309, 1e-309j], [-1e-309j, 2e-309]]))[::-1]
+            assert np.abs(spect.eigenvalues - expected).max() <= 8 * 2.0**-1074
+
     def test_frobenius_distance_past_float64_raises(self):
         with pytest.raises(ValidationError, match="overflows float64"):
             frobenius_distance([[1e308]], [[-1e308]])

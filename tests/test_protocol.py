@@ -46,7 +46,8 @@ SKEW2 = BipartiteState(amplitudes=np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(c
 def branch(setup, s, t):
     """One branch of a prepared instance, its outcome-invariant rows formed for it alone."""
     d = setup.d
-    return _run_branch(setup, s, t, None, _shifted(setup.operator, d, s), _phases(d, t), _phases(d, -t))
+    index = (np.arange(d) + s) % d
+    return _run_branch(setup, s, t, None, index, _shifted(setup.operator, d, s), _phases(d, t), _phases(d, -t))
 
 
 class TestShiftClock:

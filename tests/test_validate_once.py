@@ -1,0 +1,75 @@
+"""One validation per value per public call.
+
+A public entry point coerces and checks each argument once.  Values the
+library built itself (embedded and normalized states, Corollary-4 rewrites,
+synthesized ensembles, protocol transcripts) reach the private cores as they
+are, so a public call coerces nothing its own argument checks did not; the
+numerical checks on those values all still run.
+"""
+
+import numpy as np
+import pytest
+
+from qmajor import bipartite, ensembles, majorize, numkernel, protocol
+from qmajor.bipartite import corollary4_decompose, schmidt
+from qmajor.ensembles import synthesize_ensemble
+from qmajor.numkernel import ValidationError, random_density
+from qmajor.protocol import enumerate_protocol, run_protocol
+
+from conftest import mix_down, random_bipartite, rank_deficient_bipartite
+
+
+@pytest.fixture
+def coerced(monkeypatch):
+    """The names of the values ``numkernel._as_array`` coerces, in call order."""
+    names = []
+    original = numkernel._as_array
+
+    def counting(values, name, *args):
+        names.append(name)
+        return original(values, name, *args)
+
+    for module in (numkernel, majorize, ensembles, bipartite, protocol):
+        if hasattr(module, "_as_array"):
+            monkeypatch.setattr(module, "_as_array", counting)
+    return names
+
+
+def _coerced_by(names, call):
+    names.clear()
+    call()
+    return list(names)
+
+
+def test_each_public_call_coerces_only_its_own_arguments(coerced, rng):
+    small, large = random_bipartite(3, 3, rng), rank_deficient_bipartite(6, 7, 4, rng)
+    state = random_bipartite(4, 5, rng)
+    q = mix_down(np.concatenate([schmidt(state).coefficients, [0.0]]), rng)
+    rho = random_density(5, 4, seed=3)
+    p = mix_down(np.concatenate([rho.eigenvalues(), [0.0]]), rng)
+
+    # The target is a validated BipartiteState, so no branch coerces anything,
+    # at any d.
+    assert _coerced_by(coerced, lambda: enumerate_protocol(small, 3)) == []
+    assert _coerced_by(coerced, lambda: enumerate_protocol(large, 6)) == []
+    assert _coerced_by(coerced, lambda: run_protocol(large, 6, seed=1)) == []
+    assert _coerced_by(coerced, lambda: corollary4_decompose(state, q)) == ["weights"]
+    assert _coerced_by(coerced, lambda: synthesize_ensemble(rho, p)) == ["weights"]
+
+
+def test_a_non_finite_branch_raises(monkeypatch, rng):
+    # min(1.0, nan) is 1.0: without its finiteness check a NaN branch would
+    # report fidelity 1.
+    original = protocol._phases
+
+    def nan_row(d, t):
+        rows = original(d, t)
+        if rows.ndim == 2:
+            rows[-1, 0] = np.nan
+        return rows
+
+    monkeypatch.setattr(protocol, "_phases", nan_row)
+    with np.errstate(all="ignore"), pytest.raises(
+        ValidationError, match=r"^final state of branch \(0, 2\) contains non-finite entries$"
+    ):
+        enumerate_protocol(random_bipartite(3, 3, rng), 3)
