@@ -42,12 +42,17 @@ SCHMIDT_RANK_CUTOFF = _RANK_FLOOR
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Pure state of a composite system, amplitudes indexed (a, b)."""
+    """Unit pure state of a composite system, amplitudes indexed (a, b).
+
+    The constructor rejects a norm farther than TOL_NORM from 1, so every
+    consumer takes the state as it is.
+    """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         m = as_complex_matrix(self.amplitudes, "bipartite amplitudes")
+        _check_unit(_norm(m), TOL_NORM, "state norm")
         object.__setattr__(self, "amplitudes", m)
 
     @property
@@ -60,10 +65,6 @@ class BipartiteState:
 
     def norm(self) -> float:
         return _norm(self.amplitudes)
-
-
-def _require_unit(psi: BipartiteState) -> None:
-    _check_unit(psi.norm(), TOL_NORM, "state norm")
 
 
 def embed_state(psi: BipartiteState, dim_a: int, dim_b: int) -> BipartiteState:
@@ -120,7 +121,6 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
     than an eigensolve of the reduced density matrix resolves small
     coefficients to relative accuracy.
     """
-    _require_unit(psi)
     m = psi.amplitudes
     u, sigma, vh = _canonical_svd(m)
     lam = sigma**2
@@ -136,7 +136,6 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
 
 def reduced_density(psi: BipartiteState, side: str) -> DensityMatrix:
     """Partial trace onto subsystem ``side`` ("A" or "B")."""
-    _require_unit(psi)
     m = psi.amplitudes
     if str(side).upper() == "A":
         raw = m @ m.conj().T
@@ -151,7 +150,10 @@ def purify(rho: DensityMatrix, weights, states, tol: float = 1e-8) -> BipartiteS
     """Purification sum_i sqrt(w_i) |i_A> |psi_i> of an ensemble for rho.
 
     The reference system A has one dimension per ensemble member; tracing it
-    out returns rho.  The ensemble must actually realize rho within ``tol``.
+    out returns rho.  The ensemble must actually realize rho within ``tol``,
+    and the result is a unit state like any other: weights and states that
+    each pass their own check can still multiply to a norm more than 1e-9
+    from 1, which raises.
     """
     w = as_prob_vector(weights, name="weights")
     ens = Ensemble(weights=w, states=states, synthetic=np.zeros(w.shape[0], dtype=bool))
@@ -160,7 +162,7 @@ def purify(rho: DensityMatrix, weights, states, tol: float = 1e-8) -> BipartiteS
         raise DomainError(
             f"ensemble does not realize the density matrix: Frobenius mismatch {mismatch:.3e}"
         )
-    return _trusted(BipartiteState, amplitudes=np.sqrt(w)[:, None] * ens.states)
+    return BipartiteState(amplitudes=np.sqrt(w)[:, None] * ens.states)
 
 
 def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 1e-8) -> np.ndarray:
@@ -173,8 +175,6 @@ def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 
     that factor as U = W Z^dagger; degenerate Schmidt coefficients need no
     special handling, and U is unitary on the whole A space.
     """
-    _require_unit(phi)
-    _require_unit(psi)
     if phi.dim_a != psi.dim_a or phi.dim_b != psi.dim_b:
         raise ValidationError(
             f"dimension mismatch: {phi.dim_a}x{phi.dim_b} vs {psi.dim_a}x{psi.dim_b}"
@@ -228,7 +228,8 @@ def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
     norm is off 1 by e is rebuilt with an error of about e, and the check
     allows the pinned 1e-8 plus the amplitude of coefficients below the cutoff.
     """
-    states_b, frame, order = _mix(vh, sigma, weights)
+    lam = sigma**2
+    states_b, frame, order = _mix(vh, lam, sigma, weights)
     n = frame.shape[0]
     rotated = u.copy()
     rotated[:, :n] = u[:, :n] @ frame.T
@@ -237,7 +238,7 @@ def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
     decomp = Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
 
     _check_defect(float(np.linalg.norm(decomp.reconstruct() - target)),
-                  1e-8 + _below_floor(sigma**2), "decomposition reconstruction defect")
+                  1e-8 + _below_floor(lam), "decomposition reconstruction defect")
     return decomp
 
 
@@ -249,7 +250,6 @@ def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
     than psi's A dimension, the A space is enlarged to len(q) and the returned
     basis vectors live in the enlarged space.
     """
-    _require_unit(psi)
     weights = as_prob_vector(q, name="weights")
     m = embed_state(psi, max(psi.dim_a, weights.size), psi.dim_b).amplitudes
     u, sigma, vh = _canonical_svd(m)

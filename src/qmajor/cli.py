@@ -25,13 +25,7 @@ import numpy as np
 
 from . import __version__
 from .numkernel import DomainError, ValidationError, _as_array, _as_dim, _as_tol, validate_density
-from .majorize import (
-    as_prob_vector,
-    _majorized_pair,
-    _witness_from_chain,
-    check_schur_inequalities,
-    t_transform_chain,
-)
+from .majorize import as_prob_vector, _majorized_pair, _schur, _witness_from_chain, t_transform_chain
 from .ensembles import (
     Ensemble,
     entropy_report,
@@ -128,7 +122,7 @@ def parse_document(doc, path: str, tols: dict, expect: str | None = None):
             amps = _decode_entries(doc["amplitudes"], f"{path} amplitudes", 2)
             _declared(doc, "dimA", amps.shape[0], path)
             _declared(doc, "dimB", amps.shape[1], path)
-            # Every bipartite command checks the unit norm in its library call.
+            # The constructor rejects a state that is not of unit norm.
             return BipartiteState(amplitudes=amps)
         if kind == "ensemble":
             states = _decode_entries(doc["states"], f"{path} states", 2)
@@ -401,7 +395,7 @@ def _protocol_run(values, tols, dim, seed, exhaustive):
 @_command("schur-report", ("probvec", "probvec"), ("major",))
 def _schur_report(values, tols):
     """Schur-convex comparisons for x majorized by y.  Inputs: x probvec, y probvec."""
-    return _schur_fragment(check_schur_inequalities(*values, tol=tols["major"]))
+    return _schur_fragment(_schur(*values, tols["major"], tols["prob"]))
 
 
 if __name__ == "__main__":

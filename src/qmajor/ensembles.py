@@ -31,14 +31,12 @@ from .majorize import (
     SchurReport,
     _majorized_pair,
     _neg_entropy,
-    _nonneg,
     _nonneg_vector,
     _rotate_rows,
+    _schur,
+    _sorted_pair,
     _witness,
     as_prob_vector,
-    check_schur_inequalities,
-    is_majorized_by,
-    majorization_violation,
 )
 
 
@@ -126,22 +124,23 @@ def is_compatible(p, rho: DensityMatrix, tol: float = TOL_PROB) -> bool:
     vector zero-padded.
     """
     weights = as_prob_vector(p, name="weights")
-    return is_majorized_by(weights, rho.eigenvalues(), tol)
+    return _sorted_pair(weights, rho.eigenvalues(), _as_tol(tol))[4] is None
 
 
-def _mix(rows: np.ndarray, sigma: np.ndarray, weights: np.ndarray):
+def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarray):
     """The one mixing core of synthesis (rows V^T) and Corollary 4 (rows V^H).
 
     States are the normalized rows of F diag(sigma) rows, F a real orthogonal
-    frame, sigma decreasing.  Spectrum and weights at or below the rank floor
-    skip the Horn witness (W o W) sigma^2 = weights, so none absorbs its
-    roundoff: the heaviest weight carries the positive ones among them, and
-    each is split off it by a Givens rotation of its frame row against the
-    heaviest one's, sharing its state.  Only a weight of exactly 0 gets the
-    placeholder e_0.  Returns (states, frame, order): member order[k] owns
-    frame row k.
+    frame, sigma = sqrt(lam) decreasing.  The Horn witness (W o W) lam =
+    weights is built against lam as given: synthesis passes the eigenvalues
+    themselves, so a weight equal to one meets it exactly, not through the
+    roundoff of sigma**2.  Spectrum and weights at or below the rank floor
+    skip the witness, so none absorbs its roundoff: the heaviest weight
+    carries the positive ones among them, and each is split off it by a
+    Givens rotation of its frame row against the heaviest one's, sharing its
+    state.  Only a weight of exactly 0 gets the placeholder e_0.  Returns
+    (states, frame, order): member order[k] owns frame row k.
     """
-    lam = sigma**2
     rank = int(np.sum(lam > _RANK_FLOOR))
     live = weights > _RANK_FLOOR
     # Members above the floor first, then those at or below it, then the zeros.
@@ -185,10 +184,9 @@ def synthesize_ensemble(rho: DensityMatrix, p) -> Ensemble:
     """
     weights = as_prob_vector(p, name="weights")
     spect = rho.spectrum()
-    # rho may have been built directly, so its spectrum is held to the weights' rule.
-    _majorized_pair(weights, _nonneg(spect.eigenvalues, TOL_PROB, "y"), TOL_PROB)
-    sigma = np.sqrt(np.clip(spect.eigenvalues, 0.0, None))
-    states, _, _ = _mix(spect.eigenvectors.T, sigma, weights)
+    lam = spect.eigenvalues
+    _majorized_pair(weights, lam, TOL_PROB)
+    states, _, _ = _mix(spect.eigenvectors.T, lam, np.sqrt(lam), weights)
     _check_unit_rows(states, "ensemble member")
     return _trusted(Ensemble, weights=weights, states=states, synthetic=weights == 0.0)
 
@@ -234,7 +232,7 @@ def verify_ensemble(ensemble: Ensemble, rho: DensityMatrix, tol: float = 1e-8) -
     if ensemble.dim != rho.dim:
         raise ValidationError(f"ensemble states have dimension {ensemble.dim} but rho has {rho.dim}")
     err = float(np.linalg.norm(mixture_matrix(ensemble) - rho.matrix))
-    violation = majorization_violation(ensemble.weights, rho.eigenvalues(), max(_as_tol(tol), TOL_PROB))
+    violation = _sorted_pair(ensemble.weights, rho.eigenvalues(), max(_as_tol(tol), TOL_PROB))[4]
     live = ensemble.weights > TOL_PROB
     deviations = np.abs(np.linalg.norm(ensemble.states[live], axis=1) - 1.0)
     return EnsembleAudit(
@@ -253,7 +251,7 @@ def shannon_entropy(weights) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the spectrum, in nats."""
-    return shannon_entropy(rho.eigenvalues())
+    return -_neg_entropy(rho.eigenvalues())
 
 
 @dataclass(frozen=True)
@@ -290,10 +288,10 @@ def entropy_report(ensemble: Ensemble, tol: float = 1e-9) -> EntropyReport:
     trace = float(lam.sum())
     _check_unit(trace, TOL_TRACE, "trace")
     lam = lam / trace
-    h = shannon_entropy(ensemble.weights)
-    s = shannon_entropy(lam)
+    h = -_neg_entropy(ensemble.weights)
+    s = -_neg_entropy(lam)
     if h < s - _as_tol(tol):
         raise ValidationError(f"mixing entropy {h!r} fell below state entropy {s!r}")
     lam = np.where(lam > _RANK_FLOOR, lam, 0.0)
-    schur = check_schur_inequalities(ensemble.weights, lam, tol=tol)
+    schur = _schur(ensemble.weights, lam, tol, max(float(tol), TOL_PROB))
     return EntropyReport(shannon=h, von_neumann=s, schur=schur)

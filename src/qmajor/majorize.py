@@ -99,7 +99,7 @@ def majorization_violation(x, y, tol: float = TOL_PROB):
 
 def is_majorized_by(x, y, tol: float = TOL_PROB) -> bool:
     """True iff every sorted partial sum of x stays below y's and totals agree."""
-    return majorization_violation(x, y, tol) is None
+    return _sorted_pair(*_nonneg_pair(x, y, tol), tol)[4] is None
 
 
 def _majorized_pair(xv, yv, tol: float):
@@ -423,12 +423,20 @@ def check_schur_inequalities(x, y, tol: float = 1e-9) -> SchurReport:
     """Evaluate every built-in Schur-convex function on a majorized pair.
 
     Requires x majorized by y and asserts f(x) <= f(y) + tol for each
-    function; a violation raises, since it would contradict the order.  Note
+    function; a violation raises, since it would contradict the order, and so
+    does a value that is not finite in float64.  Note
     the largest component enters with a plus sign: max is Schur-convex
     (its negation is not, despite being a popular disorder measure).
     """
     bound = max(_as_tol(tol), TOL_PROB)
-    xv, yv = _majorized_pair(*_nonneg_pair(x, y, bound), bound)[:2]
+    return _schur(*_nonneg_pair(x, y, bound), tol, bound)
+
+
+@np.errstate(over="ignore")  # a value past float64 is rejected below, not warned about
+def _schur(xv, yv, tol, bound: float) -> SchurReport:
+    """``check_schur_inequalities`` for a pair the library validated or built, judged at
+    ``bound`` but not validated again."""
+    xv, yv = _majorized_pair(xv, yv, bound)[:2]
     entries: list[SchurEntry] = []
     entries.append(SchurEntry("neg_entropy", _neg_entropy(xv), _neg_entropy(yv)))
     for k in _POWER_SUM_EXPONENTS:
@@ -445,6 +453,11 @@ def check_schur_inequalities(x, y, tol: float = 1e-9) -> SchurReport:
                 float(sum(f(yv).tolist())),
             )
         )
+    for e in entries:
+        if not (math.isfinite(e.value_x) and math.isfinite(e.value_y)):
+            raise ValidationError(
+                f"Schur-convex function {e.name} is not finite: {e.value_x!r} vs {e.value_y!r}"
+            )
     report = SchurReport(entries=tuple(entries), tol=tol)
     if not report.passed:
         worst = min(report.entries, key=lambda e: e.slack)

@@ -301,10 +301,11 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, trace-1 matrix.
+    """Hermitian, positive-semidefinite, trace-1 matrix, with its spectrum.
 
-    Construct through :func:`validate_density` (or the generators in this
-    module); the constructor itself only checks shape.
+    The constructor is :func:`validate_density` at the default tolerance,
+    after a squareness check: it stores the canonical matrix and the spectrum
+    of that one eigensolve, so every instance is a validated density.
     """
 
     matrix: np.ndarray
@@ -313,22 +314,18 @@ class DensityMatrix:
         m = as_complex_matrix(self.matrix, "density matrix")
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        self.__dict__.update(validate_density(m).__dict__)
 
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
     def spectrum(self) -> Spectrum:
-        """Eigendecomposition, cached after the first call."""
-        cached = self.__dict__.get("_spectrum")
-        if cached is None:
-            cached = hermitian_eig(self.matrix)
-            object.__setattr__(self, "_spectrum", cached)
-        return cached
+        """Eigendecomposition of the canonical matrix, computed at construction."""
+        return self._spectrum
 
     def eigenvalues(self) -> np.ndarray:
-        return self.spectrum().eigenvalues
+        return self._spectrum.eigenvalues
 
 
 def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:

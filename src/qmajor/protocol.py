@@ -31,7 +31,6 @@ from .bipartite import (
     BipartiteState,
     _canonical_svd,
     _cor4_from_svd,
-    _require_unit,
     embed_state,
 )
 
@@ -228,7 +227,6 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     n_a = max(phi_target.dim_a, d)
     n_b = max(phi_target.dim_b, d)
     target = embed_state(phi_target, n_a, n_b)
-    _require_unit(target)
     u, sigma, vh = _canonical_svd(target.amplitudes)
     rank = int(np.sum(sigma**2 > SCHMIDT_RANK_CUTOFF))
     if rank > d:

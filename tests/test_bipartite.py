@@ -45,6 +45,27 @@ PRODUCT = state([[1, 0], [0, 0]])
 SKEW = state(np.diag([np.sqrt(0.8), np.sqrt(0.2)]))
 
 
+class TestBipartiteState:
+    @pytest.mark.parametrize("amplitudes, shown", [
+        (np.diag([3.0, 4.0]), "5.0"),
+        (np.diag([0.6, 0.8]) * (1 + 2e-9), "1.000000002"),
+        (np.full((2, 2), 1.5e308), "inf"),
+    ])
+    def test_non_unit_state_is_rejected_at_construction(self, amplitudes, shown):
+        message = rf"^state norm {shown}\d* deviates from 1 by more than 1e-09$"
+        with pytest.raises(ValidationError, match=message):
+            BipartiteState(amplitudes=amplitudes)
+
+    def test_nan_norm_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(bipartite, "_norm", lambda a: float("nan"))
+        with pytest.raises(ValidationError, match=r"^state norm nan deviates from 1 by more than 1e-09$"):
+            BipartiteState(amplitudes=np.eye(2) / np.sqrt(2))
+
+    def test_norm_within_tolerance_is_kept_as_given(self):
+        amplitudes = np.eye(2) / np.sqrt(2) * (1 + 9e-10)
+        assert np.array_equal(BipartiteState(amplitudes=amplitudes).amplitudes, amplitudes)
+
+
 class TestSchmidt:
     def test_product_state(self):
         dec = schmidt(PRODUCT)
@@ -152,6 +173,15 @@ class TestPurify:
         rho = validate_density(np.eye(2) / 2)
         with pytest.raises(DomainError, match="mismatch"):
             purify(rho, [1.0], [[1, 0]])
+
+    def test_non_unit_product_is_rejected_by_purify(self):
+        # Weights 0.5 + 4.5e-10 and states (1 + 9e-10) e_k each pass their own
+        # rule and realize I/2 within tol, but sqrt(w) * states has norm
+        # 1 + 1.35e-9, so the purification itself is rejected.
+        rho = validate_density(np.eye(2) / 2)
+        message = r"^state norm 1\.0000000013\d* deviates from 1 by more than 1e-09$"
+        with pytest.raises(ValidationError, match=message):
+            purify(rho, [0.5 + 4.5e-10] * 2, np.eye(2) * (1 + 9e-10))
 
 
 class TestRelatePurifications:

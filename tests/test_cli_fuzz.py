@@ -253,10 +253,18 @@ TINY_WEIGHT_HUGE_MEMBER_JOB = (
 )
 
 
+# With --tol-major 1000, [800, 0] is a probvec, and exp(800) overflows: the
+# report once failed to encode the inf and the job ended in a traceback.
+SCHUR_OVERFLOW_JOB = (
+    "schur-report", [json.dumps({"kind": "probvec", "weights": [800.0, 0.0]})] * 2, ["--tol-major", "1000"]
+)
+
+
 @FUZZ
 @given(invocation())
 @example(SUBNORMAL_JOB)
 @example(TINY_WEIGHT_HUGE_MEMBER_JOB)
+@example(SCHUR_OVERFLOW_JOB)
 def test_cli_exit_contract(inv):
     command, texts, opts = inv
     code, report = _invoke(command, texts, opts)
@@ -286,6 +294,14 @@ def test_non_unit_member_of_tiny_weight_is_an_input_error(tmp_path):
     assert report["status"] == "error"
     assert report["reason"] == {
         "class": "input", "detail": "ensemble member 1 norm 1e+100 deviates from 1 by more than 1e-09",
+    }
+
+
+def test_schur_overflow_is_an_input_error():
+    code, report = _invoke(*SCHUR_OVERFLOW_JOB)
+    assert code == 2, report
+    assert report["reason"] == {
+        "class": "input", "detail": "Schur-convex function sum[exp] is not finite: inf vs inf",
     }
 
 

@@ -101,6 +101,12 @@ class TestIsCompatible:
 
 
 class TestSynthesizeEnsemble:
+    def test_weights_equal_to_the_spectrum_give_the_eigen_ensemble(self):
+        # sqrt(0.6)**2 is 0.6 + 1.1e-16; a witness built against it would
+        # rotate the eigenvectors by sqrt(eps), about 2e-8.
+        ens = synthesize_ensemble(validate_density(np.diag([0.6, 0.4])), [0.6, 0.4])
+        assert np.array_equal(ens.states, np.eye(2))
+
     def test_eigenbasis_case(self):
         ens = synthesize_ensemble(identity_half(), [0.5, 0.5])
         assert np.allclose(np.abs(ens.states), np.eye(2), atol=1e-12)

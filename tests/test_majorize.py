@@ -708,6 +708,13 @@ class TestSchurInequalities:
         with pytest.raises(MajorizationError):
             check_schur_inequalities([0.75, 0.25], [0.5, 0.5])
 
+    @pytest.mark.parametrize("big, name", [(800.0, r"sum\[exp\]"), (1e200, r"power_sum\[k=2\]")])
+    def test_value_past_float64_is_an_input_error(self, big, name):
+        # exp(800) and (1e200)**2 overflow; the report never carries inf.
+        message = rf"^Schur-convex function {name} is not finite: inf vs inf$"
+        with pytest.raises(ValidationError, match=message):
+            check_schur_inequalities([big, 0.0], [big, 0.0])
+
     def test_never_violated_on_random_pairs(self, rng):
         for _ in range(50):
             d = int(rng.integers(2, 9))

@@ -224,9 +224,11 @@ def test_every_unit_quantity_goes_through_the_one_rule():
     # numkernel._check_unit alone: a weight total, a trace and a norm are judged alike.
     offenders = _raises_outside("_check_unit", "deviates from 1")
     assert not offenders, offenders
-    # The six sites; Ensemble's is its __post_init__.
-    assert {"as_prob_vector", "validate_density", "entropy_report", "_require_unit",
-            "_measurement_operator", "__post_init__"} <= set(_callers("_check_unit", "_check_unit_rows"))
+    # The six sites; BipartiteState's and Ensemble's are their __post_init__.
+    callers = _callers("_check_unit", "_check_unit_rows")
+    assert {"as_prob_vector", "validate_density", "entropy_report",
+            "_measurement_operator"} <= set(callers)
+    assert callers.count("__post_init__") == 2
 
 
 # A 4x4 Hermitian matrix with entries of modulus at most sqrt(2) and

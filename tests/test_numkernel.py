@@ -115,15 +115,40 @@ class TestValidateDensity:
             DensityMatrix(matrix=np.ones((2, 3)))
 
     def test_directly_built_density_solves_on_first_spectrum_call(self, monkeypatch):
+        # The one eigensolve runs at construction; every spectrum call reads its result.
         calls = []
         solve = numkernel.hermitian_eig
-        monkeypatch.setattr(numkernel, "hermitian_eig", lambda m: calls.append(1) or solve(m))
+        monkeypatch.setattr(numkernel, "hermitian_eig", lambda m, tol: calls.append(1) or solve(m, tol))
         rho = DensityMatrix(matrix=np.diag([0.25, 0.75]))
-        assert calls == []
+        assert calls == [1]
         spect = rho.spectrum()
         assert spect.eigenvalues.tolist() == [0.75, 0.25]
         assert rho.spectrum() is spect and rho.eigenvalues() is spect.eigenvalues
         assert calls == [1]
+
+    @pytest.mark.parametrize("m", [
+        random_density(4, 2, seed=1).matrix,
+        np.diag([1.0 + 1e-12, -1e-12]),
+        np.eye(3) / 3 + 1e-10j * (np.eye(3, k=1) - np.eye(3, k=-1)),
+        [[1.0]],
+    ])
+    def test_direct_constructor_is_validate_density(self, m):
+        direct, validated = DensityMatrix(matrix=m), validate_density(m)
+        assert np.array_equal(direct.matrix, validated.matrix)
+        got, want = direct.spectrum(), validated.spectrum()
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+    @pytest.mark.parametrize("m, message", [
+        ([[0.6, 0.0], [0.0, 0.5]], r"^trace 1\.1 deviates from 1 by more than 1e-09$"),
+        ([[0.5, 0.6], [0.6, 0.5]], r"^eigenvalue .* < -1e-09: matrix is not positive semidefinite$"),
+        ([[0.5, 0.1], [0.0, 0.5]], r"^Hermiticity violated"),
+        ([[np.nan, 0.0], [0.0, 1.0]], r"^density matrix contains non-finite entries$"),
+    ])
+    def test_direct_constructor_rejects_what_validate_density_rejects(self, m, message):
+        for build in (validate_density, lambda m: DensityMatrix(matrix=m)):
+            with pytest.raises(ValidationError, match=message):
+                build(m)
 
     def test_one_dimensional(self):
         rho = validate_density([[1.0]])

@@ -196,6 +196,15 @@ class TestOutcomeDistribution:
         assert np.max(np.abs(probs - 1 / 9)) <= 1e-12
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_distribution_sums_to_one(self, rng):
+        meas = build_measurement(np.eye(3, dtype=complex), 3)
+        for _ in range(10):
+            psi = random_bipartite(int(rng.integers(1, 5)), 3, rng)
+            assert abs(outcome_distribution(meas, psi).sum() - 1.0) <= 1e-12
+        # A state of norm 5 would give outcomes summing to 25; it never reaches the measurement.
+        with pytest.raises(ValidationError, match=r"^state norm 5\.0 deviates from 1 by more than 1e-09$"):
+            BipartiteState(np.diag([3.0, 4.0]))
+
     def test_single_outcome_for_trivial_dimension(self):
         meas = build_measurement(np.eye(1, dtype=complex), 1)
         probs = outcome_distribution(meas, maximally_entangled(1))

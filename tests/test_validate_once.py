@@ -7,12 +7,22 @@ are, so a public call coerces nothing its own argument checks did not; the
 numerical checks on those values all still run.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qmajor
 from qmajor import bipartite, ensembles, majorize, numkernel, protocol
 from qmajor.bipartite import corollary4_decompose, schmidt
-from qmajor.ensembles import synthesize_ensemble
+from qmajor.ensembles import (
+    entropy_report,
+    is_compatible,
+    synthesize_ensemble,
+    verify_ensemble,
+    von_neumann_entropy,
+)
 from qmajor.numkernel import ValidationError, random_density
 from qmajor.protocol import enumerate_protocol, run_protocol
 
@@ -55,6 +65,36 @@ def test_each_public_call_coerces_only_its_own_arguments(coerced, rng):
     assert _coerced_by(coerced, lambda: run_protocol(large, 6, seed=1)) == []
     assert _coerced_by(coerced, lambda: corollary4_decompose(state, q)) == ["weights"]
     assert _coerced_by(coerced, lambda: synthesize_ensemble(rho, p)) == ["weights"]
+
+
+def test_ensemble_consumers_take_densities_and_ensembles_as_they_are(coerced):
+    # A DensityMatrix holds a validated spectrum and an Ensemble validated
+    # weights, so only a caller's own weight vector is coerced.
+    rho = random_density(5, 4, seed=3)
+    p = np.full(5, 0.2)
+    ens = synthesize_ensemble(rho, p)
+    assert _coerced_by(coerced, lambda: is_compatible(p, rho)) == ["weights"]
+    assert _coerced_by(coerced, lambda: verify_ensemble(ens, rho)) == []
+    assert _coerced_by(coerced, lambda: entropy_report(ens)) == []
+    assert _coerced_by(coerced, lambda: von_neumann_entropy(rho)) == []
+
+
+# Public entry points that validate their arguments; library code judges
+# values it holds through the private cores instead (_sorted_pair, _schur,
+# _neg_entropy).
+VALIDATING_ENTRY_POINTS = {"is_majorized_by", "majorization_violation", "shannon_entropy",
+                           "check_schur_inequalities"}
+
+
+def test_library_code_calls_no_validating_entry_point():
+    offenders = []
+    for path in sorted(Path(qmajor.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in VALIDATING_ENTRY_POINTS:
+                    offenders.append(f"{path.name}:{node.lineno} calls {name}")
+    assert not offenders, offenders
 
 
 def test_a_non_finite_branch_raises(monkeypatch, rng):
