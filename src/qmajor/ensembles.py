@@ -67,7 +67,7 @@ class Ensemble:
         flagged = np.nonzero(flags & (w > 0.0))[0]
         if flagged.size:
             i = int(flagged[0])
-            raise ValidationError(f"synthetic member {i} has weight {w[i]!r}, not 0")
+            raise ValidationError(f"synthetic member {i} has weight {float(w[i])!r}, not 0")
         _check_unit_rows(s, "ensemble member")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", s)
@@ -165,7 +165,7 @@ def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarr
     norms = np.linalg.norm(mixed, axis=1)
     if np.any(norms <= 0.0):
         i = int(order[np.argmin(norms)])
-        raise ValidationError(f"degenerate mix for member {i} with weight {weights[i]!r}")
+        raise ValidationError(f"degenerate mix for member {i} with weight {float(weights[i])!r}")
     states = np.zeros((weights.size, rows.shape[1]), dtype=np.complex128)
     # The mix has norm sqrt(p_i) by construction; normalizing by the actual
     # norm is the same state with the roundoff scrubbed.

@@ -267,6 +267,15 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     # The Hermitian part from halves, which cannot overflow; it is what is decomposed, so
     # the reconstruction is measured against it, not against m.
     herm = m / 2.0 + m.conj().T / 2.0
+    size = _norm(herm)
+    # Rotations keep the Frobenius norm, so it bounds every entry of the sweep.  Past 2^1000,
+    # or past float64, the sweep solves herm scaled by an exact power of two to a largest
+    # modulus in [1, 2), and the eigenvalues scale back.
+    scale = 1.0
+    if size > 2.0**1000:
+        scale = math.ldexp(1.0, math.frexp(np.abs(herm).max())[1] - 1)
+        herm = herm / scale
+        size = _norm(herm)
     a = herm.copy()
     v = np.eye(n, dtype=np.complex128)
     for _ in range(_JACOBI_MAX_SWEEPS):
@@ -294,9 +303,15 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
 
     # Orthonormality does not depend on scale; the reconstruction bound is relative to it.
     _check_defect(_gram_defect(vecs), TOL_ORTH, "eigenvector orthonormality defect")
-    _check_defect(_norm(spect.reconstruct() - herm), TOL_RECON * _norm(herm),
+    _check_defect(_norm(spect.reconstruct() - herm), TOL_RECON * size,
                   "eigendecomposition reconstruction defect")
-    return spect
+    if scale == 1.0:
+        return spect
+    with np.errstate(over="ignore"):
+        eigvals = eigvals * scale
+    if not np.isfinite(eigvals).all():
+        raise ValidationError("eigenvalue overflows float64")
+    return Spectrum(eigenvalues=eigvals, eigenvectors=vecs)
 
 
 @dataclass(frozen=True)
@@ -344,7 +359,7 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     spect = hermitian_eig(mat, tol=tol)
     lam = spect.eigenvalues
     if lam[-1] < -tol:
-        raise ValidationError(f"eigenvalue {lam[-1]!r} < -{tol}: matrix is not positive semidefinite")
+        raise ValidationError(f"eigenvalue {float(lam[-1])!r} < -{tol}: matrix is not positive semidefinite")
     lam = np.where(lam < 0.0, 0.0, lam)
     spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=spect.eigenvectors)
     clean = spect.reconstruct()

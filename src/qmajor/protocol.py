@@ -155,12 +155,14 @@ def build_measurement(target_states_b, d: int) -> MeasurementSet:
     if states.shape[1] < d:
         raise ValidationError(f"Bob dimension {states.shape[1]} smaller than d={d}")
     e = _measurement_operator(states, d)
+    # The twirl identity checks completeness from E alone, so the stack needs no Gram.
+    _check_defect(_completeness_defect(e, d), 1e-10, "measurement completeness defect")
     dim_b = e.shape[0]
     ops = np.zeros((d, d, dim_b, dim_b), dtype=np.complex128)
     ops[:, :, d:, d:] = np.eye(dim_b - d) / d
     labels = np.arange(d)
     ops[:, :, :, :d] = _twirled(_shifted(e, d, labels[:, None]), _phases(d, labels))
-    return MeasurementSet(d=d, dim_b=dim_b, operators=ops)
+    return _trusted(MeasurementSet, d=d, dim_b=dim_b, operators=ops)
 
 
 def outcome_distribution(meas: MeasurementSet, psi: BipartiteState) -> np.ndarray:
@@ -250,37 +252,41 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
                           d=d, bits=comm_cost(d).bits, root_d=math.sqrt(d))
 
 
-def _run_branch(setup: _ProtocolSetup, s: int, t: int, seed: int | None, index: np.ndarray,
-                shifted: np.ndarray, phase: np.ndarray, inverse: np.ndarray) -> ProtocolTranscript:
-    """Branch (s, t) from its shared rows: the index (j + s) mod d, E^T at that index,
-    _phases(d, t) and _phases(d, -t)."""
-    # Row j of the post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
-    post = _twirled(shifted, phase).T
+def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndarray,
+             inverse: np.ndarray) -> list[ProtocolTranscript]:
+    """Branches (s, t) for t in ``ts``, from their rows _phases(d, ts) and _phases(d, -ts).
+
+    Every elementwise step and the basis product run once on the (len(ts), d, dim_b) stack;
+    each reduction (probability, finiteness, fidelity, global phase) runs on one branch, so
+    a branch's bytes do not depend on the row it is stacked with.
+    """
+    # Row j of branch t's post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
+    post = _shifted(setup.operator, setup.d, s) * phase[:, :, None]
     post /= setup.root_d
-    prob = float(np.linalg.norm(post) ** 2)
-    post /= np.sqrt(prob)
+    probs = [float(np.linalg.norm(rows) ** 2) for rows in post]
+    post /= np.sqrt(probs)[:, None, None]
 
-    # Alice undoes the outcome twirl with X^s Z^-t on her Schmidt support
-    # (Z^-t scales row j by omega^(-j t), X^s moves row j to j+s mod d), then
-    # rotates into the target's A basis; Bob undoes his alignment.
-    post *= inverse[:, None]
-    corrected = np.empty_like(post)
-    corrected[index] = post
-    final = setup.alice_basis @ corrected @ setup.bob_basis.T
-    # min(1.0, nan) is 1.0, so a non-finite branch must fail here, not report fidelity 1.
-    if not np.isfinite(final).all():
-        raise ValidationError(f"final state of branch ({s}, {t}) contains non-finite entries")
-
-    fidelity = min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2))
-    return ProtocolTranscript(
-        outcome=_trusted(WeylPair, d=setup.d, s=s, t=t),
-        outcome_probability=prob,
-        bits_sent=setup.bits,
-        correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
-        final_state=_trusted(BipartiteState, amplitudes=fix_global_phase(final)),
-        fidelity=fidelity,
-        seed=seed,
-    )
+    # Alice undoes the outcome twirl with X^s Z^-t on her Schmidt support (Z^-t
+    # scales row j by omega^(-j t); X^s moves row j to j+s, so row i takes row i-s
+    # mod d), then rotates into the target's A basis; Bob undoes his alignment.
+    post *= inverse[:, :, None]
+    corrected = post[:, (np.arange(setup.d) - s) % setup.d]
+    finals = setup.alice_basis @ corrected @ setup.bob_basis.T
+    out = []
+    for t, prob, final in zip(ts, probs, finals):
+        # min(1.0, nan) is 1.0, so a non-finite branch must fail here, not report fidelity 1.
+        if not np.isfinite(final).all():
+            raise ValidationError(f"final state of branch ({s}, {t}) contains non-finite entries")
+        out.append(ProtocolTranscript(
+            outcome=_trusted(WeylPair, d=setup.d, s=s, t=t),
+            outcome_probability=prob,
+            bits_sent=setup.bits,
+            correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
+            final_state=_trusted(BipartiteState, amplitudes=fix_global_phase(final)),
+            fidelity=min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2)),
+            seed=seed,
+        ))
+    return out
 
 
 def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTranscript:
@@ -297,18 +303,11 @@ def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTrans
     u = np.random.default_rng(_as_dim(seed, "seed", 0, None)).random()
     d = setup.d
     s, t = divmod(min(int(u * d * d), d * d - 1), d)
-    index = (np.arange(d) + s) % d
-    return _run_branch(setup, s, t, seed, index, setup.operator.T[index], _phases(d, t), _phases(d, -t))
+    return _run_row(setup, s, [t], seed, _phases(d, [t]), _phases(d, [-t]))[0]
 
 
 def enumerate_protocol(phi_target: BipartiteState, d: int) -> tuple[ProtocolTranscript, ...]:
-    """Deterministically walk all d^2 outcome branches; rows shared by branches are formed once."""
+    """Deterministically walk all d^2 outcome branches, one outcome row s at a time."""
     setup = _prepare(phi_target, d)
     phase, inverse = _phases(d, np.arange(d)), _phases(d, -np.arange(d))
-    out = []
-    for s in range(d):
-        index = (np.arange(d) + s) % d
-        shifted = setup.operator.T[index]
-        for t in range(d):
-            out.append(_run_branch(setup, s, t, None, index, shifted, phase[t], inverse[t]))
-    return tuple(out)
+    return tuple(tr for s in range(d) for tr in _run_row(setup, s, range(d), None, phase, inverse))

@@ -151,6 +151,16 @@ class TestSynthesizeEnsemble:
         ens = Ensemble(weights=[1.0, 0.0], states=np.eye(2), synthetic=[False, True])
         assert ens.synthetic.tolist() == [False, True]
 
+    def test_weight_messages_print_python_floats(self):
+        with pytest.raises(ValidationError) as info:
+            Ensemble(weights=[0.5, 0.5], states=np.eye(2), synthetic=[True, False])
+        assert str(info.value) == "synthetic member 0 has weight 0.5, not 0"
+        # rows that are all zero leave every mixed state without norm
+        with pytest.raises(ValidationError) as info:
+            ensembles._mix(np.zeros((2, 2), dtype=complex), np.array([0.5, 0.5]),
+                           np.sqrt([0.5, 0.5]), np.array([0.5, 0.5]))
+        assert str(info.value) == "degenerate mix for member 0 with weight 0.5"
+
     @pytest.mark.parametrize("flags", [
         ["", "x"], ["x", "x"], [0, 1], [0.0, 1.0], [np.nan, 0.0], [None, None], "ab",
     ])

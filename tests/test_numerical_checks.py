@@ -231,6 +231,14 @@ def test_every_unit_quantity_goes_through_the_one_rule():
     assert callers.count("__post_init__") == 2
 
 
+def test_protocol_transcripts_are_built_on_one_path():
+    # One function builds every transcript and both entry points call it, so a separate
+    # path for one branch would show here as a second builder.
+    builders = set(_callers("ProtocolTranscript"))
+    assert len(builders) == 1, builders
+    assert {"run_protocol", "enumerate_protocol"} <= set(_callers(*builders))
+
+
 # A 4x4 Hermitian matrix with entries of modulus at most sqrt(2) and
 # eigenvalue gaps above 0.2, so its eigenvectors are well conditioned.
 _H = (lambda g: (g + g.conj().T) / 2)(
@@ -266,6 +274,18 @@ class TestScaleInvariance:
         spect = hermitian_eig([[1e308, 0], [0, 1e308]])
         assert spect.eigenvalues.tolist() == [1e308, 1e308]
         assert np.array_equal(spect.eigenvectors, np.eye(2))
+
+    def test_hermitian_eig_near_the_top_of_the_range(self):
+        # Every entry and both eigenvalues are finite, but the unscaled sweep overflowed in
+        # the gap of the diagonal; the sweep runs on the matrix scaled by a power of two.
+        spect = hermitian_eig([[1e308, 1e308], [1e308, -1e308]])
+        assert spect.eigenvalues.tolist() == [1.4142135623730951e308, -1.4142135623730951e308]
+        assert _close(spect.eigenvectors, hermitian_eig([[1.0, 1.0], [1.0, -1.0]]).eigenvectors, 1.0)
+
+    def test_hermitian_eig_with_an_eigenvalue_past_float64_raises(self):
+        # Every entry is finite; the eigenvalue 2e308 is not.
+        with pytest.raises(ValidationError, match="^eigenvalue overflows float64$"):
+            hermitian_eig([[1e308, 1e308], [1e308, 1e308]])
 
     def test_hermiticity_defect_past_float64_raises(self):
         # m - m^H would overflow here; its halves do not.

@@ -150,6 +150,11 @@ class TestValidateDensity:
             with pytest.raises(ValidationError, match=message):
                 build(m)
 
+    def test_negative_eigenvalue_message_prints_a_python_float(self):
+        with pytest.raises(ValidationError) as info:
+            validate_density([[0.5, 0.6], [0.6, 0.5]])
+        assert str(info.value) == "eigenvalue -0.09999999999999995 < -1e-09: matrix is not positive semidefinite"
+
     def test_one_dimensional(self):
         rho = validate_density([[1.0]])
         assert rho.eigenvalues() == pytest.approx([1.0])

@@ -20,7 +20,7 @@ from qmajor.protocol import (
     _measurement_operator,
     _phases,
     _prepare,
-    _run_branch,
+    _run_row,
     _shifted,
     _twirled,
     build_measurement,
@@ -44,10 +44,9 @@ SKEW2 = BipartiteState(amplitudes=np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(c
 
 
 def branch(setup, s, t):
-    """One branch of a prepared instance, its outcome-invariant rows formed for it alone."""
+    """One branch of a prepared instance, run as a row that holds it alone."""
     d = setup.d
-    index = (np.arange(d) + s) % d
-    return _run_branch(setup, s, t, None, index, _shifted(setup.operator, d, s), _phases(d, t), _phases(d, -t))
+    return _run_row(setup, s, [t], None, _phases(d, [t]), _phases(d, [-t]))[0]
 
 
 class TestShiftClock:
@@ -187,6 +186,19 @@ class TestBuildMeasurement:
         ops = np.zeros((1, 1, 2, 2), dtype=complex)
         with pytest.raises(ValidationError, match="completeness"):
             MeasurementSet(d=1, dim_b=2, operators=ops)
+
+    def test_completeness_is_checked_once_from_e(self, monkeypatch):
+        # The twirl identity on E is the one check; the Gram of the d^4 stack is for a
+        # stack a caller builds.
+        def no_gram(a):
+            raise AssertionError("Gram of the operator stack taken")
+
+        monkeypatch.setattr(qmajor.protocol, "_gram_defect", no_gram)
+        meas = build_measurement(np.eye(3, dtype=complex), 3)
+        assert meas.operators.shape == (3, 3, 3, 3)
+        monkeypatch.setattr(qmajor.protocol, "_completeness_defect", lambda e, d: 1.0)
+        with pytest.raises(ValidationError, match=r"^measurement completeness defect 1\.000e\+00 exceeds 1e-10$"):
+            build_measurement(np.eye(3, dtype=complex), 3)
 
 
 class TestOutcomeDistribution:
@@ -585,6 +597,40 @@ class TestProtocolEdgeCases:
         assert tr.outcome_probability == pytest.approx(1.0, abs=1e-15)
         assert tr.fidelity >= 1 - 1e-12
         assert run_protocol(target, 1, seed=3).fidelity >= 1 - 1e-12
+
+
+class TestBranchFiniteness:
+    """A row of branches is computed as one stack, but each branch is checked on its own."""
+
+    T0 = 2
+
+    @pytest.fixture
+    def nan_branches(self, monkeypatch):
+        """Make only the branches (s, T0) non-finite: row T0 of the inverse phases is NaN."""
+        phases = qmajor.protocol._phases
+
+        def patched(d, t):
+            rows = phases(d, t)
+            rows[np.asarray(t) == -self.T0] = np.nan
+            return rows
+
+        monkeypatch.setattr(qmajor.protocol, "_phases", patched)
+
+    def test_enumerate_names_the_first_non_finite_branch(self, rng, nan_branches):
+        target = random_bipartite(3, 3, rng)
+        with pytest.raises(ValidationError, match=r"^final state of branch \(0, 2\) contains non-finite entries$"):
+            enumerate_protocol(target, 3)
+
+    def test_run_names_its_own_branch(self, rng, nan_branches):
+        target = random_bipartite(3, 3, rng)
+        drawn = {}
+        for seed in range(64):
+            drawn.setdefault(divmod(min(int(np.random.default_rng(seed).random() * 9), 8), 3), seed)
+        s, seed = next((s, seed) for (s, t), seed in sorted(drawn.items()) if t == self.T0 and s > 0)
+        with pytest.raises(ValidationError, match=rf"^final state of branch \({s}, 2\) contains non-finite entries$"):
+            run_protocol(target, 3, seed)
+        # A branch outside the poisoned ones still lands on the target.
+        assert run_protocol(target, 3, drawn[(s, 1)]).fidelity >= 1 - 1e-9
 
 
 class TestCommCost:
