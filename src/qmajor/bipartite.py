@@ -220,21 +220,17 @@ def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
 
     The mixing core _mix gives the B-side states, the normalized rows of
     W diag(sigma) vh for a real orthogonal frame W, and u diag(sigma) vh =
-    (u W^T) (W diag(sigma) vh) puts the orthonormal A-side basis on the left.
-    So a weight at or below the rank cutoff shares the heaviest weight's
-    B-side state, its A-side column Givens-rotated against that weight's, and
-    only a weight of exactly 0 gets an unused column and the placeholder e_0.
-    The witness runs against the spectrum scaled to sum(q), so a target whose
-    norm is off 1 by e is rebuilt with an error of about e, and the check
-    allows the pinned 1e-8 plus the amplitude of coefficients below the cutoff.
+    (u W^T) (W diag(sigma) vh) puts the orthonormal A-side basis, W's
+    rotations applied to the columns of u, on the left.  So a weight at or
+    below the rank cutoff shares the heaviest weight's B-side state, its
+    A-side column Givens-rotated against that weight's, and only a weight of
+    exactly 0 gets an unused column and the placeholder e_0.  The witness
+    runs against the spectrum scaled to sum(q), so a target whose norm is off
+    1 by e is rebuilt with an error of about e, and the check allows the
+    pinned 1e-8 plus the amplitude of coefficients below the cutoff.
     """
     lam = sigma**2
-    states_b, frame, order = _mix(vh, lam, sigma, weights)
-    n = frame.shape[0]
-    rotated = u.copy()
-    rotated[:, :n] = u[:, :n] @ frame.T
-    basis_a = np.empty((u.shape[0], weights.size), dtype=np.complex128)
-    basis_a[:, order] = rotated[:, : weights.size]
+    states_b, basis_a = _mix(vh, lam, sigma, weights, u)
     decomp = Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
 
     _check_defect(float(np.linalg.norm(decomp.reconstruct() - target)),

@@ -29,13 +29,14 @@ from .numkernel import (
 )
 from .majorize import (
     SchurReport,
+    _chain,
+    _lift,
     _majorized_pair,
     _neg_entropy,
     _nonneg_vector,
     _rotate_rows,
     _schur,
     _sorted_pair,
-    _witness,
     as_prob_vector,
 )
 
@@ -127,8 +128,8 @@ def is_compatible(p, rho: DensityMatrix, tol: float = TOL_PROB) -> bool:
     return _sorted_pair(weights, rho.eigenvalues(), _as_tol(tol))[4] is None
 
 
-def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarray):
-    """The one mixing core of synthesis (rows V^T) and Corollary 4 (rows V^H).
+def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarray, basis=None):
+    """The one mixing core of synthesis (rows V^T) and Corollary 4 (rows V^H, basis U).
 
     States are the normalized rows of F diag(sigma) rows, F a real orthogonal
     frame, sigma = sqrt(lam) decreasing.  The Horn witness (W o W) lam =
@@ -138,8 +139,9 @@ def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarr
     skip the witness, so none absorbs its roundoff: the heaviest weight
     carries the positive ones among them, and each is split off it by a
     Givens rotation of its frame row against the heaviest one's, sharing its
-    state.  Only a weight of exactly 0 gets the placeholder e_0.  Returns
-    (states, frame, order): member order[k] owns frame row k.
+    state.  Only a weight of exactly 0 gets the placeholder e_0.  F is never
+    formed: its rotations act on the r columns the states use and on the
+    columns of ``basis``.  Returns (states, U F^T), empty U F^T without one.
     """
     rank = int(np.sum(lam > _RANK_FLOOR))
     live = weights > _RANK_FLOOR
@@ -152,16 +154,23 @@ def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarr
     # The spectrum sums to the trace or squared norm, which may be off 1 by
     # the input tolerance; the witness runs on it scaled to the weights'
     # total, and normalizing the mixed rows below removes the scale again.
-    witness = _witness(x, lam[:rank] * (x.sum() / lam[:rank].sum()), TOL_PROB).orthogonal
-    frame = np.eye(max(witness.shape[0], n_pos))
-    frame[: witness.shape[0], : witness.shape[0]] = witness
+    chain = _chain(*_majorized_pair(x, lam[:rank] * (x.sum() / lam[:rank].sum()), TOL_PROB))
+    # Member order[k] owns frame row k, kept in stack row order[k], so U F^T comes out in member
+    # order; a basis rides along as pairs of real columns, and extra rows pad a wider witness.
+    slots = np.concatenate([order, np.arange(weights.size, max(chain.dim, weights.size))])
+    home = slots.copy()
+    home[chain.source_permutation[chain.target_permutation]] = slots[: chain.dim]
+    stack = np.zeros((slots.size, rank + (0 if basis is None else 2 * basis.shape[0])))
+    if basis is not None:
+        stack[:, rank:].view(np.complex128)[home] = basis[:, : slots.size].T
+    _lift(chain, stack, home, rank)
     carry = x[heavy]
     for row in range(n_live, n_pos):
         c, s = np.sqrt([1.0 - weights[order[row]] / carry, weights[order[row]] / carry])
-        _rotate_rows(frame[heavy], frame[row], c, s)
+        _rotate_rows(stack[order[heavy]], stack[order[row]], c, s)
         carry -= weights[order[row]]
 
-    mixed = (frame[:n_pos, :rank] * sigma[:rank]) @ rows[:rank]
+    mixed = (stack[order[:n_pos], :rank] * sigma[:rank]) @ rows[:rank]
     norms = np.linalg.norm(mixed, axis=1)
     if np.any(norms <= 0.0):
         i = int(order[np.argmin(norms)])
@@ -171,7 +180,7 @@ def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarr
     # norm is the same state with the roundoff scrubbed.
     states[order[:n_pos]] = mixed / norms[:, None]
     states[order[n_pos:], 0] = 1.0
-    return states, frame, order
+    return states, stack[: weights.size, rank:].view(np.complex128).T
 
 
 def synthesize_ensemble(rho: DensityMatrix, p) -> Ensemble:
@@ -186,7 +195,7 @@ def synthesize_ensemble(rho: DensityMatrix, p) -> Ensemble:
     spect = rho.spectrum()
     lam = spect.eigenvalues
     _majorized_pair(weights, lam, TOL_PROB)
-    states, _, _ = _mix(spect.eigenvectors.T, lam, np.sqrt(lam), weights)
+    states = _mix(spect.eigenvectors.T, lam, np.sqrt(lam), weights)[0]
     _check_unit_rows(states, "ensemble member")
     return _trusted(Ensemble, weights=weights, states=states, synthetic=weights == 0.0)
 

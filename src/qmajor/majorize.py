@@ -33,11 +33,7 @@ class MajorizationError(DomainError):
 
 def _nonneg_vector(v, tol: float, name: str) -> np.ndarray:
     """Validate a non-empty finite 1-D vector with entries >= -tol, clipped to 0, and a finite total."""
-    return _nonneg(_as_array(v, name, np.float64, 1), tol, name)
-
-
-def _nonneg(w: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """``_nonneg_vector`` for a finite 1-D float array the library built, which needs no coercion."""
+    w = _as_array(v, name, np.float64, 1)
     if w.size == 0:
         raise ValidationError(f"{name} must be non-empty")
     low = float(w.min())
@@ -139,8 +135,8 @@ class TTransform:
         """Plane rotation whose entrywise square is the transform matrix.
 
         This is the dense reference form, kept for tests and callers that
-        want the matrix; no library path calls it (``horn_orthogonal``
-        applies the same rotation to two rows in place).
+        want the matrix; no library path calls it (``_lift`` applies the same
+        rotation to two rows of a stack in place).
         """
         g = np.eye(dim)
         c = float(np.sqrt(self.t))
@@ -305,11 +301,6 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
     return _witness_from_chain(t_transform_chain(x, y, tol))
 
 
-def _witness(xv, yv, tol: float) -> HornWitness:
-    """``horn_orthogonal`` for a pair the library built, judged but not validated again."""
-    return _witness_from_chain(_chain(*_majorized_pair(xv, yv, tol)))
-
-
 def _rotate_rows(ri: np.ndarray, rk: np.ndarray, c: float, s: float) -> None:
     """Givens rotation of two rows in place: (ri, rk) <- (c ri - s rk, s ri + c rk)."""
     old_i = ri.copy()
@@ -319,21 +310,26 @@ def _rotate_rows(ri: np.ndarray, rk: np.ndarray, c: float, s: float) -> None:
     rk += s * old_i
 
 
-def _witness_from_chain(chain: TChain) -> HornWitness:
-    """The witness of ``horn_orthogonal`` for a chain already built."""
-    d = chain.dim
-    # A column permutation commutes with left rotations, and a row permutation
-    # only relabels the rows a rotation acts on.  So start from the identity
-    # with both of the chain's permutations already applied; the lift of
-    # sorted coordinates (i, k) is then a Givens rotation of rows pos[i] and
-    # pos[k], applied in place in O(d).
-    pos = np.empty(d, dtype=np.intp)
-    pos[chain.target_permutation] = np.arange(d)
-    w = np.zeros((d, d))
-    w[pos, chain.source_permutation] = 1.0
+def _lift(chain: TChain, rows: np.ndarray, home: np.ndarray, cols: int) -> None:
+    """Apply the chain's witness W in place to a stack whose coordinate c sits in row home[c].
+
+    The first ``cols`` columns, zero on entry, become the identity's, and their
+    lift is checked for orthogonality.  A column permutation commutes with left
+    rotations and a row permutation only relabels rows, so the lift of transform
+    (i, k) rotates the rows of coordinates source_permutation[i] and [k], and the
+    row of source_permutation[target_permutation[j]] ends as row j of W times the stack.
+    """
+    rows[home[:cols], np.arange(cols)] = 1.0
+    at = home[chain.source_permutation]
     for tr in chain.transforms:
-        _rotate_rows(w[pos[tr.i]], w[pos[tr.k]], math.sqrt(tr.t), math.sqrt(1.0 - tr.t))
-    _check_defect(_gram_defect(w.T), 1e-10, "orthogonality defect of constructed witness")
+        _rotate_rows(rows[at[tr.i]], rows[at[tr.k]], math.sqrt(tr.t), math.sqrt(1.0 - tr.t))
+    _check_defect(_gram_defect(rows[:, :cols]), 1e-10, "orthogonality defect of constructed witness")
+
+
+def _witness_from_chain(chain: TChain) -> HornWitness:
+    """The witness of ``horn_orthogonal`` for a chain already built: the lift of the identity."""
+    w = np.zeros((chain.dim, chain.dim))
+    _lift(chain, w, np.argsort(chain.source_permutation[chain.target_permutation]), chain.dim)
     return HornWitness(orthogonal=w, doubly_stochastic=w * w)
 
 

@@ -318,18 +318,15 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
 class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-1 matrix, with its spectrum.
 
-    The constructor is :func:`validate_density` at the default tolerance,
-    after a squareness check: it stores the canonical matrix and the spectrum
-    of that one eigensolve, so every instance is a validated density.
+    The constructor is :func:`validate_density` at the default tolerance: it
+    stores the canonical matrix and the spectrum of that one eigensolve, so
+    every instance is a validated density.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, "density matrix")
-        if m.shape[0] != m.shape[1]:
-            raise ValidationError(f"density matrix must be square, got {m.shape}")
-        self.__dict__.update(validate_density(m).__dict__)
+        self.__dict__.update(validate_density(self.matrix).__dict__)
 
     @property
     def dim(self) -> int:
@@ -349,10 +346,12 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     Hermiticity, unit trace and positivity are each enforced within ``tol``;
     eigenvalues in [-tol, 0) are clipped to zero and the trace is renormalized
     to exactly 1.  Violations beyond ``tol`` raise a descriptive
-    :class:`ValidationError`.  The trace is checked before the eigensolve,
-    which checks squareness and Hermiticity at the same ``tol``.
+    :class:`ValidationError`.  Squareness and the trace are checked before
+    the eigensolve, which checks Hermiticity at the same ``tol``.
     """
     mat = as_complex_matrix(m, "density matrix")
+    if mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"density matrix must be square, got {mat.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a diagonal past float64 sums to inf or NaN
         _check_unit(complex(np.trace(mat)), _as_tol(tol), "trace")
 

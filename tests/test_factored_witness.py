@@ -1,0 +1,143 @@
+"""The Horn witness of synthesis and Corollary 4 is applied, never built.
+
+The mixing core rotates only the r witness columns its states use, and in
+Corollary 4 the columns of U as well; no m x m frame exists for m members.
+The dense frame is kept here as the oracle: the n x n witness of the scaled
+pair from ``horn_orthogonal``, embedded in an identity, with the Givens
+splits of the weights at or below the rank floor.  States must match it byte
+for byte, and the A-side basis must match U F^T to roundoff.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from qmajor import bipartite
+from qmajor.bipartite import corollary4_decompose, embed_state, schmidt
+from qmajor.ensembles import synthesize_ensemble, uniform_ensemble
+from qmajor.majorize import TTransform, horn_orthogonal
+from qmajor.numkernel import DensityMatrix, random_density
+
+from conftest import mix_down, random_bipartite, rank_deficient_bipartite
+
+FLOOR = 1e-12  # the library's one rank floor
+FIXTURES = 240
+
+
+def _oracle_frame(lam, weights):
+    """(frame, order, rank, n_pos): the dense frame F, whose row k belongs to member order[k]."""
+    rank = int(np.sum(lam > FLOOR))
+    live = weights > FLOOR
+    order = np.argsort(np.where(live, 0, np.where(weights > 0.0, 1, 2)), kind="stable")
+    n_live, n_pos = int(np.count_nonzero(live)), int(np.count_nonzero(weights))
+    x = weights[order[:n_live]]
+    heavy = int(np.argmax(x))
+    x[heavy] += weights[order[n_live:n_pos]].sum()
+    w = horn_orthogonal(x, lam[:rank] * (x.sum() / lam[:rank].sum())).orthogonal
+    frame = np.eye(max(w.shape[0], n_pos))
+    frame[: w.shape[0], : w.shape[0]] = w
+    carry = x[heavy]
+    for row in range(n_live, n_pos):
+        c, s = np.sqrt([1.0 - weights[order[row]] / carry, weights[order[row]] / carry])
+        fh, fr = frame[heavy].copy(), frame[row].copy()
+        frame[heavy], frame[row] = c * fh - s * fr, s * fh + c * fr
+        carry -= weights[order[row]]
+    return frame, order, rank, n_pos
+
+
+def _oracle_states(frame, order, rank, n_pos, sigma, rows, members):
+    mixed = (frame[:n_pos, :rank] * sigma[:rank]) @ rows[:rank]
+    states = np.zeros((members, rows.shape[1]), dtype=np.complex128)
+    states[order[:n_pos]] = mixed / np.linalg.norm(mixed, axis=1)[:, None]
+    states[order[n_pos:], 0] = 1.0
+    return states
+
+
+def _mixed(y, rng):
+    return mix_down(y, rng) if y.size > 1 else y.copy()
+
+
+def _weights(lam, rng, case):
+    """A weight vector majorized by the spectrum lam, of the named kind."""
+    lam = np.where(lam > 0.0, lam, 0.0)
+    if case == "mixed":
+        return _mixed(np.concatenate([lam, np.zeros(rng.integers(0, 3))]), rng)
+    if case == "eigenvalues":
+        return np.concatenate([lam, [0.0]])
+    if case == "below-floor":
+        w = _mixed(lam, rng)
+        k = int(rng.integers(1, 3))
+        w[np.argmax(w)] -= k * 1e-13
+        return rng.permutation(np.concatenate([w, np.full(k, 1e-13), [0.0]]))
+    if case == "many":
+        m = int(rng.integers(lam.size, 6 * lam.size + 8))
+        return np.full(m, 1.0 / m)
+    return np.concatenate([[0.0], rng.permutation(lam)])
+
+
+CASES = ("mixed", "eigenvalues", "below-floor", "many", "zero-first")
+
+
+def test_synthesis_states_equal_the_dense_frame_oracle():
+    rng = np.random.default_rng(424242)
+    for i in range(FIXTURES):
+        n = int(rng.integers(1, 11))
+        rho = random_density(n, int(rng.integers(1, n + 1)), seed=i)
+        p = _weights(rho.eigenvalues(), rng, CASES[i % len(CASES)])
+        spect = rho.spectrum()
+        lam = spect.eigenvalues
+        oracle = _oracle_states(*_oracle_frame(lam, p), np.sqrt(lam), spect.eigenvectors.T, p.size)
+        assert synthesize_ensemble(rho, p).states.tobytes() == oracle.tobytes(), i
+
+
+def test_corollary4_equals_the_dense_frame_oracle():
+    rng = np.random.default_rng(515151)
+    for i in range(FIXTURES):
+        dim_a, dim_b = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        if i % 2:
+            psi = random_bipartite(dim_a, dim_b, rng)
+        else:
+            psi = rank_deficient_bipartite(dim_a, dim_b, int(rng.integers(1, min(dim_a, dim_b) + 1)), rng)
+        q = _weights(schmidt(psi).coefficients, rng, CASES[(i // 2) % len(CASES)])
+        m = embed_state(psi, max(psi.dim_a, q.size), psi.dim_b).amplitudes
+        u, sigma, vh = bipartite._canonical_svd(m)
+        frame, order, rank, n_pos = _oracle_frame(sigma**2, q)
+        states_b = _oracle_states(frame, order, rank, n_pos, sigma, vh, q.size)
+        n = frame.shape[0]
+        rotated = u.copy()
+        rotated[:, :n] = u[:, :n] @ frame.T
+        basis_a = np.empty((u.shape[0], q.size), dtype=np.complex128)
+        basis_a[:, order] = rotated[:, : q.size]
+
+        decomp = corollary4_decompose(psi, q)
+        assert decomp.states_b.tobytes() == states_b.tobytes(), i
+        assert np.max(np.abs(decomp.basis_a - basis_a)) <= 1e-14, i
+        gram = decomp.basis_a.conj().T @ decomp.basis_a
+        assert np.linalg.norm(gram - np.eye(q.size)) <= 1e-10, i
+
+
+def test_mixing_paths_build_no_identity_and_no_dense_lift(monkeypatch, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense matrix built on a mixing path")
+
+    monkeypatch.setattr(TTransform, "orthogonal_lift", forbidden)
+    rho = random_density(5, 4, seed=3)
+    p = mix_down(np.concatenate([rho.eigenvalues(), [0.0]]), rng)
+    state = random_bipartite(4, 5, rng)
+    q = mix_down(schmidt(state).coefficients, rng)
+    monkeypatch.setattr(np, "eye", forbidden)
+    synthesize_ensemble(rho, p)
+    corollary4_decompose(state, q)
+
+
+def test_uniform_ensemble_memory_grows_with_members_not_their_square():
+    # An m x m frame of float64 alone would be 32 MB at m=2000.
+    rho = DensityMatrix(np.diag([0.7, 0.3]))
+    tracemalloc.start()
+    try:
+        ens = uniform_ensemble(rho, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
+    assert np.linalg.norm((ens.states.T * ens.weights) @ ens.states.conj() - rho.matrix) <= 1e-8

@@ -97,6 +97,29 @@ def test_library_code_calls_no_validating_entry_point():
     assert not offenders, offenders
 
 
+def test_density_matrix_coerces_its_input_once_before_the_eigensolve(coerced):
+    # validate_density checks squareness right after its own coercion, so the
+    # constructor hands it the input as given.
+    assert _coerced_by(coerced, lambda: numkernel.DensityMatrix(np.eye(2) / 2)) == [
+        "density matrix", "Hermitian input"]
+
+
+def test_only_horn_orthogonal_and_the_cli_build_the_dense_witness():
+    # Synthesis and Corollary 4 rotate only the columns they use
+    # (majorize._lift); the d x d witness is built for horn_orthogonal and the
+    # CLI's majorize-decompose report alone.
+    callers = set()
+    for path in sorted(Path(qmajor.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call)
+                            and getattr(node.func, "id", getattr(node.func, "attr", None))
+                            == "_witness_from_chain"):
+                        callers.add(f"{path.name}:{func.name}")
+    assert callers == {"majorize.py:horn_orthogonal", "cli.py:_majorize_decompose"}
+
+
 def test_a_non_finite_branch_raises(monkeypatch, rng):
     # min(1.0, nan) is 1.0: without its finiteness check a NaN branch would
     # report fidelity 1.
