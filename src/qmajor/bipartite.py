@@ -227,15 +227,16 @@ def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
     exactly 0 gets an unused column and the placeholder e_0.  The witness
     runs against the spectrum scaled to sum(q), so a target whose norm is off
     1 by e is rebuilt with an error of about e, and the check allows the
-    pinned 1e-8 plus the amplitude of coefficients below the cutoff.
+    pinned 1e-8 plus the amplitude of coefficients below the cutoff.  The
+    check scales the rows of states_b, not the m columns of basis_a, so it
+    forms no m x m temporary.
     """
     lam = sigma**2
     states_b, basis_a = _mix(vh, lam, sigma, weights, u)
-    decomp = Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
-
-    _check_defect(float(np.linalg.norm(decomp.reconstruct() - target)),
+    rebuilt = basis_a @ (np.sqrt(weights)[:, None] * states_b)
+    _check_defect(float(np.linalg.norm(rebuilt - target)),
                   1e-8 + _below_floor(lam), "decomposition reconstruction defect")
-    return decomp
+    return Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
 
 
 def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:

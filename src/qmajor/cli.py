@@ -24,6 +24,7 @@ import click
 import numpy as np
 
 from . import __version__
+from .numkernel import TOL_HERM, TOL_PROB, TOL_RECON
 from .numkernel import DomainError, ValidationError, _as_array, _as_dim, _as_tol, validate_density
 from .majorize import as_prob_vector, _majorized_pair, _schur, _witness_from_chain, t_transform_chain
 from .ensembles import (
@@ -154,7 +155,7 @@ def parse_input(path: str, tols: dict | None = None, expect: str | None = None):
     return _decode(_read(path), path, tols or dict(_DEFAULT_TOLS), expect)
 
 
-_DEFAULT_TOLS = {"herm": 1e-9, "major": 1e-9, "recon": 1e-8, "prob": 1e-9}
+_DEFAULT_TOLS = {"herm": TOL_HERM, "major": TOL_PROB, "recon": TOL_RECON, "prob": TOL_PROB}
 
 
 # ---------------------------------------------------------------- reporting
@@ -218,7 +219,7 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
                 f"{command} takes {len(kinds)} input(s) ({', '.join(kinds)}), got {len(inputs)}"
             )
         tols = dict(_DEFAULT_TOLS, **flags)
-        tols["prob"] = max(tols["major"], 1e-9)
+        tols["prob"] = max(tols["major"], TOL_PROB)
         # Each file is read once: the digest and the document come from the same bytes.
         raws = [_read(p) for p in inputs]
         base["inputs"] = [{"path": p, "sha256": hashlib.sha256(raw).hexdigest()}
@@ -395,7 +396,7 @@ def _protocol_run(values, tols, dim, seed, exhaustive):
 @_command("schur-report", ("probvec", "probvec"), ("major",))
 def _schur_report(values, tols):
     """Schur-convex comparisons for x majorized by y.  Inputs: x probvec, y probvec."""
-    return _schur_fragment(_schur(*values, tols["major"], tols["prob"]))
+    return _schur_fragment(_schur(*values, tols["major"]))
 
 
 if __name__ == "__main__":

@@ -302,5 +302,5 @@ def entropy_report(ensemble: Ensemble, tol: float = 1e-9) -> EntropyReport:
     if h < s - _as_tol(tol):
         raise ValidationError(f"mixing entropy {h!r} fell below state entropy {s!r}")
     lam = np.where(lam > _RANK_FLOOR, lam, 0.0)
-    schur = _schur(ensemble.weights, lam, tol, max(float(tol), TOL_PROB))
+    schur = _schur(ensemble.weights, lam, tol)
     return EntropyReport(shannon=h, von_neumann=s, schur=schur)

@@ -353,14 +353,21 @@ def _xlogx(u: np.ndarray) -> np.ndarray:
         return np.where(u > 0.0, u * np.log(u), 0.0)
 
 
-# Convex scalar functions f, applied entrywise to an array; each induces the
-# Schur-convex map x -> sum_i f(x_i) on probability vectors.
-CONVEX_SCALAR_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "square": lambda u: u * u,
-    "cube": lambda u: u * u * u,
-    "exp": np.exp,
-    "xlogx": _xlogx,
-    "neg_sqrt": lambda u: -np.sqrt(u),
+# The Schur-convex functions of the report, in report order, each with its own
+# summation: numpy's reductions for the first six, and a left-to-right Python
+# sum of a convex f applied entrywise for the sum[f] entries.
+_SCHUR_FUNCTIONS: dict[str, Callable[[np.ndarray], float]] = {
+    "neg_entropy": _neg_entropy,
+    "power_sum[k=1.5]": lambda x: float(np.sum(x**1.5)),
+    "power_sum[k=2]": lambda x: float(np.sum(x**2.0)),
+    "power_sum[k=3]": lambda x: float(np.sum(x**3.0)),
+    "neg_product": lambda x: float(-np.prod(x)),
+    "max_component": lambda x: float(np.max(x)),
+    "sum[square]": lambda x: float(sum((x * x).tolist())),
+    "sum[cube]": lambda x: float(sum((x * x * x).tolist())),
+    "sum[exp]": lambda x: float(sum(np.exp(x).tolist())),
+    "sum[xlogx]": lambda x: float(sum(_xlogx(x).tolist())),
+    "sum[neg_sqrt]": lambda x: float(sum((-np.sqrt(x)).tolist())),
 }
 
 
@@ -369,21 +376,20 @@ def schur_value(name: str, x, k: float | None = None) -> float:
 
     ``neg_entropy`` is sum(x log x) with 0 log 0 := 0 (natural log);
     ``power_sum`` is sum(x**k) and requires k >= 1; ``neg_product`` is
-    -prod(x).  These three are Schur-convex.  ``neg_max``, minus the largest
-    component, is Schur-concave: [0.5, 0.5] is majorized by [1, 0], yet
-    -0.5 > -1.
+    -prod(x).  These three are Schur-convex, and ``neg_entropy`` and
+    ``neg_product`` are the report's entries of those names, bit for bit.
+    ``neg_max``, minus the largest component, is Schur-concave: [0.5, 0.5]
+    is majorized by [1, 0], yet -0.5 > -1.
     """
     w = as_prob_vector(x, name="x")
     if not isinstance(name, str):
         raise ValidationError(f"Schur-convex function id must be a string, got {name!r}")
-    if name == "neg_entropy":
-        return _neg_entropy(w)
+    if name in ("neg_entropy", "neg_product"):
+        return _SCHUR_FUNCTIONS[name](w)
     if name == "power_sum":
         if _as_tol(k, "power_sum exponent k") < 1.0:
             raise ValidationError(f"power_sum exponent k={k!r} must be >= 1")
         return float(np.sum(w**k))
-    if name == "neg_product":
-        return float(-np.prod(w))
     if name == "neg_max":
         return float(-np.max(w))
     raise ValidationError(f"unknown Schur-convex function id {name!r}")
@@ -412,43 +418,25 @@ class SchurReport:
         return all(e.value_x <= e.value_y + self.tol for e in self.entries)
 
 
-_POWER_SUM_EXPONENTS = (1.5, 2.0, 3.0)
-
-
 def check_schur_inequalities(x, y, tol: float = 1e-9) -> SchurReport:
     """Evaluate every built-in Schur-convex function on a majorized pair.
 
-    Requires x majorized by y and asserts f(x) <= f(y) + tol for each
-    function; a violation raises, since it would contradict the order, and so
-    does a value that is not finite in float64.  Note
-    the largest component enters with a plus sign: max is Schur-convex
-    (its negation is not, despite being a popular disorder measure).
+    Requires x majorized by y, judged at max(tol, 1e-9), and asserts
+    f(x) <= f(y) + tol for each function in the report's one table; a
+    violation raises, since it would contradict the order, and so does a
+    value that is not finite in float64.  Note the largest component enters
+    with a plus sign: max is Schur-convex (its negation is not, despite being
+    a popular disorder measure).
     """
-    bound = max(_as_tol(tol), TOL_PROB)
-    return _schur(*_nonneg_pair(x, y, bound), tol, bound)
+    return _schur(*_nonneg_pair(x, y, max(_as_tol(tol), TOL_PROB)), tol)
 
 
 @np.errstate(over="ignore")  # a value past float64 is rejected below, not warned about
-def _schur(xv, yv, tol, bound: float) -> SchurReport:
+def _schur(xv, yv, tol) -> SchurReport:
     """``check_schur_inequalities`` for a pair the library validated or built, judged at
-    ``bound`` but not validated again."""
-    xv, yv = _majorized_pair(xv, yv, bound)[:2]
-    entries: list[SchurEntry] = []
-    entries.append(SchurEntry("neg_entropy", _neg_entropy(xv), _neg_entropy(yv)))
-    for k in _POWER_SUM_EXPONENTS:
-        entries.append(
-            SchurEntry(f"power_sum[k={k:g}]", float(np.sum(xv**k)), float(np.sum(yv**k)))
-        )
-    entries.append(SchurEntry("neg_product", float(-np.prod(xv)), float(-np.prod(yv))))
-    entries.append(SchurEntry("max_component", float(np.max(xv)), float(np.max(yv))))
-    for fname, f in CONVEX_SCALAR_REGISTRY.items():
-        entries.append(
-            SchurEntry(
-                f"sum[{fname}]",
-                float(sum(f(xv).tolist())),
-                float(sum(f(yv).tolist())),
-            )
-        )
+    max(tol, TOL_PROB) but not validated again."""
+    xv, yv = _majorized_pair(xv, yv, max(float(tol), TOL_PROB))[:2]
+    entries = [SchurEntry(name, f(xv), f(yv)) for name, f in _SCHUR_FUNCTIONS.items()]
     for e in entries:
         if not (math.isfinite(e.value_x) and math.isfinite(e.value_y)):
             raise ValidationError(

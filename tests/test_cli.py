@@ -19,12 +19,16 @@ from qmajor.cli import (
 )
 from qmajor.bipartite import BipartiteState
 from qmajor.ensembles import Ensemble
-from qmajor.numkernel import DensityMatrix, ValidationError
+from qmajor.numkernel import TOL_HERM, TOL_PROB, TOL_RECON, DensityMatrix, ValidationError
 
 R = np.sqrt(0.5)
 RHO = {"kind": "density", "dim": 2, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
 BELL = {"kind": "bipartite", "dimA": 2, "dimB": 2, "amplitudes": [[[R, 0], [0, 0]], [[0, 0], [R, 0]]]}
 ENSEMBLE = {"kind": "ensemble", "weights": [0.5, 0.5], "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+
+
+def test_default_tolerances_are_the_library_constants():
+    assert _DEFAULT_TOLS == {"herm": TOL_HERM, "major": TOL_PROB, "recon": TOL_RECON, "prob": TOL_PROB}
 
 
 @pytest.fixture

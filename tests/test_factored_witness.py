@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 
 from qmajor import bipartite
-from qmajor.bipartite import corollary4_decompose, embed_state, schmidt
+from qmajor.bipartite import BipartiteState, corollary4_decompose, embed_state, schmidt
 from qmajor.ensembles import synthesize_ensemble, uniform_ensemble
 from qmajor.majorize import TTransform, horn_orthogonal
 from qmajor.numkernel import DensityMatrix, random_density
@@ -141,3 +141,17 @@ def test_uniform_ensemble_memory_grows_with_members_not_their_square():
         tracemalloc.stop()
     assert peak < 5e6, peak
     assert np.linalg.norm((ens.states.T * ens.weights) @ ens.states.conj() - rho.matrix) <= 1e-8
+
+
+def test_corollary4_holds_two_m_by_m_arrays_not_three():
+    # Padding a Bell state to m=2000 takes the SVD's U and the rotated stack that
+    # becomes basis_a, 61 MiB each; the reconstruction check adds no third.
+    bell = BipartiteState(amplitudes=np.eye(2, dtype=complex) / np.sqrt(2))
+    tracemalloc.start()
+    try:
+        dec = corollary4_decompose(bell, np.full(2000, 1 / 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20, peak
+    assert np.linalg.norm(dec.reconstruct() - embed_state(bell, 2000, 2).amplitudes) <= 1e-8

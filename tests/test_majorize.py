@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmajor.bipartite import corollary4_decompose, schmidt
-from qmajor.ensembles import synthesize_ensemble
+from qmajor.ensembles import entropy_report, synthesize_ensemble
 from qmajor.majorize import (
     MajorizationError,
     TChain,
@@ -721,6 +721,145 @@ class TestSchurInequalities:
             y = rng.dirichlet(np.ones(d))
             x = mix_down(y, rng)
             assert check_schur_inequalities(x, y).passed
+
+
+def _reference_schur_entries(v):
+    """The report's eleven functions, each written out with its own summation, on a padded vector."""
+    pos = v[v > 0.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xlogx = np.where(v > 0.0, v * np.log(v), 0.0)
+    return [
+        ("neg_entropy", float(np.sum(pos * np.log(pos)))),
+        ("power_sum[k=1.5]", float(np.sum(v**1.5))),
+        ("power_sum[k=2]", float(np.sum(v**2.0))),
+        ("power_sum[k=3]", float(np.sum(v**3.0))),
+        ("neg_product", float(-np.prod(v))),
+        ("max_component", float(np.max(v))),
+        ("sum[square]", float(sum((v * v).tolist()))),
+        ("sum[cube]", float(sum((v * v * v).tolist()))),
+        ("sum[exp]", float(sum(np.exp(v).tolist()))),
+        ("sum[xlogx]", float(sum(xlogx.tolist()))),
+        ("sum[neg_sqrt]", float(sum((-np.sqrt(v)).tolist()))),
+    ]
+
+
+def _case_pair(rng, d, case):
+    """(x, y) of dimension up to d: x a mix of y, or y with zero entries, ties,
+    zero-padding or a 1e-300 entry, x a permutation of y, or an x that may fail."""
+    if d == 1:
+        return np.ones(1), np.ones(1)
+    y = rng.dirichlet(np.ones(d))
+    if case == "zeros":
+        y[rng.random(d) < 0.3] = 0.0
+        y[0] += 1.0 - y.sum()
+    elif case == "ties":
+        levels = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        y = rng.permutation(np.repeat(levels, -(-d // levels.size))[:d])
+        y = y / y.sum()
+    elif case == "padded":
+        short = y[: d // 2 + 1] / y[: d // 2 + 1].sum()
+        return rng.permutation(mix_down(np.concatenate([short, np.zeros(d - short.size)]), rng)), short
+    elif case == "tiny":
+        y = np.concatenate([y[1:] / y[1:].sum(), [1e-300]])
+        head = mix_down(y[:-1], rng) if d > 2 else y[:-1]
+        return rng.permutation(np.concatenate([head, y[-1:]])), y
+    elif case == "permutation":
+        return rng.permutation(y), y
+    elif case == "rejection":
+        return rng.dirichlet(np.ones(d)), y
+    return mix_down(y, rng), y
+
+
+def _padded(v, d):
+    return np.concatenate([np.asarray(v, dtype=np.float64), np.zeros(d - len(v))])
+
+
+class TestSchurReportOracle:
+    """Every entry of the Schur-convex report, its name, order and bits, against the written-out formulas."""
+
+    @staticmethod
+    def expected(x, y):
+        d = max(len(x), len(y))
+        return [(name, fx.hex(), fy.hex()) for (name, fx), (_, fy) in
+                zip(_reference_schur_entries(_padded(x, d)), _reference_schur_entries(_padded(y, d)))]
+
+    @staticmethod
+    def got(report):
+        return [(e.name, e.value_x.hex(), e.value_y.hex()) for e in report.entries]
+
+    def test_check_schur_inequalities(self):
+        rng = np.random.default_rng(1960)
+        for i in range(256):
+            x, y = _case_pair(rng, 1 + i % 64, ("mix", "zeros", "ties", "padded", "tiny")[i % 5])
+            assert self.got(check_schur_inequalities(x, y)) == self.expected(x, y), i
+
+    def test_entropy_report(self):
+        rng = np.random.default_rng(1961)
+        for i in range(48):
+            n = int(rng.integers(1, 9))
+            rho = random_density(n, int(rng.integers(1, n + 1)), seed=i)
+            p = mix_down(_padded(rho.eigenvalues(), n + i % 3), rng) if n + i % 3 > 1 else np.ones(1)
+            ens = synthesize_ensemble(rho, p)
+            # The spectrum entropy_report documents: squared singular values of the
+            # amplitude matrix over their total, the ones at or below 1e-12 as zeros.
+            amps = ens.states.T * np.sqrt(ens.weights)
+            lam = np.zeros(ens.dim)
+            lam[: min(amps.shape)] = np.linalg.svd(amps, compute_uv=False) ** 2
+            lam = lam / lam.sum()
+            lam = np.where(lam > 1e-12, lam, 0.0)
+            assert self.got(entropy_report(ens).schur) == self.expected(ens.weights, lam), i
+
+
+class TestScaleInvariance:
+    """With the data scaled by s and ``tol`` by s, the majorization functions decide as at scale 1.
+
+    ``tol`` is absolute and in the data's units.  A power of two scales every
+    partial sum and every chain step exactly, so the chain and the witness are
+    bit-equal too; a decimal scale rounds, and the walk may then gain or lose
+    a transform whose t rounds to 1, so only the verdict and the chain's
+    action are compared.
+    """
+
+    PAIRS = 300
+    CASES = ("mix", "ties", "padded", "permutation", "rejection")
+
+    def pair(self, rng, i):
+        return _case_pair(rng, int(rng.integers(2, 17)), self.CASES[i % 5])
+
+    @staticmethod
+    def verdict(x, y, tol):
+        violation = majorization_violation(x, y, tol)
+        assert is_majorized_by(x, y, tol) == (violation is None)
+        return None if violation is None else violation[0]
+
+    def test_power_of_two_scales_are_exact(self):
+        rng = np.random.default_rng(4096)
+        for i in range(self.PAIRS):
+            x, y = self.pair(rng, i)
+            k = self.verdict(x, y, 1e-9)
+            if k is None:
+                chain, w = t_transform_chain(x, y), horn_orthogonal(x, y).orthogonal
+            for e in (66, 332, 664, 996, -66, -332, -664, -996):
+                s = 2.0**e
+                assert self.verdict(x * s, y * s, 1e-9 * s) == k, (i, e)
+                if k is None:
+                    scaled = t_transform_chain(x * s, y * s, 1e-9 * s)
+                    assert scaled.transforms == chain.transforms, (i, e)
+                    assert np.array_equal(scaled.source_permutation, chain.source_permutation), (i, e)
+                    assert np.array_equal(scaled.target_permutation, chain.target_permutation), (i, e)
+                    assert horn_orthogonal(x * s, y * s, 1e-9 * s).orthogonal.tobytes() == w.tobytes(), (i, e)
+
+    def test_decimal_scales_keep_the_verdict(self):
+        rng = np.random.default_rng(1000)
+        for i in range(self.PAIRS):
+            x, y = self.pair(rng, i)
+            k = self.verdict(x, y, 1e-9)
+            for e in (20, 100, 200, 300, -20, -100, -200, -300):
+                s = 10.0**e
+                assert self.verdict(x * s, y * s, 1e-9 * s) == k, (i, e)
+                if k is None:
+                    chain = t_transform_chain(x * s, y * s, 1e-9 * s)
+                    assert np.max(np.abs(apply_t_chain(chain, y * s) - x * s)) <= 1e-12 * s, (i, e)
 
 
 class TestProbVector:
