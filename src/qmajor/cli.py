@@ -226,7 +226,8 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
                           for p, raw in zip(inputs, raws)]
         values = [_decode(raw, p, tols, kind) for raw, p, kind in zip(raws, inputs, kinds)]
         base["result"] = job(values, tols)
-    except (InputError, ValidationError) as exc:
+    # A size within every ceiling can still ask for more memory than exists; that is the input's.
+    except (InputError, ValidationError, MemoryError) as exc:
         base["status"] = "error"
         base["reason"] = {"class": "input", "detail": str(exc)}
         _emit(base, output)

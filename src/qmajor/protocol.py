@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
+    _PHASE_FLOOR,
     DomainError,
     ValidationError,
     _as_array,
@@ -24,7 +25,6 @@ from .numkernel import (
     _gram_defect,
     _trusted,
     as_complex_matrix,
-    fix_global_phase,
 )
 from .bipartite import (
     SCHMIDT_RANK_CUTOFF,
@@ -256,9 +256,10 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
              inverse: np.ndarray) -> list[ProtocolTranscript]:
     """Branches (s, t) for t in ``ts``, from their rows _phases(d, ts) and _phases(d, -ts).
 
-    Every elementwise step and the basis product run once on the (len(ts), d, dim_b) stack;
-    each reduction (probability, finiteness, fidelity, global phase) runs on one branch, so
-    a branch's bytes do not depend on the row it is stacked with.
+    Each step that cannot move a branch's bits runs once on the (len(ts), ...) stack: the
+    elementwise steps, the basis product, the pivot search (also the finiteness check) and
+    the unit phase and its product.  The norm of the probability and the inner product of
+    the fidelity stay one call per branch: an axis-wise call would sum in another order.
     """
     # Row j of branch t's post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
     post = _shifted(setup.operator, setup.d, s) * phase[:, :, None]
@@ -272,21 +273,29 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
     post *= inverse[:, :, None]
     corrected = post[:, (np.arange(setup.d) - s) % setup.d]
     finals = setup.alice_basis @ corrected @ setup.bob_basis.T
-    out = []
-    for t, prob, final in zip(ts, probs, finals):
-        # min(1.0, nan) is 1.0, so a non-finite branch must fail here, not report fidelity 1.
-        if not np.isfinite(final).all():
-            raise ValidationError(f"final state of branch ({s}, {t}) contains non-finite entries")
-        out.append(ProtocolTranscript(
-            outcome=_trusted(WeylPair, d=setup.d, s=s, t=t),
-            outcome_probability=prob,
-            bits_sent=setup.bits,
-            correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
-            final_state=_trusted(BipartiteState, amplitudes=fix_global_phase(final)),
-            fidelity=min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2)),
-            seed=seed,
-        ))
-    return out
+    # fix_global_phase's pivot; argmax takes NaN as largest, so it is finite only if its branch is.
+    flat = finals.reshape(len(finals), -1)
+    pivots = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+    finite = np.isfinite(pivots)
+    if not finite.all():
+        raise ValidationError(
+            f"final state of branch ({s}, {ts[int(finite.argmin())]}) contains non-finite entries")
+    # np.hypot is the scalar abs() bit for bit; numpy's vectorised complex absolute is not.
+    size = np.hypot(pivots.real, pivots.imag)
+    fixed = finals * (pivots.conj() / np.maximum(size, _PHASE_FLOOR))[:, None, None]
+    kept = size <= _PHASE_FLOOR
+    if kept.any():  # as in fix_global_phase, such a branch keeps its bits
+        fixed[kept] = finals[kept]
+    return [_trusted(
+        ProtocolTranscript,
+        outcome=_trusted(WeylPair, d=setup.d, s=s, t=t),
+        outcome_probability=prob,
+        bits_sent=setup.bits,
+        correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
+        final_state=_trusted(BipartiteState, amplitudes=amplitudes),
+        fidelity=min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2)),
+        seed=seed,
+    ) for t, prob, final, amplitudes in zip(ts, probs, finals, fixed)]
 
 
 def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTranscript:

@@ -185,6 +185,15 @@ class TestExitContract:
         )
         assert report["seed"] == -1
 
+    @pytest.mark.parametrize("mode", [["--seed", "0"], ["--exhaustive"]])
+    def test_dimension_past_memory(self, runner, files, tmp_path, mode):
+        # d = 2^24 passes the dimension ceiling, and the 4 PiB padded target fails to allocate at once
+        report = self.assert_input_error(
+            runner, ["protocol-run", "-i", files["bell"], "--d", str(2**24), *mode],
+            tmp_path, "Unable to allocate",
+        )
+        assert "result" not in report
+
     def test_scalar_statevec(self, runner, write, tmp_path):
         bad = write("sv.json", {"kind": "statevec", "amplitudes": 3})
         self.assert_input_error(runner, ["schmidt", "-i", bad], tmp_path, "expected kind 'bipartite'")

@@ -435,9 +435,15 @@ class TestBranchOracle:
             return random_bipartite(d, d + 3, rng)
         if kind == "rank-deficient":
             return rank_deficient_bipartite(d, d + 1, max(1, d // 2), rng)
+        if kind == "maximally-entangled":
+            return maximally_entangled(d)  # final entries tie in modulus; the first in C order wins
+        if kind == "product":
+            return random_bipartite(d, 1, rng) if d % 2 else random_bipartite(1, d + 2, rng)
         return random_bipartite((d + 1) // 2, max(1, d // 3), rng)  # zero-padded to d
 
-    @pytest.mark.parametrize("kind", ["square", "rectangular", "rank-deficient", "zero-padded"])
+    KINDS = ["square", "rectangular", "rank-deficient", "zero-padded", "maximally-entangled", "product"]
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24, 64])
     def test_transcripts_match_reference_bytes(self, rng, d, kind):
         target = self.target(kind, d, rng)
@@ -457,6 +463,15 @@ class TestBranchOracle:
             tr = run_protocol(target, d, seed)
             assert tr.seed == seed
             assert self.fields(tr) == self.fields(transcripts[tr.outcome.s * d + tr.outcome.t])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_final_states_share_no_memory(self, rng, kind):
+        """Branches may be slices of one row stack, but no two overlap, nor any the target."""
+        target = self.target(kind, 6, rng)
+        amps = [tr.final_state.amplitudes for tr in enumerate_protocol(target, 6)]
+        for i, a in enumerate(amps):
+            assert not np.shares_memory(a, target.amplitudes)
+            assert not any(np.shares_memory(a, b) for b in amps[i + 1:])
 
 
 class TestIntegerArguments:
