@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
-    _PHASE_FLOOR,
     DomainError,
     ValidationError,
     _as_array,
@@ -260,6 +259,8 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
     elementwise steps, the basis product, the pivot search (also the finiteness check) and
     the unit phase and its product.  The norm of the probability and the inner product of
     the fidelity stay one call per branch: an axis-wise call would sum in another order.
+    A finite final state has unit norm, so its pivot is at least 1/sqrt(n_a n_b) and
+    fix_global_phase's 1e-12 floor never applies.
     """
     # Row j of branch t's post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
     post = _shifted(setup.operator, setup.d, s) * phase[:, :, None]
@@ -282,10 +283,7 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
             f"final state of branch ({s}, {ts[int(finite.argmin())]}) contains non-finite entries")
     # np.hypot is the scalar abs() bit for bit; numpy's vectorised complex absolute is not.
     size = np.hypot(pivots.real, pivots.imag)
-    fixed = finals * (pivots.conj() / np.maximum(size, _PHASE_FLOOR))[:, None, None]
-    kept = size <= _PHASE_FLOOR
-    if kept.any():  # as in fix_global_phase, such a branch keeps its bits
-        fixed[kept] = finals[kept]
+    fixed = finals * (pivots.conj() / size)[:, None, None]
     return [_trusted(
         ProtocolTranscript,
         outcome=_trusted(WeylPair, d=setup.d, s=s, t=t),

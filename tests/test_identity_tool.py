@@ -1,9 +1,18 @@
-"""The identity harness, ``tools/identity.py``: it records every path and tells values from decisions."""
+"""The identity harness, ``tools/identity.py``: the one determinism pin for the library and the CLI.
 
+Two records of one tree, made in one process, must be byte-identical, and so must each fixture
+run twice in a row; ``--compare`` must tell a moved value from a changed decision and from a
+missing path.
+"""
+
+import hashlib
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
 
@@ -15,16 +24,109 @@ def _tool():
     return module
 
 
-def test_a_record_compares_byte_equal_with_itself(tmp_path, capsys):
+def _rows(out):
+    """``{path: (fixtures, byte-equal, max |diff|, decisions)}`` from ``--compare``'s table."""
+    rows = [line.rsplit(None, 4) for line in out.splitlines() if line.endswith(("equal", "DIFFER"))]
+    return {name: tuple(rest) for name, *rest in rows}
+
+
+def test_two_records_of_one_tree_are_byte_identical(tmp_path, capsys):
+    """Every library path and CLI job, run twice on inputs rebuilt from the seed, gives the same bytes."""
     tool = _tool()
-    assert tool.main(["record", str(tmp_path), "--fixtures", "3", "--cli-fixtures", "2"]) == 0
-    assert tool.main(["--compare", str(tmp_path), str(tmp_path)]) == 0
-    rows = [line.rsplit(None, 4) for line in capsys.readouterr().out.splitlines()
-            if line.endswith(("equal", "DIFFER"))]
+    a, b = str(tmp_path / "A"), str(tmp_path / "B")
+    for out in (a, b):
+        assert tool.main(["record", out, "--fixtures", "3", "--cli-fixtures", "2"]) == 0
+    capsys.readouterr()
+    assert tool.main(["--compare", a, b]) == 0  # the exit code covers decisions only
+    rows = _rows(capsys.readouterr().out)
     assert len(rows) == 14 + 9
-    for name, fixtures, byte_equal, diff, decisions in rows:
+    for name, (fixtures, byte_equal, diff, decisions) in rows.items():
         assert (byte_equal, diff, decisions) == (fixtures, "0", "equal"), name
         assert int(fixtures) == (2 if name.startswith("cli:") else 3)
+
+
+def test_each_fixture_twice_in_a_row_gives_the_same_bytes():
+    """Catches a state that changes from call to call with any period.  Between two records such a
+    change hides when its period divides the number of calls one record makes."""
+    import qmajor
+    from click.testing import CliRunner
+    from qmajor.cli import main
+
+    tool, runner = _tool(), CliRunner()
+    with runner.isolated_filesystem():
+        for name, make in tool._paths(qmajor).items():
+            first, second = (tool._run_fixture(name, make, 0, main, runner)[0] for _ in range(2))
+            assert first == second, name  # the digest covers every float bit and the report bytes
+
+
+@pytest.fixture
+def records(tmp_path):
+    """Two equal library-only records A and B; a test edits B."""
+    tool = _tool()
+    a, b = tmp_path / "A", tmp_path / "B"
+    assert tool.main(["record", str(a), "--fixtures", "6", "--cli-fixtures", "0"]) == 0
+    shutil.copytree(a, b)
+    return tool, a, b
+
+
+def _edit(path, edit):
+    """Rewrite one record file: ``edit(fixtures, values)`` changes what changed, and the digest of
+    every fixture it returns moves, as a real change would move it."""
+    with np.load(path) as z:
+        info = json.loads(str(z["meta"]))
+        values = [z[f"values{i}"] for i in range(len(info["fixtures"]))]
+    for i in edit(info["fixtures"], values):
+        info["fixtures"][i]["digest"] = hashlib.sha256(b"edited").hexdigest()
+    np.savez_compressed(path, meta=np.array(json.dumps(info)),
+                        **{f"values{i}": v for i, v in enumerate(values)})
+
+
+def test_compare_fails_on_a_changed_decision(records, capsys):
+    tool, a, b = records
+
+    def new_message(fixtures, values):
+        for i, fixture in enumerate(fixtures):
+            for entry in fixture["decisions"]:
+                if entry[1:2] == ["error"]:
+                    entry[3] += " (edited)"
+                    return [i]
+        raise AssertionError("no fixture of validate_density was rejected")
+
+    _edit(b / "validate_density.npz", new_message)
+    capsys.readouterr()
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert _rows(out)["validate_density"][3] == "DIFFER"
+    assert any(line.startswith("  decision: validate_density fixture ") and "(edited)" in line
+               for line in out.splitlines())
+
+
+def test_compare_fails_on_a_missing_path(records, capsys):
+    tool, a, b = records
+    (b / "schmidt.npz").unlink()
+    capsys.readouterr()
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    assert "missing in B" in next(line for line in capsys.readouterr().out.splitlines()
+                                  if line.startswith("schmidt "))
+
+
+def test_compare_reports_a_moved_last_bit_and_passes(records, capsys):
+    tool, a, b = records
+
+    def one_ulp(fixtures, values):
+        v = values[0]
+        v[0] = complex(np.nextafter(v[0].real, np.inf), v[0].imag)
+        return [0]
+
+    _edit(b / "hermitian_eig.npz", one_ulp)
+    capsys.readouterr()
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    fixtures, byte_equal, diff, decisions = _rows(out)["hermitian_eig"]
+    assert (int(fixtures), int(byte_equal), decisions) == (6, 5, "equal")
+    assert 0 < float(diff) < 1e-15
+    assert any(line.startswith("  moved: hermitian_eig ") and "in 1 fixtures" in line
+               for line in out.splitlines())
 
 
 def test_a_last_bit_is_a_value_and_a_message_is_a_decision():

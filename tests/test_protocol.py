@@ -459,6 +459,10 @@ class TestBranchOracle:
                         WeylPair(d=d, s=s, t=t))
             assert self.fields(tr) == expected
             assert tr.seed is None
+            # A unit-norm final state's largest entry is at least 1/sqrt(size), far above the
+            # reference's 1e-12 floor, so the row core needs no floor of its own.
+            amps = tr.final_state.amplitudes
+            assert np.abs(amps).max() * np.sqrt(amps.size) >= 1 - 1e-12
         for seed in range(4):
             tr = run_protocol(target, d, seed)
             assert tr.seed == seed

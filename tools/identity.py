@@ -3,14 +3,14 @@
     PYTHONPATH=TREE/src python3 tools/identity.py record DIR [--fixtures N] [--cli-fixtures N]
     python3 tools/identity.py --compare A B
 
-``record`` runs the fourteen library paths of ``tests/test_determinism.py`` and nine CLI jobs
-(the eight commands, ``protocol-run`` both sampled and ``--exhaustive``, through click's
+``record`` runs fourteen public library paths (the table in ``_library_paths``) and nine CLI
+jobs (the eight commands, ``protocol-run`` both sampled and ``--exhaustive``, through click's
 ``CliRunner``) on seeded fixture families, and writes one ``DIR/<path>.npz`` per path.  The
 families are square, rectangular, rank-deficient, zero-padded and embedded targets, maximally
 entangled and product targets, degenerate spectra, weights in (0, 1e-12], zero weights,
 weights equal to the eigenvalues, numpy-integer sizes, domain rejections and invalid input.
 
-Each fixture keeps three things, in the spirit of ``_fingerprint`` in that test file:
+Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
   of an error, every other non-float field, and the dtype and shape of every float leaf;
 - one complex vector holding every float and complex leaf, in order;
@@ -21,8 +21,11 @@ Each fixture keeps three things, in the spirit of ``_fingerprint`` in that test 
 difference of a float leaf, and whether every decision is equal.  It exits 1 when a decision
 differs or a path is missing on one side.  Inputs are built from the seed with numpy alone, so
 every tree sees the same bytes.  Record each tree in its own process, the parent from
-``git archive`` of its commit.  Each CLI job writes its input files to a temporary directory;
-where creating a file is slow, point ``TMPDIR`` at a memory file system such as ``/dev/shm``.
+``git archive`` of its commit.  ``tests/test_identity_tool.py`` pins within-build determinism
+on this one table: two records of one tree made in one process, and each fixture run twice in
+a row, must be byte-identical on every path.
+Each CLI job writes its input files to a temporary directory; where creating a file is slow,
+point ``TMPDIR`` at a memory file system such as ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -393,6 +396,29 @@ def _run_cli(main, runner, args, docs):
 
 # ---------------------------------------------------------------- record / compare
 
+def _paths(q) -> dict:
+    """Every path the harness records: the library paths, then the CLI jobs."""
+    return {**_library_paths(q), **_cli_jobs()}
+
+
+def _run_fixture(name, make, i, cli, runner):
+    """Fixture i of one path, on inputs built afresh from the seed: its entry and its float leaves.
+
+    A CLI job writes its input files to the working directory.
+    """
+    rng = np.random.default_rng([SEED, zlib.crc32(name.encode()), i])
+    if name.startswith("cli:"):
+        label, args, docs = make(rng, i)
+        value, raw = _run_cli(cli, runner, args, docs)
+    else:
+        label, thunk = make(rng, i)
+        try:
+            value, raw = thunk(), b""
+        except Exception as exc:  # a rejection is a decision to record
+            value, raw = exc, b""
+    return _fixture_record(f"{i}:{label}", value, raw)
+
+
 def record(out: Path, fixtures: int, cli_fixtures: int) -> None:
     import qmajor
     from click.testing import CliRunner
@@ -401,23 +427,12 @@ def record(out: Path, fixtures: int, cli_fixtures: int) -> None:
     out = out.resolve()  # the CLI jobs run in a temporary working directory
     out.mkdir(parents=True, exist_ok=True)
     runner = CliRunner()
-    paths = {**{k: (v, fixtures) for k, v in _library_paths(qmajor).items()},
-             **{k: (v, cli_fixtures) for k, v in _cli_jobs().items()}}
-    for name, (make, count) in paths.items():
+    for name, make in _paths(qmajor).items():
+        count = cli_fixtures if name.startswith("cli:") else fixtures
         meta, arrays = [], {}
         with runner.isolated_filesystem():
             for i in range(count):
-                rng = np.random.default_rng([SEED, zlib.crc32(name.encode()), i])
-                if name.startswith("cli:"):
-                    label, args, docs = make(rng, i)
-                    value, raw = _run_cli(main, runner, args, docs)
-                else:
-                    label, thunk = make(rng, i)
-                    try:
-                        value, raw = thunk(), b""
-                    except Exception as exc:  # a rejection is a decision to record
-                        value, raw = exc, b""
-                entry, arrays[f"values{i}"] = _fixture_record(f"{i}:{label}", value, raw)
+                entry, arrays[f"values{i}"] = _run_fixture(name, make, i, main, runner)
                 meta.append(entry)
         info = {"path": name, "qmajor": qmajor.__file__, "numpy": np.__version__, "fixtures": meta}
         np.savez_compressed(out / f"{name.replace(':', '_').replace(' ', '_')}.npz",
