@@ -4,6 +4,10 @@ All randomness flows through explicitly seeded numpy generators so every
 test run is reproducible.
 """
 
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -18,6 +22,16 @@ FUZZ = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@functools.cache
+def identity_tool():
+    """``tools/identity.py``, the identity harness, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mix_down(y, rng, rounds=None):

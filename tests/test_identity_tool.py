@@ -1,27 +1,18 @@
 """The identity harness, ``tools/identity.py``: the one determinism pin for the library and the CLI.
 
-Two records of one tree, made in one process, must be byte-identical, and so must each fixture
-run twice in a row; ``--compare`` must tell a moved value from a changed decision and from a
-missing path.
+Two records of one tree, made in one process, must be byte-identical; ``--compare`` must pass
+equal records, and tell a moved value from a changed decision and from a missing path.  Each
+path run twice in a row is ``tests/test_determinism.py``, on the same table.
 """
 
 import hashlib
-import importlib.util
 import json
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("identity_tool", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import identity_tool as _tool
 
 
 def _rows(out):
@@ -45,20 +36,6 @@ def test_two_records_of_one_tree_are_byte_identical(tmp_path, capsys):
         assert int(fixtures) == (2 if name.startswith("cli:") else 3)
 
 
-def test_each_fixture_twice_in_a_row_gives_the_same_bytes():
-    """Catches a state that changes from call to call with any period.  Between two records such a
-    change hides when its period divides the number of calls one record makes."""
-    import qmajor
-    from click.testing import CliRunner
-    from qmajor.cli import main
-
-    tool, runner = _tool(), CliRunner()
-    with runner.isolated_filesystem():
-        for name, make in tool._paths(qmajor).items():
-            first, second = (tool._run_fixture(name, make, 0, main, runner)[0] for _ in range(2))
-            assert first == second, name  # the digest covers every float bit and the report bytes
-
-
 @pytest.fixture
 def records(tmp_path):
     """Two equal library-only records A and B; a test edits B."""
@@ -79,6 +56,21 @@ def _edit(path, edit):
         info["fixtures"][i]["digest"] = hashlib.sha256(b"edited").hexdigest()
     np.savez_compressed(path, meta=np.array(json.dumps(info)),
                         **{f"values{i}": v for i, v in enumerate(values)})
+
+
+def test_a_record_compares_byte_equal_with_itself(records, capsys):
+    """``--compare``'s passing case, the baseline the tests below edit: equal records read every
+    fixture byte-equal, max |diff| ``0`` and decisions ``equal``, print no detail line, exit 0."""
+    tool, a, b = records
+    capsys.readouterr()
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    rows = _rows(out)
+    assert len(rows) == 14 + 9
+    for name, (fixtures, byte_equal, diff, decisions) in rows.items():
+        count = "0" if name.startswith("cli:") else "6"  # the records hold no CLI fixture
+        assert (fixtures, byte_equal, diff, decisions) == (count, count, "0", "equal"), name
+    assert not any(line.startswith(("  moved:", "  decision:")) for line in out.splitlines())
 
 
 def test_compare_fails_on_a_changed_decision(records, capsys):

@@ -21,9 +21,9 @@ Each fixture keeps three things, so two records share a digest only if their bit
 difference of a float leaf, and whether every decision is equal.  It exits 1 when a decision
 differs or a path is missing on one side.  Inputs are built from the seed with numpy alone, so
 every tree sees the same bytes.  Record each tree in its own process, the parent from
-``git archive`` of its commit.  ``tests/test_identity_tool.py`` pins within-build determinism
-on this one table: two records of one tree made in one process, and each fixture run twice in
-a row, must be byte-identical on every path.
+``git archive`` of its commit.  ``tests/test_identity_tool.py`` and ``tests/test_determinism.py``
+pin within-build determinism on this one table: two records of one tree made in one process,
+and each path's fixtures run twice in a row, must be byte-identical on every path.
 Each CLI job writes its input files to a temporary directory; where creating a file is slow,
 point ``TMPDIR`` at a memory file system such as ``/dev/shm``.
 """
