@@ -98,18 +98,18 @@ class SchmidtDecomposition:
 
 
 def _canonical_svd(m: np.ndarray):
-    """Full SVD m = u diag(sigma) vh with canonical column phases.
+    """Full SVD m = u diag(sigma) vh with canonical column phases, and the rank.
 
     Each column of ``u`` is multiplied by the unit phase that makes its first
     component above 1e-12 real positive (the eigenvector convention of
     ``hermitian_eig``); the matching rows of ``vh`` take the conjugate phase,
-    so the product is unchanged.
+    so the product is unchanged.  The rank counts sigma**2 above the cutoff.
     """
     u, sigma, vh = np.linalg.svd(m)
     phases = _canonical_phases(u)
     u = u * phases
     vh[: sigma.size] *= phases[: sigma.size, None].conj()
-    return u, sigma, vh
+    return u, sigma, vh, int(np.sum(sigma**2 > SCHMIDT_RANK_CUTOFF))
 
 
 def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
@@ -122,9 +122,8 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
     coefficients to relative accuracy.
     """
     m = psi.amplitudes
-    u, sigma, vh = _canonical_svd(m)
+    u, sigma, vh, rank = _canonical_svd(m)
     lam = sigma**2
-    rank = int(np.sum(lam > SCHMIDT_RANK_CUTOFF))
     decomp = SchmidtDecomposition(
         coefficients=lam[:rank], basis_a=u[:, :rank], basis_b=vh[:rank].T
     )
@@ -212,31 +211,31 @@ class Cor4Decomposition:
     states_b: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.basis_a * np.sqrt(self.weights)) @ self.states_b
+        """sum_i sqrt(q_i) |basis_a_i> |states_b_i>, scaling states_b: no m x m temporary."""
+        return self.basis_a @ (np.sqrt(self.weights)[:, None] * self.states_b)
 
 
 def _cor4_from_svd(u, sigma, vh, weights, target) -> Cor4Decomposition:
-    """Corollary 4 from the factors of target = u diag(sigma) vh.
+    """Corollary 4 from the factors u diag(sigma) vh of the unpadded rows of ``target``.
 
     The mixing core _mix gives the B-side states, the normalized rows of
     W diag(sigma) vh for a real orthogonal frame W, and u diag(sigma) vh =
     (u W^T) (W diag(sigma) vh) puts the orthonormal A-side basis, W's
-    rotations applied to the columns of u, on the left.  So a weight at or
-    below the rank cutoff shares the heaviest weight's B-side state, its
-    A-side column Givens-rotated against that weight's, and only a weight of
-    exactly 0 gets an unused column and the placeholder e_0.  The witness
-    runs against the spectrum scaled to sum(q), so a target whose norm is off
-    1 by e is rebuilt with an error of about e, and the check allows the
-    pinned 1e-8 plus the amplitude of coefficients below the cutoff.  The
-    check scales the rows of states_b, not the m columns of basis_a, so it
-    forms no m x m temporary.
+    rotations applied to the columns of u, widened by the identity on the
+    zero rows, on the left.  So a weight at or below the rank cutoff shares
+    the heaviest weight's B-side state, its A-side column Givens-rotated
+    against that weight's, and only a weight of exactly 0 gets an unused
+    column and the placeholder e_0.  The witness runs against the spectrum
+    scaled to sum(q), so a target whose norm is off 1 by e is rebuilt with
+    an error of about e; the check calls reconstruct() and allows the pinned
+    1e-8 plus the amplitude of coefficients below the cutoff.
     """
     lam = sigma**2
     states_b, basis_a = _mix(vh, lam, sigma, weights, u)
-    rebuilt = basis_a @ (np.sqrt(weights)[:, None] * states_b)
-    _check_defect(float(np.linalg.norm(rebuilt - target)),
+    decomp = Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
+    _check_defect(float(np.linalg.norm(decomp.reconstruct() - target)),
                   1e-8 + _below_floor(lam), "decomposition reconstruction defect")
-    return Cor4Decomposition(weights=weights, basis_a=basis_a, states_b=states_b)
+    return decomp
 
 
 def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
@@ -245,17 +244,17 @@ def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
     Possible exactly when q is majorized by the Schmidt coefficients of psi;
     a violation raises with the failing partial sum.  When q has more entries
     than psi's A dimension, the A space is enlarged to len(q) and the returned
-    basis vectors live in the enlarged space.
+    basis vectors live in the enlarged space; only psi's own rows are
+    factored, so the basis is the one len(q) x len(q) array formed.
     """
     weights = as_prob_vector(q, name="weights")
-    m = embed_state(psi, max(psi.dim_a, weights.size), psi.dim_b).amplitudes
-    u, sigma, vh = _canonical_svd(m)
-    lam = sigma**2
-    live = lam[lam > SCHMIDT_RANK_CUTOFF]
+    u, sigma, vh, rank = _canonical_svd(psi.amplitudes)
+    live = sigma[:rank] ** 2
     # The coefficients sum to the squared norm, within about 2e-9 of 1, so
     # they are compared at the total of q, as the mixing core mixes them.
     _majorized_pair(weights, live * (weights.sum() / live.sum()), TOL_PROB)
-    return _cor4_from_svd(u, sigma, vh, weights, m)
+    target = embed_state(psi, max(psi.dim_a, weights.size), psi.dim_b).amplitudes
+    return _cor4_from_svd(u, sigma, vh, weights, target)
 
 
 __all__ = [

@@ -141,7 +141,9 @@ def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarr
     Givens rotation of its frame row against the heaviest one's, sharing its
     state.  Only a weight of exactly 0 gets the placeholder e_0.  F is never
     formed: its rotations act on the r columns the states use and on the
-    columns of ``basis``.  Returns (states, U F^T), empty U F^T without one.
+    columns of U, which is ``basis`` widened to len(weights) coordinates when
+    it is narrower, the identity on the new ones.  Returns (states, U F^T),
+    empty U F^T without a basis.
     """
     rank = int(np.sum(lam > _RANK_FLOOR))
     live = weights > _RANK_FLOOR
@@ -160,9 +162,12 @@ def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarr
     slots = np.concatenate([order, np.arange(weights.size, max(chain.dim, weights.size))])
     home = slots.copy()
     home[chain.source_permutation[chain.target_permutation]] = slots[: chain.dim]
-    stack = np.zeros((slots.size, rank + (0 if basis is None else 2 * basis.shape[0])))
+    width = 0 if basis is None else max(basis.shape[0], weights.size)
+    stack = np.zeros((slots.size, rank + 2 * width))
     if basis is not None:
-        stack[:, rank:].view(np.complex128)[home] = basis[:, : slots.size].T
+        n, wide = min(basis.shape[1], slots.size), stack[:, rank:].view(np.complex128)
+        wide[home[:n], : basis.shape[0]] = basis[:, :n].T
+        wide[home[n:], np.arange(n, slots.size)] = 1.0  # the padding's basis, as _lift writes the frame
     _lift(chain, stack, home, rank)
     carry = x[heavy]
     for row in range(n_live, n_pos):

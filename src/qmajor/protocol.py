@@ -1,7 +1,7 @@
 """Exact simulation of entanglement transformation by measure-and-correct.
 
 Starting from a maximally entangled state of Schmidt rank d, a single
-generalized measurement on Bob's side followed by a 2*ceil(log2 d)-bit
+generalized measurement on Bob's side followed by a ceil(2 log2 d)-bit
 message and a shift/clock correction on Alice's side produces any target
 pure state of Schmidt rank at most d, deterministically on every outcome
 branch.
@@ -25,13 +25,7 @@ from .numkernel import (
     _trusted,
     as_complex_matrix,
 )
-from .bipartite import (
-    SCHMIDT_RANK_CUTOFF,
-    BipartiteState,
-    _canonical_svd,
-    _cor4_from_svd,
-    embed_state,
-)
+from .bipartite import BipartiteState, _canonical_svd, _cor4_from_svd, embed_state
 
 
 def shift_op(d: int) -> np.ndarray:
@@ -97,13 +91,16 @@ def _measurement_operator(states: np.ndarray, d: int) -> np.ndarray:
 
     ``states`` is a d x dim_b complex array, dim_b >= d, of unit rows.  The
     scale 1/sqrt(d * sum_i |psi_i|^2) makes the twirled operators E X^s Z^t
-    resolve the identity on the first d coordinates.
+    resolve the identity on the first d coordinates.  The twirl identity
+    checks that completeness from E alone, so no operator stack needs a Gram.
     """
     _check_unit_rows(states, "target state")
 
     f = np.ascontiguousarray(states.T)
     weight = float(np.trace(f.conj().T @ f).real)
-    return f / np.sqrt(d * weight)
+    e = f / np.sqrt(d * weight)
+    _check_defect(_completeness_defect(e, d), 1e-10, "measurement completeness defect")
+    return e
 
 
 def _shifted(e: np.ndarray, d: int, s) -> np.ndarray:
@@ -154,8 +151,6 @@ def build_measurement(target_states_b, d: int) -> MeasurementSet:
     if states.shape[1] < d:
         raise ValidationError(f"Bob dimension {states.shape[1]} smaller than d={d}")
     e = _measurement_operator(states, d)
-    # The twirl identity checks completeness from E alone, so the stack needs no Gram.
-    _check_defect(_completeness_defect(e, d), 1e-10, "measurement completeness defect")
     dim_b = e.shape[0]
     ops = np.zeros((d, d, dim_b, dim_b), dtype=np.complex128)
     ops[:, :, d:, d:] = np.eye(dim_b - d) / d
@@ -225,11 +220,9 @@ class _ProtocolSetup:
 
 def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     d = _as_dim(d, "dimension", 1)
-    n_a = max(phi_target.dim_a, d)
-    n_b = max(phi_target.dim_b, d)
-    target = embed_state(phi_target, n_a, n_b)
-    u, sigma, vh = _canonical_svd(target.amplitudes)
-    rank = int(np.sum(sigma**2 > SCHMIDT_RANK_CUTOFF))
+    target = embed_state(phi_target, max(phi_target.dim_a, d), max(phi_target.dim_b, d))
+    # Only Bob is padded for the SVD; Alice's padding coordinates get the identity in _mix.
+    u, sigma, vh, rank = _canonical_svd(target.amplitudes[: phi_target.dim_a])
     if rank > d:
         raise DomainError(
             f"target Schmidt rank {rank} exceeds source rank {d}; "
@@ -241,9 +234,8 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     # is undone at the end of every branch as a free local operation.  In
     # that frame the target is u diag(sigma), so Corollary 4 reuses the SVD.
     aligned = target.amplitudes @ vh.conj().T
-    rewrite = _cor4_from_svd(u, sigma, np.eye(n_b), np.full(d, 1.0 / d), aligned)
+    rewrite = _cor4_from_svd(u, sigma, np.eye(target.dim_b), np.full(d, 1.0 / d), aligned)
     e = _measurement_operator(rewrite.states_b, d)
-    _check_defect(_completeness_defect(e, d), 1e-10, "measurement completeness defect")
     # Every branch ends on the unit target, so fidelity is measured against
     # the target normalized once here, not against its accepted norm.
     unit = _trusted(BipartiteState, amplitudes=target.amplitudes / target.norm())

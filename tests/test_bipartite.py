@@ -116,8 +116,8 @@ class TestSchmidt:
         svd = bipartite._canonical_svd
 
         def off_by_2e8(m):
-            u, sigma, vh = svd(m)
-            return u, sigma + np.eye(1, sigma.size)[0] * 2e-8, vh
+            u, sigma, vh, rank = svd(m)
+            return u, sigma + np.eye(1, sigma.size)[0] * 2e-8, vh, rank
 
         monkeypatch.setattr(bipartite, "_canonical_svd", off_by_2e8)
         with pytest.raises(ValidationError, match="Schmidt reconstruction defect"):
@@ -363,7 +363,7 @@ class TestCorollary4:
 
     def test_reconstruction_defect_is_caught(self, rng):
         psi = random_bipartite(3, 3, rng)
-        u, sigma, vh = bipartite._canonical_svd(psi.amplitudes)
+        u, sigma, vh, _ = bipartite._canonical_svd(psi.amplitudes)
         target = psi.amplitudes.copy()
         target[0, 0] += 2e-8
         with pytest.raises(ValidationError, match="reconstruction defect"):

@@ -17,6 +17,7 @@ from qmajor.bipartite import BipartiteState, corollary4_decompose, embed_state, 
 from qmajor.ensembles import synthesize_ensemble, uniform_ensemble
 from qmajor.majorize import TTransform, horn_orthogonal
 from qmajor.numkernel import DensityMatrix, random_density
+from qmajor.protocol import enumerate_protocol, run_protocol
 
 from conftest import mix_down, random_bipartite, rank_deficient_bipartite
 
@@ -99,8 +100,10 @@ def test_corollary4_equals_the_dense_frame_oracle():
         else:
             psi = rank_deficient_bipartite(dim_a, dim_b, int(rng.integers(1, min(dim_a, dim_b) + 1)), rng)
         q = _weights(schmidt(psi).coefficients, rng, CASES[(i // 2) % len(CASES)])
-        m = embed_state(psi, max(psi.dim_a, q.size), psi.dim_b).amplitudes
-        u, sigma, vh = bipartite._canonical_svd(m)
+        # The SVD of psi's own rows, with the identity on the padding coordinates.
+        u_a, sigma, vh, _ = bipartite._canonical_svd(psi.amplitudes)
+        u = np.eye(max(psi.dim_a, q.size), dtype=np.complex128)
+        u[: psi.dim_a, : psi.dim_a] = u_a
         frame, order, rank, n_pos = _oracle_frame(sigma**2, q)
         states_b = _oracle_states(frame, order, rank, n_pos, sigma, vh, q.size)
         n = frame.shape[0]
@@ -130,6 +133,30 @@ def test_mixing_paths_build_no_identity_and_no_dense_lift(monkeypatch, rng):
     corollary4_decompose(state, q)
 
 
+def test_padding_rows_are_never_factored(monkeypatch, rng):
+    # Corollary 4 with len(q) > dim_a, and the protocol with d > dim_a, zero-pad A; the
+    # padding's basis is the identity, so every SVD is of the state's own dim_a rows.
+    svd, shapes = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for dim_a, dim_b in ((1, 3), (2, 2), (2, 5), (3, 2)):
+        psi = random_bipartite(dim_a, dim_b, rng)
+        coeffs = np.linalg.svd(psi.amplitudes, compute_uv=False) ** 2
+        q = mix_down(np.concatenate([coeffs, np.zeros(3)]), rng)
+        d = max(dim_a, dim_b) + 2
+        shapes.clear()
+        dec = corollary4_decompose(psi, q)
+        run_protocol(psi, d, seed=5)
+        branches = enumerate_protocol(psi, d)
+        assert shapes and all(rows == dim_a for rows, _ in shapes), (dim_a, dim_b, shapes)
+        assert dec.basis_a.shape == (q.size, q.size)
+        assert len(branches) == d * d
+
+
 def test_uniform_ensemble_memory_grows_with_members_not_their_square():
     # An m x m frame of float64 alone would be 32 MB at m=2000.
     rho = DensityMatrix(np.diag([0.7, 0.3]))
@@ -143,9 +170,9 @@ def test_uniform_ensemble_memory_grows_with_members_not_their_square():
     assert np.linalg.norm((ens.states.T * ens.weights) @ ens.states.conj() - rho.matrix) <= 1e-8
 
 
-def test_corollary4_holds_two_m_by_m_arrays_not_three():
-    # Padding a Bell state to m=2000 takes the SVD's U and the rotated stack that
-    # becomes basis_a, 61 MiB each; the reconstruction check adds no third.
+def test_corollary4_holds_one_m_by_m_array():
+    # Padding a Bell state to m=2000 holds only the rotated stack that becomes basis_a,
+    # 61 MiB: the SVD is of the 2 x 2 amplitudes, and the reconstruction check adds none.
     bell = BipartiteState(amplitudes=np.eye(2, dtype=complex) / np.sqrt(2))
     tracemalloc.start()
     try:
@@ -153,5 +180,5 @@ def test_corollary4_holds_two_m_by_m_arrays_not_three():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150 * 2**20, peak
+    assert peak < 90 * 2**20, peak
     assert np.linalg.norm(dec.reconstruct() - embed_state(bell, 2000, 2).amplitudes) <= 1e-8

@@ -38,10 +38,10 @@ def test_two_records_of_one_tree_are_byte_identical(tmp_path, capsys):
 
 @pytest.fixture
 def records(tmp_path):
-    """Two equal library-only records A and B; a test edits B."""
+    """Two equal records A and B, six fixtures per library path and one per CLI job; a test edits B."""
     tool = _tool()
     a, b = tmp_path / "A", tmp_path / "B"
-    assert tool.main(["record", str(a), "--fixtures", "6", "--cli-fixtures", "0"]) == 0
+    assert tool.main(["record", str(a), "--fixtures", "6", "--cli-fixtures", "1"]) == 0
     shutil.copytree(a, b)
     return tool, a, b
 
@@ -68,9 +68,9 @@ def test_a_record_compares_byte_equal_with_itself(records, capsys):
     rows = _rows(out)
     assert len(rows) == 14 + 9
     for name, (fixtures, byte_equal, diff, decisions) in rows.items():
-        count = "0" if name.startswith("cli:") else "6"  # the records hold no CLI fixture
+        count = "1" if name.startswith("cli:") else "6"
         assert (fixtures, byte_equal, diff, decisions) == (count, count, "0", "equal"), name
-    assert not any(line.startswith(("  moved:", "  decision:")) for line in out.splitlines())
+    assert not any(line.startswith(("  moved:", "  decision:", "  bytes:")) for line in out.splitlines())
 
 
 def test_compare_fails_on_a_changed_decision(records, capsys):
@@ -119,6 +119,21 @@ def test_compare_reports_a_moved_last_bit_and_passes(records, capsys):
     assert 0 < float(diff) < 1e-15
     assert any(line.startswith("  moved: hermitian_eig ") and "in 1 fixtures" in line
                for line in out.splitlines())
+
+
+def test_compare_names_a_fixture_whose_report_bytes_alone_moved(records, capsys):
+    """A CLI report whose bytes moved, say its whitespace, with equal decisions and float leaves:
+    no ``moved:`` or ``decision:`` line can name it, so a ``bytes:`` line does."""
+    tool, a, b = records
+    _edit(b / "cli_schmidt.npz", lambda fixtures, values: [0])
+    capsys.readouterr()
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert _rows(out)["cli:schmidt"] == ("1", "0", "0", "equal")
+    with np.load(b / "cli_schmidt.npz") as z:
+        label = json.loads(str(z["meta"]))["fixtures"][0]["label"]
+    notes = [line for line in out.splitlines() if line.startswith("  ")]
+    assert notes == [f"  bytes: cli:schmidt fixture {label}: decisions and float leaves equal"]
 
 
 def test_a_last_bit_is_a_value_and_a_message_is_a_decision():

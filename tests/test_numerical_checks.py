@@ -215,7 +215,8 @@ def test_every_defect_check_goes_through_the_one_rule():
     offenders = _raises_outside("_check_defect", "defect")
     assert not offenders, offenders
     # hermitian_eig (2), witness, unitary_to_stochastic, schmidt,
-    # relate_purifications (2), _cor4_from_svd, MeasurementSet and _prepare.
+    # relate_purifications (2), _cor4_from_svd, MeasurementSet and
+    # _measurement_operator, the completeness check of both protocol paths.
     assert len(_callers("_check_defect")) >= 10
 
 

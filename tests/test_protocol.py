@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -372,7 +374,14 @@ class TestStructuredMeasurement:
                     shape = (d, support)
                     states[:, :support] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                     states /= np.linalg.norm(states, axis=1)[:, None]
-                    e = _measurement_operator(states, d)
+                    # E at _measurement_operator's scale, 1/sqrt(d * sum_i |psi_i|^2) = 1/d for
+                    # unit rows, built here: that function rejects support past d.
+                    e = states.T / d
+                    if support == d:
+                        assert np.max(np.abs(_measurement_operator(states, d) - e)) <= 1e-15
+                    else:
+                        with pytest.raises(ValidationError, match="completeness defect"):
+                            _measurement_operator(states, d)
                     ops = self.dense_stack(e, d)
                     total = sum(ops[s, t].conj().T @ ops[s, t] for s in range(d) for t in range(d))
                     dense = np.linalg.norm(total - np.eye(dim_b))
@@ -667,3 +676,11 @@ class TestCommCost:
     def test_non_power_of_two(self):
         # ceil(2 log2 3) = ceil(3.17) = 4
         assert comm_cost(3).bits == 4
+
+    def test_bits_are_ceil_log2_of_the_outcome_count(self):
+        # d^2 outcomes take ceil(log2 d^2) = ceil(2 log2 d) bits, not 2 ceil(log2 d):
+        # at d = 5 that is 5 bits, not 6.
+        assert comm_cost(5).bits == 5
+        assert comm_cost(1).bits == 0
+        for d in range(2, 65):
+            assert comm_cost(d).bits == math.ceil(math.log2(d * d)), d

@@ -18,9 +18,12 @@ Each fixture keeps three things, so two records share a digest only if their bit
   the report bytes.
 
 ``--compare A B`` prints, per path: fixtures, byte-equal fixtures, the largest absolute
-difference of a float leaf, and whether every decision is equal.  It exits 1 when a decision
-differs or a path is missing on one side.  Inputs are built from the seed with numpy alone, so
-every tree sees the same bytes.  Record each tree in its own process, the parent from
+difference of a float leaf, and whether every decision is equal.  Under the table, a ``moved:``
+line names each float leaf that moved, a ``decision:`` line a fixture whose decisions differ,
+and a ``bytes:`` line one whose digest alone differs, such as a CLI report's whitespace (the
+last two for at most three fixtures per path).  It exits 1 when a decision differs or a path
+is missing on one side.  Inputs are built from the seed with numpy alone, so every tree sees
+the same bytes.  Record each tree in its own process, the parent from
 ``git archive`` of its commit.  ``tests/test_identity_tool.py`` and ``tests/test_determinism.py``
 pin within-build determinism on this one table: two records of one tree made in one process,
 and each path's fixtures run twice in a row, must be byte-identical on every path.
@@ -472,7 +475,7 @@ def compare(a_dir: Path, b_dir: Path) -> int:
     a, b = _load(a_dir), _load(b_dir)
     print(f"A: {a_dir}\nB: {b_dir}")
     print(f"{'path':42s} {'fixtures':>8s} {'byte-equal':>10s} {'max |diff|':>11s}  decisions")
-    failed, moved, examples = False, {}, []
+    failed, moved, examples, unexplained = False, {}, [], []
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             print(f"{name:42s} missing in {'A' if name not in a else 'B'}")
@@ -497,6 +500,8 @@ def compare(a_dir: Path, b_dir: Path) -> int:
                 for pattern, leaf_diffs in leaves.items():  # one entry per fixture and leaf key
                     diffs.append(float(np.max(leaf_diffs)))
                     moved.setdefault((name, pattern), []).append(diffs[-1])
+                if not leaves and sum(line.startswith(f"{name} fixture ") for line in unexplained) < 3:
+                    unexplained.append(f"{name} fixture {ea['label']}")  # only a report's bytes moved
         worst = float(np.max(diffs, initial=0.0))  # a NaN, if any, propagates
         failed |= not decisions_equal
         print(f"{name:42s} {len(fa):8d} {equal_bytes:10d} {worst:11.3g}  "
@@ -506,6 +511,8 @@ def compare(a_dir: Path, b_dir: Path) -> int:
               f"max |diff| {np.max(leaf_diffs):.3g}")
     for line in examples:
         print(f"  decision: {line}")
+    for line in unexplained:
+        print(f"  bytes: {line}: decisions and float leaves equal")
     return 1 if failed else 0
 
 
