@@ -23,6 +23,7 @@ from .numkernel import (
     _as_tol,
     _check_unit,
     _check_unit_rows,
+    _norm,
     _trusted,
     as_complex_matrix,
     validate_density,
@@ -131,19 +132,19 @@ def is_compatible(p, rho: DensityMatrix, tol: float = TOL_PROB) -> bool:
 def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarray, basis=None):
     """The one mixing core of synthesis (rows V^T) and Corollary 4 (rows V^H, basis U).
 
-    States are the normalized rows of F diag(sigma) rows, F a real orthogonal
-    frame, sigma = sqrt(lam) decreasing.  The Horn witness (W o W) lam =
-    weights is built against lam as given: synthesis passes the eigenvalues
-    themselves, so a weight equal to one meets it exactly, not through the
-    roundoff of sigma**2.  Spectrum and weights at or below the rank floor
-    skip the witness, so none absorbs its roundoff: the heaviest weight
-    carries the positive ones among them, and each is split off it by a
-    Givens rotation of its frame row against the heaviest one's, sharing its
-    state.  Only a weight of exactly 0 gets the placeholder e_0.  F is never
-    formed: its rotations act on the r columns the states use and on the
-    columns of U, which is ``basis`` widened to len(weights) coordinates when
-    it is narrower, the identity on the new ones.  Returns (states, U F^T),
-    empty U F^T without a basis.
+    States are the rows of F diag(sigma) rows, F a real orthogonal frame,
+    sigma = sqrt(lam) decreasing, each divided by its ``_norm``, so unit even
+    at a subnormal weight.  The Horn witness (W o W) lam = weights is built
+    against lam as given: synthesis passes the eigenvalues themselves, so a
+    weight equal to one meets it exactly, not through the roundoff of
+    sigma**2.  Spectrum and weights at or below the rank floor skip the
+    witness, so none absorbs its roundoff: the heaviest weight carries the
+    positive ones among them, and each is split off it by a Givens rotation of
+    its frame row against the heaviest one's, sharing its state.  Only a weight
+    of exactly 0 gets the placeholder e_0.  F is never formed: its rotations
+    act on the r columns the states use and on the columns of U, which is
+    ``basis`` widened to len(weights) coordinates when it is narrower, the
+    identity on the new ones.  Returns (states, U F^T), empty without a basis.
     """
     rank = int(np.sum(lam > _RANK_FLOOR))
     live = weights > _RANK_FLOOR
@@ -176,13 +177,12 @@ def _mix(rows: np.ndarray, lam: np.ndarray, sigma: np.ndarray, weights: np.ndarr
         carry -= weights[order[row]]
 
     mixed = (stack[order[:n_pos], :rank] * sigma[:rank]) @ rows[:rank]
-    norms = np.linalg.norm(mixed, axis=1)
+    norms = _norm(mixed, axis=1)
     if np.any(norms <= 0.0):
         i = int(order[np.argmin(norms)])
         raise ValidationError(f"degenerate mix for member {i} with weight {float(weights[i])!r}")
     states = np.zeros((weights.size, rows.shape[1]), dtype=np.complex128)
-    # The mix has norm sqrt(p_i) by construction; normalizing by the actual
-    # norm is the same state with the roundoff scrubbed.
+    # Normalizing by the actual norm, not sqrt(p_i), scrubs the roundoff of the mix.
     states[order[:n_pos]] = mixed / norms[:, None]
     states[order[n_pos:], 0] = 1.0
     return states, stack[: weights.size, rank:].view(np.complex128).T

@@ -77,18 +77,18 @@ def _check_defect(defect: float, bound: float, what: str) -> None:
         raise ValidationError(f"{what} {defect:.3e} exceeds {bound:.3g}")
 
 
-def _norm(a: np.ndarray) -> float:
-    """Frobenius norm of ``a`` prescaled by a power of two at its largest modulus, so no square
-    overflows or underflows; the scaling is exact, so in range this is ``np.linalg.norm(a)``."""
-    peak = float(np.abs(a).max(initial=0.0))
-    if not 0.0 < peak < math.inf:
-        return peak
-    if peak < sys.float_info.min:
-        # numpy divides complex entries by multiplying with the divisor's reciprocal, which
-        # is inf for a subnormal power of two; lifting every entry by 2^1022 is exact here.
-        return _norm(a * 2.0**1022) * 2.0**-1022
-    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    return float(np.linalg.norm(a / scale)) * scale
+def _norm(a: np.ndarray, axis: int | None = None):
+    """Frobenius norm of ``a``, or of each slice along ``axis``, of a copy that ``np.ldexp`` scales
+    exactly (real and imaginary parts apart, one exponent per slice) to a largest modulus in
+    [1, 2): no square over- or underflows, so in range this is ``np.linalg.norm`` bit for bit."""
+    with np.errstate(over="ignore"):  # a modulus or a norm past float64 is inf
+        exp = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1] - 1
+        scaled = np.empty_like(a)
+        np.ldexp(a.real, -exp, out=scaled.real)
+        if np.iscomplexobj(a):
+            np.ldexp(a.imag, -exp, out=scaled.imag)
+        norm = np.ldexp(np.linalg.norm(scaled, axis=axis), np.squeeze(exp, axis))
+    return float(norm) if axis is None else norm
 
 
 def _trusted(cls, **fields):
@@ -106,9 +106,8 @@ def _check_unit(value, tol: float, what: str) -> None:
 
 
 def _check_unit_rows(rows: np.ndarray, what: str) -> None:
-    """``_check_unit`` at TOL_NORM on the row norm farthest from 1, as ``"{what} {i} norm"``."""
-    with np.errstate(over="ignore"):  # no square is formed: only a norm past float64 is inf
-        norms = np.hypot.reduce(np.abs(rows), axis=-1)
+    """``_check_unit`` at TOL_NORM on the row ``_norm`` farthest from 1, as ``"{what} {i} norm"``."""
+    norms = _norm(rows, axis=-1)
     i = int(np.argmax(np.abs(norms - 1.0)))
     _check_unit(float(norms[i]), TOL_NORM, f"{what} {i} norm")
 
@@ -258,6 +257,8 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     n, cols = m.shape
     if n != cols:
         raise ValidationError(f"Hermitian input must be square, got shape {m.shape}")
+    if not n:
+        raise ValidationError("Hermitian input is empty")
     defect = _hermiticity_defect(m)
     if defect > _as_tol(tol):
         raise ValidationError(

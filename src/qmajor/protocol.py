@@ -89,13 +89,11 @@ class MeasurementSet:
 def _measurement_operator(states: np.ndarray, d: int) -> np.ndarray:
     """The dim_b x d operator E of the measurement: column i is target state i, scaled.
 
-    ``states`` is a d x dim_b complex array, dim_b >= d, of unit rows.  The
-    scale 1/sqrt(d * sum_i |psi_i|^2) makes the twirled operators E X^s Z^t
-    resolve the identity on the first d coordinates.  The twirl identity
-    checks that completeness from E alone, so no operator stack needs a Gram.
+    ``states`` is a d x dim_b array, dim_b >= d, of unit rows (from ``_mix``,
+    or checked by ``build_measurement``).  The scale 1/sqrt(d sum_i |psi_i|^2)
+    makes the twirled operators E X^s Z^t resolve the identity on the first d
+    coordinates; the twirl identity checks that completeness from E alone.
     """
-    _check_unit_rows(states, "target state")
-
     f = np.ascontiguousarray(states.T)
     weight = float(np.trace(f.conj().T @ f).real)
     e = f / np.sqrt(d * weight)
@@ -138,11 +136,11 @@ def _completeness_defect(e: np.ndarray, d: int) -> float:
 def build_measurement(target_states_b, d: int) -> MeasurementSet:
     """Measurement whose outcomes all steer |i> onto the target states.
 
-    ``target_states_b`` must be d unit states supported on the first d
-    coordinates of Bob's space (the Schmidt support of the maximally
-    entangled source).  F maps |i> to the i-th target state; E is F scaled
-    so that the d^2 twirled operators E X^s Z^t resolve the identity, and on
-    any extra Bob dimensions each operator acts as identity/d.
+    ``target_states_b`` must be d unit states, checked after their shapes,
+    supported on the first d coordinates of Bob's space (the Schmidt support
+    of the maximally entangled source).  F maps |i> to the i-th target state;
+    E is F scaled so that the d^2 twirled operators E X^s Z^t resolve the
+    identity, and on any extra Bob dimensions each operator acts as identity/d.
     """
     d = _as_dim(d, "dimension", 1)
     states = as_complex_matrix(target_states_b, "target states")
@@ -150,6 +148,7 @@ def build_measurement(target_states_b, d: int) -> MeasurementSet:
         raise ValidationError(f"need exactly {d} target states, got {states.shape[0]}")
     if states.shape[1] < d:
         raise ValidationError(f"Bob dimension {states.shape[1]} smaller than d={d}")
+    _check_unit_rows(states, "target state")
     e = _measurement_operator(states, d)
     dim_b = e.shape[0]
     ops = np.zeros((d, d, dim_b, dim_b), dtype=np.complex128)

@@ -49,6 +49,7 @@ JUNK = [
     float("nan"), float("inf"), float("-inf"), 1e400, 10**400,
     -1, -0.5, np.int64(-3), True, False, 1 + 1j, [1 + 1j, 0],
     "x", "2", "0.5", ["0.5", "0.5"], [float("nan"), 1.0], [1e400, 0.0], 10**30, None,
+    [], np.zeros(0), np.zeros((0, 0)), np.zeros((0, 2)),
 ]
 
 BELL = np.array([[1, 0], [0, 1]]) / np.sqrt(2)

@@ -109,6 +109,14 @@ class TestExitCodes:
         assert report["result"]["reconstruction_error"] <= 1e-8
         assert all(len(i["sha256"]) == 64 for i in report["inputs"])
 
+    def test_subnormal_weight_succeeds(self, runner, write, tmp_path):
+        out = tmp_path / "rep.json"
+        rho = write("rho.json", dict(RHO, entries=[[[0.6, 0], [0, 0]], [[0, 0], [0.4, 0]]]))
+        p = write("p.json", {"kind": "probvec", "weights": [0.6, 0.4, 5e-324]})
+        res = runner.invoke(main, ["ensemble-synth", "-i", rho, "-i", p, "-o", str(out)])
+        assert res.exit_code == EXIT_OK
+        assert json.loads(out.read_text())["result"]["reconstruction_error"] <= 1e-8
+
     def test_domain_rejection(self, runner, files, tmp_path):
         out = tmp_path / "rep.json"
         res = runner.invoke(main, [

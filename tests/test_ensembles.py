@@ -183,6 +183,14 @@ class TestSynthesizeEnsemble:
         assert verify_ensemble(ens, rho).passed
         assert np.array_equal(ens.synthetic, ens.weights == 0)
 
+    @pytest.mark.parametrize("w", [5e-324, 1e-321, 1e-318, 1e-314])
+    def test_subnormal_weights_get_unit_states(self, w):
+        # An unscaled row norm squares a subnormal weight's amplitude to zero or to a few bits.
+        rho = validate_density(np.diag([0.6, 0.4]))
+        ens = synthesize_ensemble(rho, [0.6, 0.4 - w, w])
+        assert verify_ensemble(ens, rho).passed
+        assert np.max(np.abs(np.linalg.norm(ens.states, axis=1) - 1.0)) <= 1e-15
+
     def test_round_trip_random(self, rng):
         for _ in range(40):
             dim = int(rng.integers(2, 17))

@@ -228,7 +228,7 @@ def test_every_unit_quantity_goes_through_the_one_rule():
     # The six sites; BipartiteState's and Ensemble's are their __post_init__.
     callers = _callers("_check_unit", "_check_unit_rows")
     assert {"as_prob_vector", "validate_density", "entropy_report",
-            "_measurement_operator"} <= set(callers)
+            "build_measurement"} <= set(callers)
     assert callers.count("__post_init__") == 2
 
 

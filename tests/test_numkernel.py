@@ -63,6 +63,10 @@ class TestHermitianEig:
         with pytest.raises(ValidationError, match="Hermiticity"):
             hermitian_eig([[0, 1], [0, 0]])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValidationError, match="Hermitian input is empty"):
+            hermitian_eig(np.zeros((0, 0)))
+
     def test_orthonormality_bound_does_not_grow_with_the_norm(self, monkeypatch):
         # Columns of the null space scaled by 1 + 1e-6 leave the reconstruction
         # exact but are 2e-6 from orthonormal, at any norm of the input.
@@ -199,6 +203,24 @@ class TestFrobeniusDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape"):
             frobenius_distance(np.eye(2), np.eye(3))
+
+
+class TestNorm:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("axis", [None, 1])
+    def test_is_numpys_norm_in_range_and_scales_exactly(self, rng, axis, complex_):
+        a = rng.normal(size=(5, 7)) + (1j * rng.normal(size=(5, 7)) if complex_ else 0.0)
+        want = np.linalg.norm(a, axis=axis)
+        assert np.array_equal(numkernel._norm(a, axis), want)
+
+        def scaled(k):
+            return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k) if complex_ else np.ldexp(a, k)
+        for k in (1000, -1000):
+            assert np.array_equal(numkernel._norm(scaled(k), axis), np.ldexp(want, k))
+
+    def test_subnormal_rows_have_their_norm(self):
+        rows = np.array([[3.0, 4.0], [0.0, 0.0]]) * 2.0**-1070
+        assert numkernel._norm(rows, 1).tolist() == [5.0 * 2.0**-1070, 0.0]
 
 
 class TestRandomDensity:

@@ -7,8 +7,9 @@
 jobs (the eight commands, ``protocol-run`` both sampled and ``--exhaustive``, through click's
 ``CliRunner``) on seeded fixture families, and writes one ``DIR/<path>.npz`` per path.  The
 families are square, rectangular, rank-deficient, zero-padded and embedded targets, maximally
-entangled and product targets, degenerate spectra, weights in (0, 1e-12], zero weights,
-weights equal to the eigenvalues, numpy-integer sizes, domain rejections and invalid input.
+entangled and product targets, degenerate spectra, weights in (0, 1e-12] (subnormal ones
+included), zero weights, weights equal to the eigenvalues, numpy-integer sizes, domain
+rejections and invalid input.
 
 Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
@@ -152,6 +153,8 @@ def _weights(rng, lam, family):
         return lam.copy()
     if family == "tiny":  # a Robin Hood transfer of up to 1e-12 into new slots
         eps = rng.uniform(0, 1e-12, size=int(rng.integers(1, 3))) + 1e-300
+        if rng.random() < 0.5:  # and on about half, one subnormal weight, drawn last
+            eps = np.append(eps, 10.0 ** rng.uniform(-323, -308))
         p[int(np.argmax(p))] -= eps.sum()
         return np.concatenate([p, eps])
     if family == "zeros":
