@@ -26,19 +26,15 @@ from .numkernel import (
     _canonical_phases,
     _check_defect,
     _check_unit,
+    _density_from_factor,
     _gram_defect,
     _norm,
     _trusted,
     as_complex_matrix,
     frobenius_distance,
-    validate_density,
 )
 from .majorize import _majorized_pair, as_prob_vector
 from .ensembles import Ensemble, _mix, mixture_matrix
-
-# Schmidt coefficients at or below this are treated as zero when deciding rank.
-SCHMIDT_RANK_CUTOFF = _RANK_FLOOR
-
 
 @dataclass(frozen=True)
 class BipartiteState:
@@ -109,7 +105,7 @@ def _canonical_svd(m: np.ndarray):
     phases = _canonical_phases(u)
     u = u * phases
     vh[: sigma.size] *= phases[: sigma.size, None].conj()
-    return u, sigma, vh, int(np.sum(sigma**2 > SCHMIDT_RANK_CUTOFF))
+    return u, sigma, vh, int(np.sum(sigma**2 > _RANK_FLOOR))
 
 
 def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
@@ -134,15 +130,14 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
 
 
 def reduced_density(psi: BipartiteState, side: str) -> DensityMatrix:
-    """Partial trace onto subsystem ``side`` ("A" or "B")."""
-    m = psi.amplitudes
+    """Partial trace onto subsystem ``side`` ("A" or "B"), from one SVD of its factor: the
+    amplitudes over their norm, so any norm the state accepted has trace 1, transposed for B."""
+    m = psi.amplitudes / psi.norm()
     if str(side).upper() == "A":
-        raw = m @ m.conj().T
-    elif str(side).upper() == "B":
-        raw = m.T @ m.conj()
-    else:
-        raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
-    return validate_density(raw)
+        return _density_from_factor(m)
+    if str(side).upper() == "B":
+        return _density_from_factor(m.T)
+    raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def purify(rho: DensityMatrix, weights, states, tol: float = 1e-8) -> BipartiteState:
@@ -261,7 +256,6 @@ __all__ = [
     "BipartiteState",
     "Cor4Decomposition",
     "SchmidtDecomposition",
-    "SCHMIDT_RANK_CUTOFF",
     "corollary4_decompose",
     "embed_state",
     "purify",

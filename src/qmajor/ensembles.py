@@ -23,10 +23,10 @@ from .numkernel import (
     _as_tol,
     _check_unit,
     _check_unit_rows,
+    _density_from_factor,
     _norm,
     _trusted,
     as_complex_matrix,
-    validate_density,
 )
 from .majorize import (
     SchurReport,
@@ -34,7 +34,6 @@ from .majorize import (
     _lift,
     _majorized_pair,
     _neg_entropy,
-    _nonneg_vector,
     _rotate_rows,
     _schur,
     _sorted_pair,
@@ -115,8 +114,9 @@ def mixture_matrix(ensemble: Ensemble) -> np.ndarray:
 
 
 def density_from_ensemble(ensemble: Ensemble, tol: float = 1e-9) -> DensityMatrix:
-    """Assemble and validate sum_i w_i |psi_i><psi_i|."""
-    return validate_density(mixture_matrix(ensemble), tol=tol)
+    """sum_i w_i |psi_i><psi_i|, trace 1 within ``tol``, from one SVD of its factor, the columns
+    sqrt(w_i) psi_i, as entropy_report takes its spectrum."""
+    return _density_from_factor(ensemble.states.T * np.sqrt(ensemble.weights), tol)
 
 
 def is_compatible(p, rho: DensityMatrix, tol: float = TOL_PROB) -> bool:
@@ -205,11 +205,6 @@ def synthesize_ensemble(rho: DensityMatrix, p) -> Ensemble:
     return _trusted(Ensemble, weights=weights, states=states, synthetic=weights == 0.0)
 
 
-def rank_of(rho: DensityMatrix) -> int:
-    """Number of eigenvalues above 1e-9."""
-    return int(np.sum(rho.eigenvalues() > 1e-9))
-
-
 def uniform_ensemble(rho: DensityMatrix, m: int) -> Ensemble:
     """Equal-weight ensemble of m pure states realizing rho.
 
@@ -256,16 +251,6 @@ def verify_ensemble(ensemble: Ensemble, rho: DensityMatrix, tol: float = 1e-8) -
         norm_deviations=deviations,
         tol=tol,
     )
-
-
-def shannon_entropy(weights) -> float:
-    """Shannon entropy in nats of a 1-D vector, 0 log 0 := 0; entries in [-1e-9, 0) count as 0."""
-    return -_neg_entropy(_nonneg_vector(weights, TOL_PROB, "weights"))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy of the spectrum, in nats."""
-    return -_neg_entropy(rho.eigenvalues())
 
 
 @dataclass(frozen=True)

@@ -162,21 +162,6 @@ def frobenius_distance(a, b) -> float:
     return distance
 
 
-def fix_global_phase(v: np.ndarray) -> np.ndarray:
-    """Multiply by a unit phase so the largest-magnitude entry is real positive.
-
-    Returns the input unchanged when every entry is at most 1e-12.  Works on
-    arrays of any shape; the convention picks the first entry attaining the
-    maximum magnitude in C-order, which makes equality assertions well-defined.
-    """
-    m = np.asarray(v, dtype=np.complex128)
-    flat = m.reshape(-1)
-    pivot = flat[np.abs(flat).argmax()]
-    if abs(pivot) <= _PHASE_FLOOR:
-        return m.copy(order="K")
-    return m * (pivot.conjugate() / abs(pivot))
-
-
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
     """Per-column unit phases making each column's first component above 1e-12 real positive.
 
@@ -208,6 +193,24 @@ class Spectrum:
         """Assemble sum(lambda_j v_j v_j^dagger)."""
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+
+def _canonical_spectrum(eigvals: np.ndarray, v: np.ndarray) -> Spectrum:
+    """The one canonical form of a spectrum, whichever route found it: ``_canonical_phases``,
+    eigenvalues decreasing, exact ties in decreasing lexicographic order of the phase-fixed
+    eigenvectors, which must be orthonormal within TOL_ORTH."""
+    n = eigvals.size
+    # Canonical phases before tie-breaking so the sort key is well-defined.
+    v = v * _canonical_phases(v)
+    # Primary key (last for np.lexsort): -eigenvalue; then -re, -im per component.
+    keys = np.empty((2 * n + 1, n))
+    keys[0:-1:2] = -v.imag[::-1]
+    keys[1:-1:2] = -v.real[::-1]
+    keys[-1] = -eigvals
+    order = np.lexsort(keys)
+    vecs = v[:, order]
+    _check_defect(_gram_defect(vecs), TOL_ORTH, "eigenvector orthonormality defect")
+    return Spectrum(eigenvalues=eigvals[order], eigenvectors=vecs)
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
@@ -248,10 +251,7 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
 
     Uses cyclic Jacobi rotations in a fixed (row-major) sweep order until the
     off-diagonal Frobenius norm drops below 1e-12 or 100 sweeps elapse, so the
-    output is a pure function of the input.  Eigenvectors carry a canonical
-    phase (first component above 1e-12 made real positive) and exact eigenvalue
-    ties are ordered by decreasing lexicographic order of the phase-fixed
-    eigenvectors.
+    output is a pure function of the input, in the form of ``_canonical_spectrum``.
     """
     m = as_complex_matrix(h, "Hermitian input")
     n, cols = m.shape
@@ -287,32 +287,17 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
                 if abs(a[p, q]) > 0.0:
                     _jacobi_rotate(a, v, p, q)
 
-    eigvals = np.diag(a).real.copy()
-
-    # Canonical phases before tie-breaking so the sort key is well-defined.
-    v = v * _canonical_phases(v)
-
-    # Primary key (last for np.lexsort): -eigenvalue; then -re, -im per component.
-    keys = np.empty((2 * n + 1, n))
-    keys[0:-1:2] = -v.imag[::-1]
-    keys[1:-1:2] = -v.real[::-1]
-    keys[-1] = -eigvals
-    order = np.lexsort(keys)
-    eigvals = eigvals[order]
-    vecs = v[:, order]
-    spect = Spectrum(eigenvalues=eigvals, eigenvectors=vecs)
-
-    # Orthonormality does not depend on scale; the reconstruction bound is relative to it.
-    _check_defect(_gram_defect(vecs), TOL_ORTH, "eigenvector orthonormality defect")
+    spect = _canonical_spectrum(np.diag(a).real.copy(), v)
+    # The reconstruction bound is relative to the scale; orthonormality does not depend on it.
     _check_defect(_norm(spect.reconstruct() - herm), TOL_RECON * size,
                   "eigendecomposition reconstruction defect")
     if scale == 1.0:
         return spect
     with np.errstate(over="ignore"):
-        eigvals = eigvals * scale
+        eigvals = spect.eigenvalues * scale
     if not np.isfinite(eigvals).all():
         raise ValidationError("eigenvalue overflows float64")
-    return Spectrum(eigenvalues=eigvals, eigenvectors=vecs)
+    return Spectrum(eigenvalues=eigvals, eigenvectors=spect.eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -321,7 +306,8 @@ class DensityMatrix:
 
     The constructor is :func:`validate_density` at the default tolerance: it
     stores the canonical matrix and the spectrum of that one eigensolve, so
-    every instance is a validated density.
+    every instance is a validated density.  One the library builds from a
+    factor F of F F^dagger takes one SVD of F instead (``_density_from_factor``).
     """
 
     matrix: np.ndarray
@@ -360,8 +346,13 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     lam = spect.eigenvalues
     if lam[-1] < -tol:
         raise ValidationError(f"eigenvalue {float(lam[-1])!r} < -{tol}: matrix is not positive semidefinite")
-    lam = np.where(lam < 0.0, 0.0, lam)
-    spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=spect.eigenvectors)
+    return _density(np.where(lam < 0.0, 0.0, lam), spect.eigenvectors)
+
+
+def _density(lam: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
+    """The density of a canonical spectrum: ``lam``, non-negative, renormalized to sum 1, and the
+    Hermitian part of its reconstruction, which must be finite."""
+    spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=vecs)
     clean = spect.reconstruct()
     matrix = (clean + clean.conj().T) / 2.0
     if not np.isfinite(matrix).all():  # a spectrum clipped to all zeros renormalizes to NaN
@@ -369,19 +360,34 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     return _trusted(DensityMatrix, matrix=matrix, _spectrum=spect)
 
 
+def _density_from_factor(f: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix:
+    """F F^dagger for a factor F the library holds, from one SVD of F and no eigensolve, so small
+    eigenvalues keep the relative accuracy that forming F F^dagger would square away.  The trace
+    ||F||_F^2 must be 1 within ``tol``; the eigenvalues, sigma**2 padded with exact zeros, and the
+    left singular vectors must rebuild F F^dagger within TOL_RECON relative to its norm."""
+    _check_unit(_norm(f) ** 2, _as_tol(tol), "trace")
+    u, sigma, _ = np.linalg.svd(f, full_matrices=f.shape[1] < f.shape[0])  # u square, vh never wider
+    lam = np.zeros(f.shape[0])
+    lam[: sigma.size] = sigma**2
+    spect = _canonical_spectrum(lam, u)
+    gram = f @ f.conj().T
+    _check_defect(_norm(spect.reconstruct() - gram), TOL_RECON * _norm(gram),
+                  "eigendecomposition reconstruction defect")
+    return _density(spect.eigenvalues, spect.eigenvectors)
+
+
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     """Seeded random density matrix of the requested dimension and rank.
 
     Draws a complex Gaussian G of shape (dim, rank) and returns
     G G^dagger / trace(G G^dagger), so exactly ``rank`` eigenvalues are
-    positive (almost surely) and identical seeds give identical matrices.
+    positive (almost surely), the others exactly 0 (one SVD of G / ||G||_F),
+    and identical seeds give identical matrices.
     """
     rank = _as_dim(rank, "rank", 1, _as_dim(dim, "dimension", 1))
     rng = np.random.default_rng(_as_dim(seed, "seed", 0, None))
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    m = m / np.trace(m).real
-    return validate_density(m)
+    return _density_from_factor(g / _norm(g))
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

@@ -250,8 +250,8 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
     elementwise steps, the basis product, the pivot search (also the finiteness check) and
     the unit phase and its product.  The norm of the probability and the inner product of
     the fidelity stay one call per branch: an axis-wise call would sum in another order.
-    A finite final state has unit norm, so its pivot is at least 1/sqrt(n_a n_b) and
-    fix_global_phase's 1e-12 floor never applies.
+    A finite final state has unit norm, so its pivot is at least 1/sqrt(n_a n_b), far above
+    the 1e-12 phase floor.
     """
     # Row j of branch t's post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
     post = _shifted(setup.operator, setup.d, s) * phase[:, :, None]
@@ -265,7 +265,7 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
     post *= inverse[:, :, None]
     corrected = post[:, (np.arange(setup.d) - s) % setup.d]
     finals = setup.alice_basis @ corrected @ setup.bob_basis.T
-    # fix_global_phase's pivot; argmax takes NaN as largest, so it is finite only if its branch is.
+    # The global-phase pivot; argmax takes NaN as largest, so it is finite only if its branch is.
     flat = finals.reshape(len(finals), -1)
     pivots = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
     finite = np.isfinite(pivots)

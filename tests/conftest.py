@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qmajor.bipartite import BipartiteState
+from qmajor.majorize import _neg_entropy, _nonneg_vector
+from qmajor.numkernel import TOL_PROB
 
 # The one profile of the property tests: derandomized, so the suite runs the
 # same examples every time.
@@ -66,3 +68,35 @@ def rank_deficient_bipartite(dim_a, dim_b, rank, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+# Test oracles: conventions the tests compare the library against, which no library path calls.
+
+def rank_of(rho):
+    """Number of eigenvalues above 1e-9."""
+    return int(np.sum(rho.eigenvalues() > 1e-9))
+
+
+def shannon_entropy(weights):
+    """Shannon entropy in nats of a 1-D vector, 0 log 0 := 0; entries in [-1e-9, 0) count as 0."""
+    return -_neg_entropy(_nonneg_vector(weights, TOL_PROB, "weights"))
+
+
+def von_neumann_entropy(rho):
+    """Entropy of the spectrum, in nats."""
+    return -_neg_entropy(rho.eigenvalues())
+
+
+def fix_global_phase(v):
+    """Multiply by a unit phase so the largest-magnitude entry is real positive.
+
+    Returns a copy of the input when every entry is at most 1e-12.  Works on
+    arrays of any shape; the convention picks the first entry attaining the
+    maximum magnitude in C-order, which makes equality assertions well-defined.
+    """
+    m = np.asarray(v, dtype=np.complex128)
+    flat = m.reshape(-1)
+    pivot = flat[np.abs(flat).argmax()]
+    if abs(pivot) <= 1e-12:
+        return m.copy(order="K")
+    return m * (pivot.conjugate() / abs(pivot))

@@ -14,14 +14,7 @@ from click.testing import CliRunner
 
 from qmajor.bipartite import corollary4_decompose, embed_state, schmidt
 from qmajor.cli import EXIT_INPUT, EXIT_OK, EXIT_REJECTED, main as cli_main
-from qmajor.ensembles import (
-    mixture_matrix,
-    rank_of,
-    shannon_entropy,
-    synthesize_ensemble,
-    uniform_ensemble,
-    von_neumann_entropy,
-)
+from qmajor.ensembles import mixture_matrix, synthesize_ensemble, uniform_ensemble
 from qmajor.majorize import (
     MajorizationError,
     check_schur_inequalities,
@@ -33,7 +26,7 @@ from qmajor.majorize import (
 from qmajor.numkernel import random_density, random_unitary
 from qmajor.protocol import build_measurement, enumerate_protocol, weyl_op, WeylPair
 
-from conftest import mix_down, random_bipartite
+from conftest import mix_down, random_bipartite, rank_of, shannon_entropy, von_neumann_entropy
 
 
 @contextmanager

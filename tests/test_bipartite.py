@@ -149,6 +149,34 @@ class TestReducedDensity:
         with pytest.raises(ValidationError, match="side"):
             reduced_density(BELL, "C")
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("norm", [1 + 9e-10, 1 - 9e-10])
+    def test_takes_every_norm_the_constructor_accepts(self, rng, side, norm):
+        # The state keeps a norm within 1e-9 of 1, so its partial trace is norm**2, about 1 +- 1.8e-9.
+        psi = BipartiteState(amplitudes=random_bipartite(3, 4, rng).amplitudes * norm)
+        m = psi.amplitudes / psi.norm()
+        want = m @ m.conj().T if side == "A" else m.T @ m.conj()
+        rho = reduced_density(psi, side)
+        assert np.linalg.norm(rho.matrix - want) <= 1e-14
+        assert rho.eigenvalues().sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_graded_spectrum_has_relative_accuracy(self, seed, side):
+        # Squared Schmidt coefficients 1 ... 1e-10: forming the Gram first leaves the small ones
+        # only about 1e-16 of absolute accuracy, about 1e-6 relative.
+        mpmath = pytest.importorskip("mpmath")
+        lam = np.logspace(0, -10, 8)
+        amps = (random_unitary(8, seed) * np.sqrt(lam / lam.sum())) @ random_unitary(8, seed + 100).T
+        got = reduced_density(state(amps), side).eigenvalues()
+        with mpmath.workdps(50):  # the oracle: the same float amplitudes, at 50 digits
+            m = mpmath.matrix(amps.tolist() if side == "A" else amps.T.tolist())
+            want = sorted(mpmath.eighe(m * m.H, eigvals_only=True), reverse=True)
+            want = np.array([float(w / mpmath.fsum(want)) for w in want])
+        live = want > bipartite._RANK_FLOOR
+        assert live.all()
+        assert np.max(np.abs(got[live] - want[live]) / want[live]) <= 1e-10
+
 
 class TestPurify:
     def test_pure_state(self):

@@ -8,17 +8,14 @@ from qmajor.ensembles import (
     entropy_report,
     is_compatible,
     mixture_matrix,
-    rank_of,
-    shannon_entropy,
     synthesize_ensemble,
     uniform_ensemble,
     verify_ensemble,
-    von_neumann_entropy,
 )
 from qmajor.majorize import MajorizationError, check_schur_inequalities, is_majorized_by
 from qmajor.numkernel import ValidationError, random_density, random_unitary, validate_density
 
-from conftest import mix_down
+from conftest import mix_down, rank_of, shannon_entropy, von_neumann_entropy
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -390,7 +387,8 @@ class TestEntropyReportOracle:
             raise AssertionError("entropy_report assembled or diagonalised rho")
 
         monkeypatch.setattr(numkernel, "hermitian_eig", refuse)
-        monkeypatch.setattr(ensembles, "validate_density", refuse)
+        monkeypatch.setattr(numkernel, "validate_density", refuse)
+        monkeypatch.setattr(ensembles, "_density_from_factor", refuse)
         report = entropy_report(ens)
         assert report.gap >= -1e-9
         assert report.schur.passed

@@ -30,7 +30,7 @@ def test_two_records_of_one_tree_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert tool.main(["--compare", a, b]) == 0  # the exit code covers decisions only
     rows = _rows(capsys.readouterr().out)
-    assert len(rows) == 14 + 9
+    assert len(rows) == 17 + 9
     for name, (fixtures, byte_equal, diff, decisions) in rows.items():
         assert (byte_equal, diff, decisions) == (fixtures, "0", "equal"), name
         assert int(fixtures) == (2 if name.startswith("cli:") else 3)
@@ -66,7 +66,7 @@ def test_a_record_compares_byte_equal_with_itself(records, capsys):
     assert tool.main(["--compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
     rows = _rows(out)
-    assert len(rows) == 14 + 9
+    assert len(rows) == 17 + 9
     for name, (fixtures, byte_equal, diff, decisions) in rows.items():
         count = "1" if name.startswith("cli:") else "6"
         assert (fixtures, byte_equal, diff, decisions) == (count, count, "0", "equal"), name

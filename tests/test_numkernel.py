@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from qmajor import numkernel
+from qmajor.bipartite import reduced_density
+from qmajor.ensembles import Ensemble, density_from_ensemble
 from qmajor.numkernel import (
     DensityMatrix,
     ValidationError,
-    fix_global_phase,
     frobenius_distance,
     hermitian_eig,
     random_density,
     random_unitary,
     validate_density,
 )
+
+from conftest import fix_global_phase, random_bipartite
 
 
 def random_hermitian(n, rng):
@@ -81,6 +84,37 @@ class TestHermitianEig:
         spect = hermitian_eig(np.diag([0.25, 0.5, 0.25]))
         assert spect.eigenvalues.tolist() == [0.5, 0.25, 0.25]
         assert np.array_equal(spect.eigenvectors, np.eye(3)[:, [1, 0, 2]])
+
+
+def _refuse_eigensolve(*args, **kwargs):
+    raise AssertionError("a density built from its factor ran an eigensolve")
+
+
+class TestDensityFromFactor:
+    """Densities the library builds from a factor F of rho = F F^dagger take one SVD of F."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_density(6, 3, seed=2),
+        lambda: reduced_density(random_bipartite(3, 5, np.random.default_rng(3)), "A"),
+        lambda: reduced_density(random_bipartite(3, 5, np.random.default_rng(3)), "B"),
+        lambda: density_from_ensemble(Ensemble.from_members([(0.5, [1, 0]), (0.3, [0.6, 0.8j]), (0.2, [0, 1])])),
+    ], ids=["random_density", "reduced_density-A", "reduced_density-B", "density_from_ensemble"])
+    def test_runs_no_eigensolve(self, build, monkeypatch):
+        monkeypatch.setattr(numkernel, "hermitian_eig", _refuse_eigensolve)
+        rho = build()
+        assert rho.eigenvalues().sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_random_density_is_the_normalized_gram_with_an_exact_null_space(self):
+        for seed in range(100):
+            dim = 1 + seed % 12
+            rank = 1 + seed * 7 % dim
+            rng = np.random.default_rng(seed)  # random_density's own draw
+            g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+            want = g @ g.conj().T
+            rho = random_density(dim, rank, seed)
+            assert np.linalg.norm(rho.matrix - want / np.trace(want).real) <= 1e-14
+            assert np.all(rho.eigenvalues()[:rank] > 0.0)
+            assert np.all(rho.eigenvalues()[rank:] == 0.0)
 
 
 class TestValidateDensity:

@@ -11,7 +11,6 @@ from qmajor.ensembles import uniform_ensemble
 from qmajor.numkernel import (
     DomainError,
     ValidationError,
-    fix_global_phase,
     random_density,
     random_unitary,
 )
@@ -35,7 +34,7 @@ from qmajor.protocol import (
     weyl_op,
 )
 
-from conftest import random_bipartite, rank_deficient_bipartite
+from conftest import fix_global_phase, random_bipartite, rank_deficient_bipartite
 
 
 def maximally_entangled(d):
@@ -259,8 +258,6 @@ class TestRunProtocol:
 
     def test_final_state_matches_target_not_only_fidelity(self, rng):
         target = random_bipartite(2, 2, rng)
-        from qmajor.numkernel import fix_global_phase
-
         for tr in enumerate_protocol(target, 2):
             want = fix_global_phase(target.amplitudes)
             assert np.linalg.norm(tr.final_state.amplitudes - want) <= 1e-8

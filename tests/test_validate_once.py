@@ -21,12 +21,11 @@ from qmajor.ensembles import (
     is_compatible,
     synthesize_ensemble,
     verify_ensemble,
-    von_neumann_entropy,
 )
 from qmajor.numkernel import ValidationError, random_density
 from qmajor.protocol import enumerate_protocol, run_protocol
 
-from conftest import mix_down, random_bipartite, rank_deficient_bipartite
+from conftest import mix_down, random_bipartite, rank_deficient_bipartite, von_neumann_entropy
 
 
 @pytest.fixture
@@ -82,8 +81,7 @@ def test_ensemble_consumers_take_densities_and_ensembles_as_they_are(coerced):
 # Public entry points that validate their arguments; library code judges
 # values it holds through the private cores instead (_sorted_pair, _schur,
 # _neg_entropy).
-VALIDATING_ENTRY_POINTS = {"is_majorized_by", "majorization_violation", "shannon_entropy",
-                           "check_schur_inequalities"}
+VALIDATING_ENTRY_POINTS = {"is_majorized_by", "majorization_violation", "check_schur_inequalities"}
 
 
 def test_library_code_calls_no_validating_entry_point():

@@ -3,13 +3,13 @@
     PYTHONPATH=TREE/src python3 tools/identity.py record DIR [--fixtures N] [--cli-fixtures N]
     python3 tools/identity.py --compare A B
 
-``record`` runs fourteen public library paths (the table in ``_library_paths``) and nine CLI
+``record`` runs seventeen public library paths (the table in ``_library_paths``) and nine CLI
 jobs (the eight commands, ``protocol-run`` both sampled and ``--exhaustive``, through click's
 ``CliRunner``) on seeded fixture families, and writes one ``DIR/<path>.npz`` per path.  The
 families are square, rectangular, rank-deficient, zero-padded and embedded targets, maximally
-entangled and product targets, degenerate spectra, weights in (0, 1e-12] (subnormal ones
-included), zero weights, weights equal to the eigenvalues, numpy-integer sizes, domain
-rejections and invalid input.
+entangled and product targets, states at norms 1 +- 9e-10, degenerate spectra, weights in
+(0, 1e-12] (subnormal ones included), zero weights, weights equal to the eigenvalues,
+numpy-integer sizes, domain rejections and invalid input.
 
 Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
@@ -291,6 +291,31 @@ def _library_paths(q):
             return meas, q.outcome_distribution(meas, q.BipartiteState(amplitudes=source))
         return fam, run
 
+    def random_density_path(rng, i):
+        fam = ("random", "full-rank", "numpy-int", "invalid")[i % 4]
+        dim = int(rng.integers(1, 9))
+        rank, seed = int(rng.integers(1, dim + 1)), int(rng.integers(0, 2**31))
+        if fam == "full-rank":
+            rank = dim
+        elif fam == "numpy-int":
+            dim, rank = np.int64(dim), np.int32(rank)
+        elif fam == "invalid":
+            rank = (0, dim + 1, True)[i // 4 % 3]
+        return fam, lambda: q.random_density(dim, rank, seed)
+
+    def reduced_path(rng, i):
+        families = FAMILY_TARGETS[:-2] + ("norm-off", "invalid-side")
+        fam = _family(families, i)
+        amps, _ = _target(rng, fam)  # a square target for the last two families
+        if fam == "norm-off":  # a norm the state's constructor accepts: 1 +- 9e-10
+            amps = amps * (1.0 + (9e-10 if i // len(families) % 4 < 2 else -9e-10))
+        side = "C" if fam == "invalid-side" else "AB"[i // len(families) % 2]
+        return f"{fam}/{side}", lambda: q.reduced_density(q.BipartiteState(amplitudes=amps), side)
+
+    def ensemble_density_path(rng, i):
+        label, rho, p = synthesis(rng, i)
+        return label, lambda: q.density_from_ensemble(q.synthesize_ensemble(q.validate_density(rho), p))
+
     def simple(make, call):
         def path(rng, i):
             label, *args = make(rng, i)
@@ -312,6 +337,9 @@ def _library_paths(q):
         "enumerate_protocol": enumerate_path,
         "relate_purifications": purification_path,
         "build_measurement+outcome_distribution": measurement_path,
+        "random_density": random_density_path,
+        "reduced_density": reduced_path,
+        "density_from_ensemble": ensemble_density_path,
     }
 
 
