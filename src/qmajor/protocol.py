@@ -248,15 +248,19 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
 
     Each step that cannot move a branch's bits runs once on the (len(ts), ...) stack: the
     elementwise steps, the basis product, the pivot search (also the finiteness check) and
-    the unit phase and its product.  The norm of the probability and the inner product of
-    the fidelity stay one call per branch: an axis-wise call would sum in another order.
+    the unit phase and its product.  The probability's norm and the fidelity's inner product
+    are stacked ``np.vecdot`` calls, which run one BLAS dot per branch: the ddot of the real
+    and of the imaginary parts that ``np.linalg.norm`` takes, and the zdotc of ``np.vdot``,
+    on the same operands in the same order.  Squares stay Python ``** 2`` on each branch's
+    float, libm's pow as on a numpy scalar; numpy's array square rounds differently.
     A finite final state has unit norm, so its pivot is at least 1/sqrt(n_a n_b), far above
     the 1e-12 phase floor.
     """
     # Row j of branch t's post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
     post = _shifted(setup.operator, setup.d, s) * phase[:, :, None]
     post /= setup.root_d
-    probs = [float(np.linalg.norm(rows) ** 2) for rows in post]
+    f = post.reshape(len(post), -1)
+    probs = [r ** 2 for r in np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag)).tolist()]
     post /= np.sqrt(probs)[:, None, None]
 
     # Alice undoes the outcome twirl with X^s Z^-t on her Schmidt support (Z^-t
@@ -275,6 +279,7 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
     # np.hypot is the scalar abs() bit for bit; numpy's vectorised complex absolute is not.
     size = np.hypot(pivots.real, pivots.imag)
     fixed = finals * (pivots.conj() / size)[:, None, None]
+    overlaps = np.vecdot(setup.target.amplitudes.ravel(), flat).tolist()
     return [_trusted(
         ProtocolTranscript,
         outcome=_trusted(WeylPair, d=setup.d, s=s, t=t),
@@ -282,9 +287,9 @@ def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndar
         bits_sent=setup.bits,
         correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
         final_state=_trusted(BipartiteState, amplitudes=amplitudes),
-        fidelity=min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2)),
+        fidelity=min(1.0, abs(z) ** 2),
         seed=seed,
-    ) for t, prob, final, amplitudes in zip(ts, probs, finals, fixed)]
+    ) for t, prob, z, amplitudes in zip(ts, probs, overlaps, fixed)]
 
 
 def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTranscript:

@@ -1,7 +1,7 @@
 """Within one build, every public path returns the same bytes for the same input.
 
 The paths, their fixtures and their fingerprint are the identity harness's one table
-(``tools/identity.py``): the seventeen library paths and the nine CLI jobs.  Each path runs its
+(``tools/identity.py``): the twenty library paths and the nine CLI jobs.  Each path runs its
 first fixtures twice in a row, on inputs built afresh from the seed, so no value computed on the
 first run is reused on the second.  A fixture's digest covers its decisions, every float bit and,
 for a CLI job, the report bytes.  Run back to back, this catches a state that changes from call

@@ -1,7 +1,8 @@
 """The identity harness, ``tools/identity.py``: the one determinism pin for the library and the CLI.
 
 Two records of one tree, made in one process, must be byte-identical; ``--compare`` must pass
-equal records, and tell a moved value from a changed decision and from a missing path.  Each
+equal records, and tell a moved value from a changed decision and from a missing path;
+``--compare --strict`` must fail on anything that is not byte-equal.  Each
 path run twice in a row is ``tests/test_determinism.py``, on the same table.
 """
 
@@ -28,9 +29,9 @@ def test_two_records_of_one_tree_are_byte_identical(tmp_path, capsys):
     for out in (a, b):
         assert tool.main(["record", out, "--fixtures", "3", "--cli-fixtures", "2"]) == 0
     capsys.readouterr()
-    assert tool.main(["--compare", a, b]) == 0  # the exit code covers decisions only
+    assert tool.main(["--compare", a, b, "--strict"]) == 0
     rows = _rows(capsys.readouterr().out)
-    assert len(rows) == 17 + 9
+    assert len(rows) == 20 + 9
     for name, (fixtures, byte_equal, diff, decisions) in rows.items():
         assert (byte_equal, diff, decisions) == (fixtures, "0", "equal"), name
         assert int(fixtures) == (2 if name.startswith("cli:") else 3)
@@ -58,6 +59,12 @@ def _edit(path, edit):
                         **{f"values{i}": v for i, v in enumerate(values)})
 
 
+def _one_ulp(fixtures, values):
+    """Move the first float leaf of fixture 0 one ulp up, every decision equal."""
+    values[0][0] = complex(np.nextafter(values[0][0].real, np.inf), values[0][0].imag)
+    return [0]
+
+
 def test_a_record_compares_byte_equal_with_itself(records, capsys):
     """``--compare``'s passing case, the baseline the tests below edit: equal records read every
     fixture byte-equal, max |diff| ``0`` and decisions ``equal``, print no detail line, exit 0."""
@@ -66,7 +73,7 @@ def test_a_record_compares_byte_equal_with_itself(records, capsys):
     assert tool.main(["--compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
     rows = _rows(out)
-    assert len(rows) == 17 + 9
+    assert len(rows) == 20 + 9
     for name, (fixtures, byte_equal, diff, decisions) in rows.items():
         count = "1" if name.startswith("cli:") else "6"
         assert (fixtures, byte_equal, diff, decisions) == (count, count, "0", "equal"), name
@@ -104,13 +111,7 @@ def test_compare_fails_on_a_missing_path(records, capsys):
 
 def test_compare_reports_a_moved_last_bit_and_passes(records, capsys):
     tool, a, b = records
-
-    def one_ulp(fixtures, values):
-        v = values[0]
-        v[0] = complex(np.nextafter(v[0].real, np.inf), v[0].imag)
-        return [0]
-
-    _edit(b / "hermitian_eig.npz", one_ulp)
+    _edit(b / "hermitian_eig.npz", _one_ulp)
     capsys.readouterr()
     assert tool.main(["--compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
@@ -119,6 +120,25 @@ def test_compare_reports_a_moved_last_bit_and_passes(records, capsys):
     assert 0 < float(diff) < 1e-15
     assert any(line.startswith("  moved: hermitian_eig ") and "in 1 fixtures" in line
                for line in out.splitlines())
+
+
+def test_strict_compare_passes_equal_records(records):
+    tool, a, b = records
+    assert tool.main(["--compare", str(a), str(b), "--strict"]) == 0
+
+
+def test_strict_compare_fails_on_a_moved_last_bit(records, capsys):
+    tool, a, b = records
+    _edit(b / "hermitian_eig.npz", _one_ulp)
+    assert tool.main(["--compare", str(a), str(b), "--strict"]) == 1
+    assert _rows(capsys.readouterr().out)["hermitian_eig"][3] == "equal"
+
+
+def test_strict_compare_fails_when_report_bytes_alone_moved(records, capsys):
+    tool, a, b = records
+    _edit(b / "cli_schmidt.npz", lambda fixtures, values: [0])
+    assert tool.main(["--compare", str(a), str(b), "--strict"]) == 1
+    assert _rows(capsys.readouterr().out)["cli:schmidt"] == ("1", "0", "0", "equal")
 
 
 def test_compare_names_a_fixture_whose_report_bytes_alone_moved(records, capsys):

@@ -474,6 +474,17 @@ class TestBranchOracle:
             assert tr.seed == seed
             assert self.fields(tr) == self.fields(transcripts[tr.outcome.s * d + tr.outcome.t])
 
+    def test_sampled_branches_match_reference_bytes_at_d69(self, rng):
+        """At d = 69 a branch's norm can land one ulp above 1/69, where numpy's array square and
+        libm's pow, which the per-branch ``** 2`` of a numpy scalar runs, round apart."""
+        target = self.target("square", 69, rng)
+        setup = _prepare(target, 69)
+        for seed in range(40):
+            tr = run_protocol(target, 69, seed)
+            final, fidelity, prob = self.reference(setup, tr.outcome.s, tr.outcome.t)
+            assert (tr.final_state.amplitudes.tobytes(), tr.fidelity.hex(), tr.outcome_probability.hex()) \
+                == (final.tobytes(), fidelity.hex(), prob.hex()), seed
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_final_states_share_no_memory(self, rng, kind):
         """Branches may be slices of one row stack, but no two overlap, nor any the target."""

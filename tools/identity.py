@@ -1,15 +1,16 @@
 """Identity harness: record what every public path returns on seeded fixtures, and compare trees.
 
     PYTHONPATH=TREE/src python3 tools/identity.py record DIR [--fixtures N] [--cli-fixtures N]
-    python3 tools/identity.py --compare A B
+    python3 tools/identity.py --compare A B [--strict]
 
-``record`` runs seventeen public library paths (the table in ``_library_paths``) and nine CLI
+``record`` runs twenty public library paths (the table in ``_library_paths``) and nine CLI
 jobs (the eight commands, ``protocol-run`` both sampled and ``--exhaustive``, through click's
 ``CliRunner``) on seeded fixture families, and writes one ``DIR/<path>.npz`` per path.  The
 families are square, rectangular, rank-deficient, zero-padded and embedded targets, maximally
 entangled and product targets, states at norms 1 +- 9e-10, degenerate spectra, weights in
 (0, 1e-12] (subnormal ones included), zero weights, weights equal to the eigenvalues,
-numpy-integer sizes, domain rejections and invalid input.
+ensembles built from a density's factor and ones that do not realize it, T-chains applied to
+a vector past their dimension, numpy-integer sizes, domain rejections and invalid input.
 
 Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
@@ -23,9 +24,10 @@ difference of a float leaf, and whether every decision is equal.  Under the tabl
 line names each float leaf that moved, a ``decision:`` line a fixture whose decisions differ,
 and a ``bytes:`` line one whose digest alone differs, such as a CLI report's whitespace (the
 last two for at most three fixtures per path).  It exits 1 when a decision differs or a path
-is missing on one side.  Inputs are built from the seed with numpy alone, so every tree sees
-the same bytes.  Record each tree in its own process, the parent from
-``git archive`` of its commit.  ``tests/test_identity_tool.py`` and ``tests/test_determinism.py``
+is missing on one side; with ``--strict`` also when any fixture is not byte-equal, so a
+byte-determinism check needs only the exit code.  Inputs are built from the seed with numpy
+alone, so every tree sees the same bytes.  Record each tree in its own process, the parent
+from ``git archive`` of its commit.  ``tests/test_identity_tool.py`` and ``tests/test_determinism.py``
 pin within-build determinism on this one table: two records of one tree made in one process,
 and each path's fixtures run twice in a row, must be byte-identical on every path.
 Each CLI job writes its input files to a temporary directory; where creating a file is slow,
@@ -51,6 +53,7 @@ FAMILY_TARGETS = ("square", "rectangular", "rank-deficient", "zero-padded", "emb
 FAMILY_DENSITIES = ("full", "rank-deficient", "degenerate", "pure", "tiny", "invalid")
 FAMILY_WEIGHTS = ("mixed", "eigenvalues", "tiny", "zeros", "rejected", "invalid")
 FAMILY_PAIRS = ("mixed", "ties", "tiny", "zero-padded", "rejected", "invalid")
+FAMILY_ENSEMBLES = ("eigen", "rotated", "padded", "perturbed", "dimension", "invalid")
 
 
 # ---------------------------------------------------------------- fingerprints
@@ -164,6 +167,33 @@ def _weights(rng, lam, family):
     if family == "invalid":
         return np.concatenate([[-0.25, 1.25], np.zeros(lam.size)])
     return p
+
+
+def _ensemble(rng, family):
+    """A density matrix and the weights and states of an ensemble for it, built from its factor.
+
+    The members are the columns of U diag(sqrt(lam)) W over their norms: W is the identity in
+    the eigen family and a random unitary in the others, after zero columns in the padded one.  The last three families do not
+    realize the density: the states move by about 1e-6, gain a coordinate, or carry weights
+    that are no probability vector.
+    """
+    rho, lam, u = _density(rng, _family(FAMILY_DENSITIES[:-1], int(rng.integers(5))))
+    if family == "eigen":
+        return rho, lam, u.T.copy()
+    f = u * np.sqrt(lam)
+    if family == "padded":
+        f = np.pad(f, ((0, 0), (0, int(rng.integers(1, 3)))))
+    cols = (f @ _unitary(rng, f.shape[1])).T
+    norms = np.linalg.norm(cols, axis=1)
+    w, states = norms**2, cols / norms[:, None]
+    if family == "perturbed":
+        states = states + 1e-6 * _unit(rng, *states.shape)
+        states = states / np.linalg.norm(states, axis=1, keepdims=True)
+    elif family == "dimension":
+        states = np.pad(states, ((0, 0), (0, 1)))
+    elif family == "invalid":
+        w = w * 1.5
+    return rho, w, states
 
 
 def _pair(rng, family):
@@ -316,6 +346,17 @@ def _library_paths(q):
         label, rho, p = synthesis(rng, i)
         return label, lambda: q.density_from_ensemble(q.synthesize_ensemble(q.validate_density(rho), p))
 
+    def ensemble(rng, i):
+        fam = _family(FAMILY_ENSEMBLES, i)
+        return (fam, *_ensemble(rng, fam))
+
+    def t_chain_path(rng, i):
+        fam, x, y = pair(rng, i)
+        v = y
+        if i % 5 == 4:  # one coordinate past the chain's dimension, max(x.size, y.size)
+            fam, v = f"{fam}/too-long", np.pad(y, (0, max(x.size - y.size, 0) + 1))
+        return fam, lambda: q.apply_t_chain(q.t_transform_chain(x, y), v)
+
     def simple(make, call):
         def path(rng, i):
             label, *args = make(rng, i)
@@ -340,6 +381,11 @@ def _library_paths(q):
         "random_density": random_density_path,
         "reduced_density": reduced_path,
         "density_from_ensemble": ensemble_density_path,
+        "purify": simple(ensemble, lambda rho, w, states: q.purify(q.validate_density(rho), w, states)),
+        "verify_ensemble": simple(ensemble, lambda rho, w, states: q.verify_ensemble(
+            q.Ensemble(weights=w, states=states, synthetic=np.zeros(len(w), dtype=bool)),
+            q.validate_density(rho))),
+        "apply_t_chain": t_chain_path,
     }
 
 
@@ -501,8 +547,12 @@ def _segments(decisions):
             start = stop
 
 
-def compare(a_dir: Path, b_dir: Path) -> int:
-    """Print the per-path table, then the leaves that moved and the first differing decisions."""
+def compare(a_dir: Path, b_dir: Path, strict: bool = False) -> int:
+    """Print the per-path table, then the leaves that moved and the first differing decisions.
+
+    Returns 1 on a differing decision or a missing path and, if ``strict``, on any fixture
+    that is not byte-equal; 0 otherwise.
+    """
     a, b = _load(a_dir), _load(b_dir)
     print(f"A: {a_dir}\nB: {b_dir}")
     print(f"{'path':42s} {'fixtures':>8s} {'byte-equal':>10s} {'max |diff|':>11s}  decisions")
@@ -534,7 +584,7 @@ def compare(a_dir: Path, b_dir: Path) -> int:
                 if not leaves and sum(line.startswith(f"{name} fixture ") for line in unexplained) < 3:
                     unexplained.append(f"{name} fixture {ea['label']}")  # only a report's bytes moved
         worst = float(np.max(diffs, initial=0.0))  # a NaN, if any, propagates
-        failed |= not decisions_equal
+        failed |= not decisions_equal or (strict and equal_bytes != len(fa))
         print(f"{name:42s} {len(fa):8d} {equal_bytes:10d} {worst:11.3g}  "
               f"{'equal' if decisions_equal else 'DIFFER'}")
     for (name, pattern), leaf_diffs in sorted(moved.items()):
@@ -553,15 +603,17 @@ def main(argv=None) -> int:
                     help="record every path's fixtures into DIR, one .npz per path")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), type=Path,
                     help="compare two record directories")
+    ap.add_argument("--strict", action="store_true",
+                    help="with --compare, also exit 1 when any fixture is not byte-equal")
     ap.add_argument("--fixtures", type=int, default=240, help="fixtures per library path")
     ap.add_argument("--cli-fixtures", type=int, default=120, help="fixtures per CLI job")
     args = ap.parse_args(argv)
     if args.compare and not args.command:
-        return compare(*args.compare)
-    if len(args.command) == 2 and args.command[0] == "record" and not args.compare:
+        return compare(*args.compare, strict=args.strict)
+    if len(args.command) == 2 and args.command[0] == "record" and not (args.compare or args.strict):
         record(Path(args.command[1]), args.fixtures, args.cli_fixtures)
         return 0
-    ap.error("give either 'record DIR' or '--compare A B'")
+    ap.error("give either 'record DIR' or '--compare A B [--strict]'")
 
 
 if __name__ == "__main__":
