@@ -223,33 +223,36 @@ def _chain(xv, yv, perm_x, perm_y) -> TChain:
     # is retired: order[j] is left holding the j-th largest component of x.
     order = list(range(d))
     neg = (-yv[perm_y]).tolist()
-    transforms: list[TTransform] = []
+    steps = []  # (i, k, t) of each transform; the loop builds no TTransform
+    last = d - 1
 
-    for h in range(d - 1):
+    for h in range(last):
         target = xs[h]
-        # Pair the largest remaining component with the deepest component that
-        # does not exceed the target value.
-        ib = min(bisect.bisect_right(neg, -target, h), d - 1)
-        a, b = order[h], order[ib]
+        # Pair the largest remaining component with the first one strictly
+        # below the target value, or with the last one if none is.
+        ib = bisect.bisect_right(neg, -target, h)
+        if ib > last:
+            ib = last
         wa, wb = -neg[h], -neg[ib]
         if wa > wb:
-            t = min(1.0, max(0.0, (target - wb) / (wa - wb)))
-        else:
-            t = 1.0
-        if t < 1.0:
-            # wa > wb gives a != b, and the clamp gives 0 <= t < 1.
-            transforms.append(_trusted(TTransform, i=a, k=b, t=t))
-            vb = (1.0 - t) * wa + t * wb
-            # b's value grew: move it left to keep the order sorted, landing
-            # before any equal values so the walk stays deterministic.
-            del order[ib], neg[ib]
-            at = bisect.bisect_left(neg, -vb, h + 1)
-            order.insert(at, b)
-            neg.insert(at, -vb)
+            q = (target - wb) / (wa - wb)
+            t = q if q > 0.0 else 0.0  # not ``q < 0.0``: a quotient of -0.0 must give t = +0.0
+            if t < 1.0:
+                # wa > wb gives order[h] != order[ib], and the clamp gives 0 <= t < 1.
+                b = order[ib]
+                steps.append((order[h], b, t))
+                vb = (1.0 - t) * wa + t * wb
+                # b's value grew: move it left to keep the order sorted, landing
+                # before any equal values so the walk stays deterministic.
+                del order[ib], neg[ib]
+                at = bisect.bisect_left(neg, -vb, h + 1)
+                order.insert(at, b)
+                neg.insert(at, -vb)
     target_permutation = np.empty(d, dtype=np.intp)
     target_permutation[perm_x] = order
     # Both orders are permutations of range(d), and every transform is in range.
-    return _trusted(TChain, transforms=tuple(transforms), source_permutation=perm_y,
+    transforms = tuple([_trusted(TTransform, i=i, k=k, t=t) for i, k, t in steps])
+    return _trusted(TChain, transforms=transforms, source_permutation=perm_y,
                     target_permutation=target_permutation)
 
 
@@ -303,11 +306,11 @@ def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
 
 def _rotate_rows(ri: np.ndarray, rk: np.ndarray, c: float, s: float) -> None:
     """Givens rotation of two rows in place: (ri, rk) <- (c ri - s rk, s ri + c rk)."""
-    old_i = ri.copy()
+    s_ri = s * ri  # formed before ri changes, so ri needs no copy
     ri *= c
     ri -= s * rk
     rk *= c
-    rk += s * old_i
+    rk += s_ri
 
 
 def _lift(chain: TChain, rows: np.ndarray, home: np.ndarray, cols: int) -> None:
@@ -320,7 +323,7 @@ def _lift(chain: TChain, rows: np.ndarray, home: np.ndarray, cols: int) -> None:
     row of source_permutation[target_permutation[j]] ends as row j of W times the stack.
     """
     rows[home[:cols], np.arange(cols)] = 1.0
-    at = home[chain.source_permutation]
+    at = home[chain.source_permutation].tolist()  # Python ints index a row fastest
     for tr in chain.transforms:
         _rotate_rows(rows[at[tr.i]], rows[at[tr.k]], math.sqrt(tr.t), math.sqrt(1.0 - tr.t))
     _check_defect(_gram_defect(rows[:, :cols]), 1e-10, "orthogonality defect of constructed witness")
@@ -354,8 +357,9 @@ def _xlogx(u: np.ndarray) -> np.ndarray:
 
 
 # The Schur-convex functions of the report, in report order, each with its own
-# summation: numpy's reductions for the first six, and a left-to-right Python
-# sum of a convex f applied entrywise for the sum[f] entries.
+# summation: numpy's reductions for the first six, and Python's sum() of a convex
+# f applied entrywise for the sum[f] entries; sum() adds floats left to right up
+# to Python 3.11 and compensated (Neumaier) from 3.12, so their last bits differ.
 _SCHUR_FUNCTIONS: dict[str, Callable[[np.ndarray], float]] = {
     "neg_entropy": _neg_entropy,
     "power_sum[k=1.5]": lambda x: float(np.sum(x**1.5)),

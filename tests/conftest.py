@@ -4,8 +4,10 @@ All randomness flows through explicitly seeded numpy generators so every
 test run is reproducible.
 """
 
+import bisect
 import functools
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qmajor.bipartite import BipartiteState
-from qmajor.majorize import _neg_entropy, _nonneg_vector
+from qmajor.majorize import TChain, TTransform, _neg_entropy, _nonneg_vector
 from qmajor.numkernel import TOL_PROB
 
 # The one profile of the property tests: derandomized, so the suite runs the
@@ -100,3 +102,52 @@ def fix_global_phase(v):
     if abs(pivot) <= 1e-12:
         return m.copy(order="K")
     return m * (pivot.conjugate() / abs(pivot))
+
+
+def chain_oracle(xv, yv, perm_x, perm_y):
+    """The T-chain walk in its plain form: ``min``/``max`` clamps and one validated TTransform
+    per step.  Takes what ``majorize._majorized_pair`` returns; ``majorize._chain`` must give
+    the same chain, down to the sign of a zero t."""
+    d = xv.size
+    xs = xv[perm_x].tolist()
+    order = list(range(d))
+    neg = (-yv[perm_y]).tolist()
+    transforms = []
+    for h in range(d - 1):
+        target = xs[h]
+        ib = min(bisect.bisect_right(neg, -target, h), d - 1)
+        a, b = order[h], order[ib]
+        wa, wb = -neg[h], -neg[ib]
+        if wa > wb:
+            t = min(1.0, max(0.0, (target - wb) / (wa - wb)))
+        else:
+            t = 1.0
+        if t < 1.0:
+            transforms.append(TTransform(i=a, k=b, t=t))
+            vb = (1.0 - t) * wa + t * wb
+            del order[ib], neg[ib]
+            at = bisect.bisect_left(neg, -vb, h + 1)
+            order.insert(at, b)
+            neg.insert(at, -vb)
+    target_permutation = np.empty(d, dtype=np.intp)
+    target_permutation[perm_x] = order
+    return TChain(transforms=transforms, source_permutation=perm_y, target_permutation=target_permutation)
+
+
+def witness_oracle(chain):
+    """The Horn witness of a chain in its plain form: a copy of row i is taken before each
+    Givens rotation, and rows are found through numpy integers."""
+    d = chain.dim
+    w = np.zeros((d, d))
+    home = np.argsort(chain.source_permutation[chain.target_permutation])
+    w[home, np.arange(d)] = 1.0
+    at = home[chain.source_permutation]
+    for tr in chain.transforms:
+        ri, rk = w[at[tr.i]], w[at[tr.k]]
+        c, s = math.sqrt(tr.t), math.sqrt(1.0 - tr.t)
+        old_i = ri.copy()
+        ri *= c
+        ri -= s * rk
+        rk *= c
+        rk += s * old_i
+    return w

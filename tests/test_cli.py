@@ -421,6 +421,15 @@ class TestCommands:
         assert w[0][0][0] == pytest.approx(r)
         assert w[0][1][0] == pytest.approx(-r)
 
+    def test_majorize_decompose_writes_a_zero_t_unsigned(self, runner, write):
+        # The last step averages onto a target of -0.0; its quotient is -0.0 and its t is +0.0.
+        x = write("x.json", {"kind": "probvec", "weights": [0.7, 0.3, -0.0, -0.0]})
+        y = write("y.json", {"kind": "probvec", "weights": [0.9, 0.1]})
+        res = runner.invoke(main, ["majorize-decompose", "-i", x, "-i", y])
+        assert res.exit_code == EXIT_OK
+        assert json.loads(res.output)["result"]["chain"]["transforms"][-1] == {"i": 2, "k": 3, "t": 0.0}
+        assert '"t": -0.0' not in res.output and '"t": 0.0' in res.output
+
     def test_schmidt(self, runner, files):
         res = runner.invoke(main, ["schmidt", "-i", files["bell"]])
         assert res.exit_code == EXIT_OK

@@ -165,3 +165,32 @@ def test_a_last_bit_is_a_value_and_a_message_is_a_decision():
     assert tool._max_diff(v_base, v_moved) == one_ulp - 0.5
     for other in ({"p": 0.5, "k": 4, "msg": "ok"}, {"p": 0.5, "k": 3, "msg": "no"}, {"p": 0.5, "k": 3}):
         assert tool._fixture_record("f", other)[0]["decisions"] != base["decisions"]
+
+
+def test_a_zero_s_sign_is_a_moved_bit():
+    tool = _tool()
+    plus, v_plus = tool._fixture_record("f", {"t": 0.0})
+    minus, v_minus = tool._fixture_record("f", {"t": -0.0})
+    assert plus["decisions"] == minus["decisions"] and plus["digest"] != minus["digest"]
+    assert v_plus.tobytes() != v_minus.tobytes()
+
+
+def test_fixtures_reach_the_sizes_the_benchmark_runs():
+    """Large pairs sit at the witness-sweep's d, negative-zero pairs end in -0.0 past y's length,
+    and every seventh ``run_protocol`` fixture draws its target at n = 24..70."""
+    import qmajor
+
+    tool = _tool()
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        x, y = tool._pair(rng, "large")
+        assert max(x.size, y.size) in (32, 64, 128, 256) and qmajor.is_majorized_by(x, y)
+        x, y = tool._pair(rng, "negative-zero")
+        tail = x[y.size:]
+        assert tail.size and not tail.any() and np.signbit(tail).all() and qmajor.is_majorized_by(x, y)
+    run = tool._library_paths(qmajor)["run_protocol"]
+    labels = [run(np.random.default_rng([tool.SEED, i]), i)[0] for i in range(14)]
+    assert [i for i, label in enumerate(labels) if label.endswith("/large")] == [6, 13]
+    for fam in tool.FAMILY_TARGETS:
+        amps, _ = tool._target(rng, fam, 70, 24)
+        assert 12 <= max(amps.shape) <= 72, fam

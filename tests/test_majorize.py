@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qmajor.bipartite import corollary4_decompose, schmidt
 from qmajor.ensembles import entropy_report, synthesize_ensemble
@@ -10,6 +11,8 @@ from qmajor.majorize import (
     MajorizationError,
     TChain,
     TTransform,
+    _majorized_pair,
+    _nonneg_pair,
     apply_t_chain,
     as_prob_vector,
     check_schur_inequalities,
@@ -20,9 +23,9 @@ from qmajor.majorize import (
     t_transform_chain,
     unitary_to_stochastic,
 )
-from qmajor.numkernel import ValidationError, random_density, random_unitary
+from qmajor.numkernel import TOL_PROB, ValidationError, random_density, random_unitary
 
-from conftest import mix_down, random_bipartite
+from conftest import FUZZ, chain_oracle, mix_down, random_bipartite, witness_oracle
 
 
 class TestIsMajorizedBy:
@@ -532,10 +535,58 @@ def _tie_heavy_pair(rng, case):
     return mix_down(y, rng), y
 
 
+@st.composite
+def _walk_pairs(draw):
+    """A majorized pair (x, y) of dimension d in {1, 2, 3, 8, 64, 256}: x a mix of y, of a y with
+    tied levels or of a zero-padded y, the uniform vector, or a mix of y followed by -0.0 entries."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 64, 256]))
+    case = draw(st.sampled_from(["mixed", "ties", "zero-padded", "uniform", "negative-zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    short = int(rng.integers(1, d + 1)) if case in ("zero-padded", "negative-zero") else d
+    y = rng.dirichlet(np.ones(short))
+    if case == "ties":
+        levels = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        y = rng.permutation(np.repeat(levels, -(-d // levels.size))[:d])
+        y = y / y.sum()
+    if case == "uniform":
+        return np.full(d, 1.0 / d), y
+    if case == "negative-zero":
+        return np.concatenate([mix_down(y, rng) if short > 1 else y, np.full(d - short, -0.0)]), y
+    padded = np.concatenate([y, np.zeros(d - short)])
+    return (mix_down(padded, rng) if d > 1 else padded), y
+
+
+def _steps(chain):
+    """A chain's transforms with their types and the exact bits of t, sign of a zero included."""
+    return [(type(tr.i), tr.i, type(tr.k), tr.k, type(tr.t), float.hex(tr.t)) for tr in chain.transforms]
+
+
 class TestChainOracle:
-    """The library walk against the linear-scan reference, and its time budget."""
+    """The library walk against the linear-scan reference and the plain-form walk and lift of
+    ``conftest``, and its time budget."""
 
     CASES = ("rounded", "degenerate", "zero-padded", "permutation", "rejection", "mixed")
+
+    @staticmethod
+    def _assert_matches_oracle(x, y):
+        want = chain_oracle(*_majorized_pair(*_nonneg_pair(x, y, TOL_PROB), TOL_PROB))
+        got = t_transform_chain(x, y)
+        assert _steps(got) == _steps(want)
+        for name in ("source_permutation", "target_permutation"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        assert horn_orthogonal(x, y).orthogonal.tobytes() == witness_oracle(want).tobytes()
+        return got
+
+    @FUZZ
+    @given(pair=_walk_pairs())
+    def test_walk_and_witness_match_the_plain_form_bit_for_bit(self, pair):
+        self._assert_matches_oracle(*pair)
+
+    def test_a_negative_zero_quotient_gives_t_positive_zero(self):
+        # The last step averages a target of -0.0 onto a padded +0.0: its quotient is -0.0.
+        chain = self._assert_matches_oracle([0.7, 0.3, -0.0, -0.0], [0.9, 0.1])
+        assert _steps(chain)[-1] == (int, 2, int, 3, float, float.hex(0.0))
 
     def test_matches_linear_scan_reference(self):
         rng = np.random.default_rng(4242)

@@ -11,6 +11,8 @@ entangled and product targets, states at norms 1 +- 9e-10, degenerate spectra, w
 (0, 1e-12] (subnormal ones included), zero weights, weights equal to the eigenvalues,
 ensembles built from a density's factor and ones that do not realize it, T-chains applied to
 a vector past their dimension, numpy-integer sizes, domain rejections and invalid input.
+Pairs reach d = 256 as the witness-sweep benchmark draws them (library paths only), and some
+end in -0.0 entries; a seventh of the ``run_protocol`` targets are drawn at n = 24..70.
 
 Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
@@ -52,7 +54,7 @@ FAMILY_TARGETS = ("square", "rectangular", "rank-deficient", "zero-padded", "emb
                   "maximally-entangled", "product", "numpy-int", "rejected", "invalid")
 FAMILY_DENSITIES = ("full", "rank-deficient", "degenerate", "pure", "tiny", "invalid")
 FAMILY_WEIGHTS = ("mixed", "eigenvalues", "tiny", "zeros", "rejected", "invalid")
-FAMILY_PAIRS = ("mixed", "ties", "tiny", "zero-padded", "rejected", "invalid")
+FAMILY_PAIRS = ("mixed", "ties", "tiny", "zero-padded", "large", "negative-zero", "rejected", "invalid")
 FAMILY_ENSEMBLES = ("eigen", "rotated", "padded", "perturbed", "dimension", "invalid")
 
 
@@ -196,8 +198,28 @@ def _ensemble(rng, family):
     return rho, w, states
 
 
+def _large_pair(rng):
+    """(x, y) at d in {32, 64, 128, 256}, drawn as the witness-sweep benchmark draws its jobs:
+    y zero-padded from d/4..d/2 coordinates, in 2 to 5 tied levels, or Dirichlet(alpha), and x
+    a mix of it or, for a Dirichlet y, on a third of the fixtures, the uniform vector."""
+    d, alpha = int(rng.choice([32, 64, 128, 256])), float(rng.choice([0.5, 1.0, 3.0]))
+    case = int(rng.integers(4))
+    if case == 0:
+        y = rng.dirichlet(np.full(int(rng.integers(d // 4, d // 2 + 1)), alpha))
+        return _mix_down(np.concatenate([y, np.zeros(d - y.size)]), rng), y
+    if case == 1:
+        levels = rng.dirichlet(np.ones(int(rng.integers(2, 6))))
+        y = rng.permutation(np.repeat(levels, -(-d // levels.size))[:d])
+        y = y / y.sum()
+        return _mix_down(y, rng), y
+    y = rng.dirichlet(np.full(d, alpha))
+    return (np.full(d, 1.0 / d) if case == 2 else _mix_down(y, rng)), y
+
+
 def _pair(rng, family):
     """(x, y), x majorized by y except in the last two families."""
+    if family == "large":
+        return _large_pair(rng)
     y = rng.dirichlet(np.ones(int(rng.integers(2, 9))))
     if family == "ties":
         y = np.repeat(rng.dirichlet(np.ones(2)), -(-y.size // 2))[: y.size]
@@ -207,6 +229,8 @@ def _pair(rng, family):
         y = y / y.sum()
     if family == "zero-padded":
         return _mix_down(np.concatenate([y, np.zeros(2)]), rng), y
+    if family == "negative-zero":  # the walk's last targets are -0.0, over y's padding of +0.0
+        return np.concatenate([_mix_down(y, rng), np.full(int(rng.integers(1, 4)), -0.0)]), y
     if family == "rejected":
         return np.eye(y.size)[0], y
     if family == "invalid":
@@ -214,9 +238,12 @@ def _pair(rng, family):
     return _mix_down(y, rng), y
 
 
-def _target(rng, family, max_d=8):
-    """Target amplitudes and a source rank d; the rejected family has rank d + 1, the invalid d = 0."""
-    n = int(rng.integers(1, max_d + 1))
+def _target(rng, family, max_d=8, min_d=1):
+    """Target amplitudes and a source rank d; the rejected family has rank d + 1, the invalid d = 0.
+
+    The target has about n rows and columns, n drawn from min_d..max_d (half that in the
+    zero-padded and embedded families)."""
+    n = int(rng.integers(min_d, max_d + 1))
     if family == "rectangular":
         amps = _unit(rng, n, n + int(rng.integers(1, 3)))
     elif family == "rank-deficient":
@@ -261,9 +288,9 @@ def _library_paths(q):
         fam = _family(FAMILY_PAIRS, i)
         return (fam, *_pair(rng, fam))
 
-    def target(rng, i, max_d=8):
+    def target(rng, i, max_d=8, min_d=1):
         fam = _family(FAMILY_TARGETS, i)
-        amps, d = _target(rng, fam, max_d)
+        amps, d = _target(rng, fam, max_d, min_d)
         return fam, amps, d
 
     def synth_path(rng, i):
@@ -290,9 +317,11 @@ def _library_paths(q):
                                                                  q_weights)
 
     def run_path(rng, i):
-        fam, amps, d = target(rng, i, 12)
+        large = i % 7 == 6  # 7 is prime to the 10 target families, so each gets some large targets
+        fam, amps, d = target(rng, i, 70, 24) if large else target(rng, i, 12)
         seed = int(rng.integers(0, 2**31))
-        return fam, lambda: q.run_protocol(q.BipartiteState(amplitudes=amps), d, seed)
+        label = f"{fam}/large" if large else fam
+        return label, lambda: q.run_protocol(q.BipartiteState(amplitudes=amps), d, seed)
 
     def enumerate_path(rng, i):
         fam, amps, d = target(rng, i)
@@ -412,7 +441,8 @@ def _cli_jobs():
         def job(rng, i):
             if i % 10 == 9:
                 return "malformed", [command], [malformed[i % 3], _probvec([1.0])]
-            fam = _family(FAMILY_PAIRS, i)
+            # Not the large pairs: the CLI is run at d <= 8, and a d = 256 witness's report is ~5 MB.
+            fam = _family(tuple(f for f in FAMILY_PAIRS if f != "large"), i)
             x, y = _pair(rng, fam)
             tol = ["--tol-major", ("0", "1e-12", "nan")[i % 3]] if i % 4 == 1 else []
             return fam, [command, *tol], [_probvec(x), _probvec(y)]
