@@ -226,24 +226,15 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
                           for p, raw in zip(inputs, raws)]
         values = [_decode(raw, p, tols, kind) for raw, p, kind in zip(raws, inputs, kinds)]
         base["result"] = job(values, tols)
+        base["status"], code = "ok", EXIT_OK
     # A size within every ceiling can still ask for more memory than exists; that is the input's.
-    except (InputError, ValidationError, MemoryError) as exc:
-        base["status"] = "error"
-        base["reason"] = {"class": "input", "detail": str(exc)}
-        _emit(base, output)
-        raise SystemExit(EXIT_INPUT)
-    except DomainError as exc:
-        base["status"] = "rejected"
-        reason = {"class": "domain", "detail": str(exc)}
-        for attr in ("k", "lhs", "rhs"):
-            if hasattr(exc, attr):
-                reason[attr] = getattr(exc, attr)
-        base["reason"] = reason
-        _emit(base, output)
-        raise SystemExit(EXIT_REJECTED)
-    base["status"] = "ok"
+    except (InputError, ValidationError, MemoryError, DomainError) as exc:
+        base["status"], cls, code = (("rejected", "domain", EXIT_REJECTED) if isinstance(exc, DomainError)
+                                     else ("error", "input", EXIT_INPUT))
+        base["reason"] = {"class": cls, "detail": str(exc),
+                          **{a: getattr(exc, a) for a in ("k", "lhs", "rhs") if hasattr(exc, a)}}
     _emit(base, output)
-    raise SystemExit(EXIT_OK)
+    raise SystemExit(code)
 
 
 @click.group()

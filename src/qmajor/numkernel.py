@@ -291,8 +291,6 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
     # The reconstruction bound is relative to the scale; orthonormality does not depend on it.
     _check_defect(_norm(spect.reconstruct() - herm), TOL_RECON * size,
                   "eigendecomposition reconstruction defect")
-    if scale == 1.0:
-        return spect
     with np.errstate(over="ignore"):
         eigvals = spect.eigenvalues * scale
     if not np.isfinite(eigvals).all():

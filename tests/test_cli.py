@@ -446,6 +446,26 @@ class TestCommands:
         assert res.exit_code == EXIT_OK
         assert json.loads(res.output)["result"]["passed"] is True
 
+    def test_schur_report_records_a_failed_comparison(self, runner, write):
+        # Majorized within the default tolerance, so a report, exit 0, with the failure in passed.
+        x = write("x.json", {"kind": "probvec", "weights": [1.0, 0.0]})
+        y = write("y.json", {"kind": "probvec", "weights": [1 - 1e-16, 1e-16]})
+        res = runner.invoke(main, ["schur-report", "-i", x, "-i", y])
+        assert res.exit_code == EXIT_OK
+        report = json.loads(res.output)
+        assert (report["status"], report["result"]["passed"]) == ("ok", False)
+        entry = {e["name"]: e for e in report["result"]["entries"]}["sum[neg_sqrt]"]
+        assert (entry["value_x"], entry["value_y"]) == (-1.0, -1.00000001)
+
+    def test_schur_report_rejects_a_pair_that_is_not_majorized(self, runner, files):
+        res = runner.invoke(main, ["schur-report", "-i", files["y"], "-i", files["x"]])
+        assert res.exit_code == EXIT_REJECTED
+        report = json.loads(res.output)
+        assert report["status"] == "rejected"
+        assert report["reason"] == {
+            "class": "domain", "detail": "majorization violated at k=1: 1 > 0.5", "k": 1, "lhs": 1.0, "rhs": 0.5,
+        }
+
     def test_ensemble_verify_round_trip(self, runner, files, tmp_path):
         synth_out = tmp_path / "synth.json"
         runner.invoke(main, [

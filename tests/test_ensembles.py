@@ -380,6 +380,17 @@ class TestEntropyReportOracle:
             assert got.value_y == pytest.approx(want.value_y, abs=1e-12), got.name
         assert report.schur.passed
 
+    def test_entropy_check_kept(self):
+        # Norms 1 -+ 9e-10 put the state entropy 3.5e-10 above the mixing entropy: within the
+        # default tol the report carries the gap, and at tol 0 the check raises.
+        ens = Ensemble.from_members([(0.6, (1 - 9e-10) * KET0), (0.4, (1 + 9e-10) * KET1)])
+        message = r"^mixing entropy 0\.6730116670092565 fell below state entropy 0\.6730116673595783$"
+        with pytest.raises(ValidationError, match=message):
+            entropy_report(ens, tol=0.0)
+        report = entropy_report(ens)
+        assert report.gap == pytest.approx(-3.5e-10, rel=1e-2)
+        assert report.schur.passed
+
     def test_runs_no_eigensolve(self, monkeypatch):
         ens = ORACLE_CASES["rank-deficient"]()
 

@@ -177,7 +177,8 @@ def test_a_zero_s_sign_is_a_moved_bit():
 
 def test_fixtures_reach_the_sizes_the_benchmark_runs():
     """Large pairs sit at the witness-sweep's d, negative-zero pairs end in -0.0 past y's length,
-    and every seventh ``run_protocol`` fixture draws its target at n = 24..70."""
+    within-tol pairs are accepted yet fail a Schur-convex comparison, and every seventh
+    ``run_protocol`` fixture draws its target at n = 24..70."""
     import qmajor
 
     tool = _tool()
@@ -188,6 +189,8 @@ def test_fixtures_reach_the_sizes_the_benchmark_runs():
         x, y = tool._pair(rng, "negative-zero")
         tail = x[y.size:]
         assert tail.size and not tail.any() and np.signbit(tail).all() and qmajor.is_majorized_by(x, y)
+        x, y = tool._pair(rng, "within-tol")
+        assert qmajor.is_majorized_by(x, y) and not qmajor.check_schur_inequalities(x, y).passed
     run = tool._library_paths(qmajor)["run_protocol"]
     labels = [run(np.random.default_rng([tool.SEED, i]), i)[0] for i in range(14)]
     assert [i for i, label in enumerate(labels) if label.endswith("/large")] == [6, 13]

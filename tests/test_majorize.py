@@ -766,6 +766,27 @@ class TestSchurInequalities:
         with pytest.raises(ValidationError, match=message):
             check_schur_inequalities([big, 0.0], [big, 0.0])
 
+    def test_a_failed_comparison_is_reported_not_raised(self):
+        # [1, 0] is majorized by [1 - 1e-16, 1e-16] within TOL_PROB, yet sum(-sqrt(x)), not
+        # Lipschitz at 0, moves by 1e-8: the report says so in passed and keeps the values.
+        report = check_schur_inequalities([1.0, 0.0], [1 - 1e-16, 1e-16])
+        assert report.passed is False
+        failed = [e for e in report.entries if e.value_x > e.value_y + report.tol]
+        assert [(e.name, e.value_x, e.value_y) for e in failed] == [("sum[neg_sqrt]", -1.0, -1.00000001)]
+        assert failed[0].slack < -1e-9
+
+    def test_a_seeded_pair_within_tol_fails_only_neg_sqrt(self):
+        # x = (y, 0) against (y (1 - eps), eps): accepted within tol, failed by sum(-sqrt(x)) alone.
+        rng = np.random.default_rng(29)
+        y, eps = rng.dirichlet(np.ones(6)), 10.0 ** rng.uniform(-16, -13)
+        x, y_eps = np.append(y, 0.0), np.append(y * (1 - eps), eps)
+        assert is_majorized_by(x, y_eps)
+        report = check_schur_inequalities(x, y_eps)
+        assert report.passed is False
+        failed = [e for e in report.entries if e.value_x > e.value_y + report.tol]
+        assert [e.name for e in failed] == ["sum[neg_sqrt]"]
+        assert failed[0].slack < -1e-9
+
     def test_never_violated_on_random_pairs(self, rng):
         for _ in range(50):
             d = int(rng.integers(2, 9))

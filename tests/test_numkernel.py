@@ -25,6 +25,7 @@ def random_hermitian(n, rng):
 class TestHermitianEig:
     def test_diagonal_input(self):
         spect = hermitian_eig(np.diag([0.5, 0.5]))
+        assert spect.dim == 2
         assert np.array_equal(spect.eigenvalues, [0.5, 0.5])
         assert np.array_equal(spect.eigenvectors, np.eye(2))
 
@@ -46,6 +47,7 @@ class TestHermitianEig:
         for n in range(2, 17):
             h = random_hermitian(n, rng)
             spect = hermitian_eig(h)
+            assert spect.dim == n
             assert frobenius_distance(spect.reconstruct(), h) <= 1e-10
             gram = spect.eigenvectors.conj().T @ spect.eigenvectors
             assert np.linalg.norm(gram - np.eye(n)) <= 1e-10

@@ -11,8 +11,9 @@ entangled and product targets, states at norms 1 +- 9e-10, degenerate spectra, w
 (0, 1e-12] (subnormal ones included), zero weights, weights equal to the eigenvalues,
 ensembles built from a density's factor and ones that do not realize it, T-chains applied to
 a vector past their dimension, numpy-integer sizes, domain rejections and invalid input.
-Pairs reach d = 256 as the witness-sweep benchmark draws them (library paths only), and some
-end in -0.0 entries; a seventh of the ``run_protocol`` targets are drawn at n = 24..70.
+Pairs reach d = 256 as the witness-sweep benchmark draws them (library paths only), some end
+in -0.0 entries, and some are majorized only within the tolerance, so that a Schur-convex
+comparison fails on them; a seventh of the ``run_protocol`` targets are drawn at n = 24..70.
 
 Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
@@ -54,7 +55,8 @@ FAMILY_TARGETS = ("square", "rectangular", "rank-deficient", "zero-padded", "emb
                   "maximally-entangled", "product", "numpy-int", "rejected", "invalid")
 FAMILY_DENSITIES = ("full", "rank-deficient", "degenerate", "pure", "tiny", "invalid")
 FAMILY_WEIGHTS = ("mixed", "eigenvalues", "tiny", "zeros", "rejected", "invalid")
-FAMILY_PAIRS = ("mixed", "ties", "tiny", "zero-padded", "large", "negative-zero", "rejected", "invalid")
+FAMILY_PAIRS = ("mixed", "ties", "tiny", "zero-padded", "large", "negative-zero", "within-tol",
+                "rejected", "invalid")
 FAMILY_ENSEMBLES = ("eigen", "rotated", "padded", "perturbed", "dimension", "invalid")
 
 
@@ -217,7 +219,7 @@ def _large_pair(rng):
 
 
 def _pair(rng, family):
-    """(x, y), x majorized by y except in the last two families."""
+    """(x, y), x majorized by y (in within-tol, only within 1e-9) except in the last two families."""
     if family == "large":
         return _large_pair(rng)
     y = rng.dirichlet(np.ones(int(rng.integers(2, 9))))
@@ -231,6 +233,9 @@ def _pair(rng, family):
         return _mix_down(np.concatenate([y, np.zeros(2)]), rng), y
     if family == "negative-zero":  # the walk's last targets are -0.0, over y's padding of +0.0
         return np.concatenate([_mix_down(y, rng), np.full(int(rng.integers(1, 4)), -0.0)]), y
+    if family == "within-tol":  # (y, 0) against (y (1 - eps), eps); sum(-sqrt) moves by ~sqrt(eps)
+        eps = 10.0 ** rng.uniform(-16, -13)
+        return np.append(y, 0.0), np.append(y * (1 - eps), eps)
     if family == "rejected":
         return np.eye(y.size)[0], y
     if family == "invalid":
@@ -444,7 +449,8 @@ def _cli_jobs():
             # Not the large pairs: the CLI is run at d <= 8, and a d = 256 witness's report is ~5 MB.
             fam = _family(tuple(f for f in FAMILY_PAIRS if f != "large"), i)
             x, y = _pair(rng, fam)
-            tol = ["--tol-major", ("0", "1e-12", "nan")[i % 3]] if i % 4 == 1 else []
+            # 5 is prime to the 8 families and to the 3 values, so every family gets each one.
+            tol = ["--tol-major", ("0", "1e-12", "nan")[i % 3]] if i % 5 == 1 else []
             return fam, [command, *tol], [_probvec(x), _probvec(y)]
         return job
 
