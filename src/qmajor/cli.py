@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
 Each invocation runs one job: parse JSON inputs, dispatch to the library,
-write one machine-readable JSON report.  Exit codes separate the three
-failure classes: 0 success, 1 domain rejection (a precondition such as
-majorization fails), 2 malformed or invalid input.  Each command is
-declared once, with its input kinds and the tolerance flags its job applies.
+write one machine-readable JSON report.  Exit codes separate the three outcomes:
+0 success, 1 domain rejection (a ``DomainError``, such as a failed majorization),
+2 malformed or invalid input (a ``ValidationError``, the parser's too, or a ``MemoryError``).
+Each command is declared once, with its input kinds and the tolerance flags its job applies.
 
 Reports are deterministic: identical inputs, options and seed produce
 byte-identical bytes.  Complex numbers are two-element [re, im] arrays and
@@ -39,10 +39,6 @@ from .protocol import enumerate_protocol, run_protocol
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
-
-
-class InputError(Exception):
-    """Malformed or invalid input file; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------- encoding
@@ -86,31 +82,31 @@ def _decode_entries(value, where: str, ndim: int) -> np.ndarray:
     """Invert ``encode_entries``: ``ndim``-deep [re, im] pairs to a complex array, bit for bit."""
     pairs = _as_array(value, where, np.float64, ndim + 1)
     if pairs.shape[-1] != 2:
-        raise InputError(f"{where}: complex entries must be [re, im] pairs")
+        raise ValidationError(f"{where}: complex entries must be [re, im] pairs")
     return pairs.view(np.complex128)[..., 0]
 
 
 def _declared(doc: dict, field: str, actual: int, path: str) -> None:
     """Check an optional declared size such as ``dim`` against the decoded one."""
     if field in doc and _as_dim(doc[field], f"{path} {field}", 1) != actual:
-        raise InputError(f"{path}: declared {field} {doc[field]} but the entries give {actual}")
+        raise ValidationError(f"{path}: declared {field} {doc[field]} but the entries give {actual}")
 
 
 # ---------------------------------------------------------------- parsing
 
-def parse_document(doc, path: str, tols: dict, expect: str | None = None):
-    """Decode one kind-tagged JSON document into a validated domain value.
+def parse_document(doc, path: str, tols: dict, expect: str):
+    """Decode one kind-tagged JSON document, which must be of kind ``expect``, into a domain value.
 
-    With ``expect`` set, a document of any other kind is rejected.
+    A density is read at ``tols["herm"]``, a probvec at ``tols["major"]`` but never below TOL_PROB.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise InputError(f"{path}: missing top-level 'kind' tag")
+        raise ValidationError(f"{path}: missing top-level 'kind' tag")
     kind = doc["kind"]
-    if expect is not None and kind != expect:
-        raise InputError(f"{path}: expected kind {expect!r}, got {kind!r}")
+    if kind != expect:
+        raise ValidationError(f"{path}: expected kind {expect!r}, got {kind!r}")
     try:
         if kind == "probvec":
-            return as_prob_vector(doc["weights"], tol=tols["prob"], name=f"{path} weights")
+            return as_prob_vector(doc["weights"], tol=max(tols["major"], TOL_PROB), name=f"{path} weights")
         if kind == "density":
             entries = _decode_entries(doc["entries"], f"{path} entries", 2)
             _declared(doc, "dim", entries.shape[0], path)
@@ -130,8 +126,8 @@ def parse_document(doc, path: str, tols: dict, expect: str | None = None):
             synthetic = doc.get("synthetic", np.zeros(states.shape[0], dtype=bool))
             return Ensemble(weights=doc["weights"], states=states, synthetic=synthetic)
     except KeyError as exc:
-        raise InputError(f"{path}: missing field {exc}") from exc
-    raise InputError(f"{path}: unknown kind {kind!r}")
+        raise ValidationError(f"{path}: missing field {exc}") from exc
+    raise ValidationError(f"{path}: unknown kind {kind!r}")
 
 
 def _read(path: str) -> bytes:
@@ -139,23 +135,18 @@ def _read(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _decode(raw: bytes, path: str, tols: dict, expect: str | None):
+def _decode(raw: bytes, path: str, tols: dict, expect: str):
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: parse error: {exc}") from exc
+        raise ValidationError(f"{path}: parse error: {exc}") from exc
     return parse_document(doc, path, tols, expect)
 
 
-def parse_input(path: str, tols: dict | None = None, expect: str | None = None):
-    """Read and decode one input file; raises InputError/ValidationError on bad input."""
-    return _decode(_read(path), path, tols or dict(_DEFAULT_TOLS), expect)
-
-
-_DEFAULT_TOLS = {"herm": TOL_HERM, "major": TOL_PROB, "recon": TOL_RECON, "prob": TOL_PROB}
+_DEFAULT_TOLS = {"herm": TOL_HERM, "major": TOL_PROB, "recon": TOL_RECON}
 
 
 # ---------------------------------------------------------------- reporting
@@ -197,8 +188,7 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
 
     ``kinds`` lists the document kind each input must have, in order, and
     ``flags`` holds the tolerance flags the command takes, which the report
-    lists.  The parser applies those over ``_DEFAULT_TOLS``, with the
-    probability tolerance derived from the majorization one.
+    lists.  The job and ``parse_document`` read those over ``_DEFAULT_TOLS``.
     """
     base = {
         "command": command,
@@ -215,11 +205,10 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
         if seed is not None:
             _as_dim(seed, "seed", 0, None)
         if len(inputs) != len(kinds):
-            raise InputError(
+            raise ValidationError(
                 f"{command} takes {len(kinds)} input(s) ({', '.join(kinds)}), got {len(inputs)}"
             )
         tols = dict(_DEFAULT_TOLS, **flags)
-        tols["prob"] = max(tols["major"], TOL_PROB)
         # Each file is read once: the digest and the document come from the same bytes.
         raws = [_read(p) for p in inputs]
         base["inputs"] = [{"path": p, "sha256": hashlib.sha256(raw).hexdigest()}
@@ -228,7 +217,7 @@ def _run(command: str, kinds: tuple[str, ...], inputs: tuple[str, ...], output: 
         base["result"] = job(values, tols)
         base["status"], code = "ok", EXIT_OK
     # A size within every ceiling can still ask for more memory than exists; that is the input's.
-    except (InputError, ValidationError, MemoryError, DomainError) as exc:
+    except (ValidationError, MemoryError, DomainError) as exc:
         base["status"], cls, code = (("rejected", "domain", EXIT_REJECTED) if isinstance(exc, DomainError)
                                      else ("error", "input", EXIT_INPUT))
         base["reason"] = {"class": cls, "detail": str(exc),

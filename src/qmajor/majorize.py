@@ -22,7 +22,10 @@ from .numkernel import _as_array, _as_dim, _as_tol, _check_defect, _check_unit, 
 
 
 class MajorizationError(DomainError):
-    """x is not majorized by y; carries the first failing partial sum."""
+    """x is not majorized by y; carries the first failing partial sum ``(k, lhs, rhs)``, k 1-based.
+
+    Unequal lengths are zero-padded to d = max(len(x), len(y)), and k == d flags a total
+    mismatch: ``([0.4, 0.4], [0.5, 0.3, 0.1, 0.1])`` gives ``(4, 0.8, 1.0)``."""
 
     def __init__(self, k: int, lhs: float, rhs: float):
         self.k = k
@@ -81,16 +84,6 @@ def _sorted_pair(xv, yv, tol: float):
     elif abs(cx[-1] - cy[-1]) > tol:
         violation = d, float(cx[-1]), float(cy[-1])
     return xv, yv, perm_x, perm_y, violation
-
-
-def majorization_violation(x, y, tol: float = TOL_PROB):
-    """First failing partial sum of the majorization comparison, or None.
-
-    Returns ``(k, lhs, rhs)`` with 1-based k.  Vectors of unequal length are
-    zero-padded to d = max(len(x), len(y)), and k == d flags a total
-    mismatch: ``([0.4, 0.4], [0.5, 0.3, 0.1, 0.1])`` gives ``(4, 0.8, 1.0)``.
-    """
-    return _sorted_pair(*_nonneg_pair(x, y, tol), tol)[4]
 
 
 def is_majorized_by(x, y, tol: float = TOL_PROB) -> bool:

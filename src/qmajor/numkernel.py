@@ -214,7 +214,7 @@ def _canonical_spectrum(eigvals: np.ndarray, v: np.ndarray) -> Spectrum:
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
-    return 2.0 * float(np.max(np.abs(m / 2.0 - m.conj().T / 2.0))) if m.size else 0.0
+    return 2.0 * float(np.max(np.abs(m / 2.0 - m.conj().T / 2.0)))
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:

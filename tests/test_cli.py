@@ -10,12 +10,12 @@ from qmajor.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REJECTED,
-    InputError,
+    _decode,
     _decode_entries,
+    _read,
     encode_entries,
     main,
     parse_document,
-    parse_input,
 )
 from qmajor.bipartite import BipartiteState
 from qmajor.ensembles import Ensemble
@@ -28,7 +28,12 @@ ENSEMBLE = {"kind": "ensemble", "weights": [0.5, 0.5], "states": [[[1, 0], [0, 0
 
 
 def test_default_tolerances_are_the_library_constants():
-    assert _DEFAULT_TOLS == {"herm": TOL_HERM, "major": TOL_PROB, "recon": TOL_RECON, "prob": TOL_PROB}
+    assert _DEFAULT_TOLS == {"herm": TOL_HERM, "major": TOL_PROB, "recon": TOL_RECON}
+
+
+def _parse(path, expect):
+    """Read and decode one input file as a job does, at the default tolerances."""
+    return _decode(_read(path), path, dict(_DEFAULT_TOLS), expect)
 
 
 @pytest.fixture
@@ -48,6 +53,7 @@ def write(tmp_path):
 
 @pytest.fixture
 def files(write, tmp_path):
+    (tmp_path / "broken.json").write_text("{not json")
     return {
         "rho": write("rho.json", RHO),
         "p3": write("p3.json", {"kind": "probvec", "weights": [1 / 3, 1 / 3, 1 / 3]}),
@@ -56,34 +62,37 @@ def files(write, tmp_path):
         "x": write("x.json", {"kind": "probvec", "weights": [0.5, 0.5]}),
         "y": write("y.json", {"kind": "probvec", "weights": [1.0, 0.0]}),
         "bell": write("bell.json", BELL),
-        "broken": str((tmp_path / "broken.json").write_text("{not json") or tmp_path / "broken.json"),
+        "broken": str(tmp_path / "broken.json"),
         "dir": tmp_path,
     }
 
 
 class TestParseInput:
     def test_probvec(self, files):
-        w = parse_input(files["x"])
+        w = _parse(files["x"], "probvec")
         assert np.array_equal(w, [0.5, 0.5])
 
     def test_density(self, files):
-        rho = parse_input(files["rho"])
+        rho = _parse(files["rho"], "density")
         assert isinstance(rho, DensityMatrix)
         assert np.allclose(rho.matrix, np.eye(2) / 2)
 
     def test_bad_weights_name_the_invariant(self, files):
         with pytest.raises(ValidationError, match="sum"):
-            parse_input(files["p_bad"])
+            _parse(files["p_bad"], "probvec")
 
     def test_parse_error_carries_location(self, files):
-        with pytest.raises(InputError, match="line 1"):
-            parse_input(str(files["dir"] / "broken.json"))
+        with pytest.raises(ValidationError, match="line 1"):
+            _parse(files["broken"], "probvec")
 
     def test_unknown_kind(self, tmp_path):
         p = tmp_path / "u.json"
         p.write_text(json.dumps({"kind": "mystery"}))
-        with pytest.raises(InputError, match="unknown kind"):
-            parse_input(str(p))
+        with pytest.raises(ValidationError, match="expected kind 'probvec', got 'mystery'"):
+            _parse(str(p), "probvec")
+        # A kind no command declares reaches the parser's last branch.
+        with pytest.raises(ValidationError, match="unknown kind 'mystery'"):
+            _parse(str(p), "mystery")
 
     def test_declared_dim_mismatch(self, tmp_path):
         p = tmp_path / "d.json"
@@ -91,8 +100,8 @@ class TestParseInput:
             "kind": "density", "dim": 3,
             "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
         }))
-        with pytest.raises(InputError, match="declared dim"):
-            parse_input(str(p))
+        with pytest.raises(ValidationError, match="declared dim"):
+            _parse(str(p), "density")
 
 
 class TestExitCodes:
@@ -139,7 +148,7 @@ class TestExitCodes:
     def test_input_error_malformed(self, runner, files, tmp_path):
         out = tmp_path / "rep.json"
         res = runner.invoke(main, [
-            "schmidt", "-i", str(files["dir"] / "broken.json"), "-o", str(out),
+            "schmidt", "-i", files["broken"], "-o", str(out),
         ])
         assert res.exit_code == EXIT_INPUT
 
@@ -206,7 +215,7 @@ class TestExitContract:
         bad = write("sv.json", {"kind": "statevec", "amplitudes": 3})
         self.assert_input_error(runner, ["schmidt", "-i", bad], tmp_path, "expected kind 'bipartite'")
         with pytest.raises(ValidationError):
-            parse_input(bad)
+            _parse(bad, "statevec")
 
     def test_string_weights(self, runner, files, write, tmp_path):
         bad = write("w.json", {"kind": "probvec", "weights": "ab"})
@@ -314,7 +323,8 @@ class TestExitContract:
     def test_statevec_read_by_the_library_rules(self, amplitudes):
         # No command takes a statevec, so the parser is called directly.
         with pytest.raises(ValidationError, match="amplitudes"):
-            parse_document({"kind": "statevec", "amplitudes": amplitudes}, "sv", dict(_DEFAULT_TOLS))
+            parse_document({"kind": "statevec", "amplitudes": amplitudes}, "sv", dict(_DEFAULT_TOLS),
+                           "statevec")
 
 
 class TestCommandFlags:
@@ -543,7 +553,7 @@ class TestRoundTrip:
         ])
         report = json.loads(out.read_text())
         frag = report["result"]["ensemble"]
-        ens = parse_document(frag, "fragment", dict(_DEFAULT_TOLS))
+        ens = parse_document(frag, "fragment", dict(_DEFAULT_TOLS), "ensemble")
         assert isinstance(ens, Ensemble)
         # exact float round-trip through the report
         assert ens.weights.tolist() == frag["weights"]
@@ -555,7 +565,7 @@ class TestRoundTrip:
             "protocol-run", "-i", files["bell"], "--d", "2", "--seed", "1",
         ])
         frag = json.loads(res.output)["result"]["transcript"]["final_state"]
-        psi = parse_document(frag, "fragment", dict(_DEFAULT_TOLS))
+        psi = parse_document(frag, "fragment", dict(_DEFAULT_TOLS), "bipartite")
         assert isinstance(psi, BipartiteState)
         back = [[[z.real, z.imag] for z in row] for row in psi.amplitudes]
         assert back == frag["amplitudes"]

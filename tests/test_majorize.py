@@ -18,7 +18,6 @@ from qmajor.majorize import (
     check_schur_inequalities,
     horn_orthogonal,
     is_majorized_by,
-    majorization_violation,
     schur_value,
     t_transform_chain,
     unitary_to_stochastic,
@@ -26,6 +25,15 @@ from qmajor.majorize import (
 from qmajor.numkernel import TOL_PROB, ValidationError, random_density, random_unitary
 
 from conftest import FUZZ, chain_oracle, mix_down, random_bipartite, witness_oracle
+
+
+def _violation(x, y, tol=TOL_PROB):
+    """The first failing partial sum ``(k, lhs, rhs)`` that t_transform_chain raises, or None."""
+    try:
+        t_transform_chain(x, y, tol)
+    except MajorizationError as exc:
+        return exc.k, exc.lhs, exc.rhs
+    return None
 
 
 class TestIsMajorizedBy:
@@ -39,7 +47,7 @@ class TestIsMajorizedBy:
     def test_first_partial_sum_fails(self):
         # sorted partial sums: 0.6 > 0.5 at k=1
         assert not is_majorized_by([0.6, 0.4], [0.5, 0.5])
-        assert majorization_violation([0.6, 0.4], [0.5, 0.5]) == (1, 0.6, 0.5)
+        assert _violation([0.6, 0.4], [0.5, 0.5]) == (1, 0.6, 0.5)
 
     def test_zero_padding(self):
         assert is_majorized_by([1 / 3, 1 / 3, 1 / 3], [0.5, 0.5])
@@ -47,6 +55,8 @@ class TestIsMajorizedBy:
 
     def test_total_mismatch(self):
         assert not is_majorized_by([0.4, 0.4], [0.5, 0.5])
+        # Zero-padded to d = 4, a total mismatch fails at k == d.
+        assert _violation([0.4, 0.4], [0.5, 0.3, 0.1, 0.1]) == (4, 0.8, 1.0)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
@@ -62,7 +72,7 @@ class TestIsMajorizedBy:
         with pytest.raises(ValidationError, match="total overflows float64"):
             is_majorized_by(x, y)
         with pytest.raises(ValidationError, match="total overflows float64"):
-            majorization_violation(x, y)
+            t_transform_chain(x, y)
 
     def test_total_just_below_overflow_is_judged(self):
         big = np.finfo(np.float64).max / 2
@@ -72,7 +82,7 @@ class TestIsMajorizedBy:
 
 @pytest.mark.parametrize(
     "call",
-    [majorization_violation, is_majorized_by, t_transform_chain, horn_orthogonal, check_schur_inequalities],
+    [is_majorized_by, t_transform_chain, horn_orthogonal, check_schur_inequalities],
 )
 @pytest.mark.parametrize("bad", [[[0.5, 0.5]], 1.0], ids=["2-D", "0-D"])
 def test_pair_operations_reject_non_vectors(call, bad):
@@ -594,7 +604,7 @@ class TestChainOracle:
         for trial in range(480):
             x, y = _tie_heavy_pair(rng, self.CASES[trial % len(self.CASES)])
             expected = _reference_violation(x, y)
-            assert majorization_violation(x, y) == expected
+            assert is_majorized_by(x, y) == (expected is None)
             if expected is not None:
                 rejected += 1
                 with pytest.raises(MajorizationError) as exc:
@@ -900,7 +910,7 @@ class TestScaleInvariance:
 
     @staticmethod
     def verdict(x, y, tol):
-        violation = majorization_violation(x, y, tol)
+        violation = _violation(x, y, tol)
         assert is_majorized_by(x, y, tol) == (violation is None)
         return None if violation is None else violation[0]
 

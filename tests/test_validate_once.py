@@ -81,7 +81,7 @@ def test_ensemble_consumers_take_densities_and_ensembles_as_they_are(coerced):
 # Public entry points that validate their arguments; library code judges
 # values it holds through the private cores instead (_sorted_pair, _schur,
 # _neg_entropy).
-VALIDATING_ENTRY_POINTS = {"is_majorized_by", "majorization_violation", "check_schur_inequalities"}
+VALIDATING_ENTRY_POINTS = {"is_majorized_by", "check_schur_inequalities"}
 
 
 def test_library_code_calls_no_validating_entry_point():
