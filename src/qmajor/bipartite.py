@@ -93,15 +93,17 @@ class SchmidtDecomposition:
         return (self.basis_a * np.sqrt(self.coefficients)) @ self.basis_b.T
 
 
-def _canonical_svd(m: np.ndarray):
-    """Full SVD m = u diag(sigma) vh with canonical column phases, and the rank.
+def _canonical_svd(m: np.ndarray, cols: int = 0):
+    """SVD m = u diag(sigma) vh with canonical column phases, and the rank.
 
-    Each column of ``u`` is multiplied by the unit phase that makes its first
-    component above 1e-12 real positive (the eigenvector convention of
-    ``hermitian_eig``); the matching rows of ``vh`` take the conjugate phase,
-    so the product is unchanged.  The rank counts sigma**2 above the cutoff.
+    Thin factors, unless the caller reads ``cols`` singular vectors on one
+    side, more than min(m.shape): then full.  Each column of ``u`` is
+    multiplied by the unit phase that makes its first component above 1e-12
+    real positive (the eigenvector convention of ``hermitian_eig``); the
+    matching rows of ``vh`` take the conjugate phase, so the product is
+    unchanged.  The rank counts sigma**2 above the cutoff.
     """
-    u, sigma, vh = np.linalg.svd(m)
+    u, sigma, vh = np.linalg.svd(m, full_matrices=cols > min(m.shape))
     phases = _canonical_phases(u)
     u = u * phases
     vh[: sigma.size] *= phases[: sigma.size, None].conj()
@@ -243,7 +245,7 @@ def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
     factored, so the basis is the one len(q) x len(q) array formed.
     """
     weights = as_prob_vector(q, name="weights")
-    u, sigma, vh, rank = _canonical_svd(psi.amplitudes)
+    u, sigma, vh, rank = _canonical_svd(psi.amplitudes, min(psi.dim_a, weights.size))
     live = sigma[:rank] ** 2
     # The coefficients sum to the squared norm, within about 2e-9 of 1, so
     # they are compared at the total of q, as the mixing core mixes them.

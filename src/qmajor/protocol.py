@@ -221,7 +221,7 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     d = _as_dim(d, "dimension", 1)
     target = embed_state(phi_target, max(phi_target.dim_a, d), max(phi_target.dim_b, d))
     # Only Bob is padded for the SVD; Alice's padding coordinates get the identity in _mix.
-    u, sigma, vh, rank = _canonical_svd(target.amplitudes[: phi_target.dim_a])
+    u, sigma, vh, rank = _canonical_svd(target.amplitudes[: phi_target.dim_a], d)
     if rank > d:
         raise DomainError(
             f"target Schmidt rank {rank} exceeds source rank {d}; "
@@ -233,7 +233,7 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     # is undone at the end of every branch as a free local operation.  In
     # that frame the target is u diag(sigma), so Corollary 4 reuses the SVD.
     aligned = target.amplitudes @ vh.conj().T
-    rewrite = _cor4_from_svd(u, sigma, np.eye(target.dim_b), np.full(d, 1.0 / d), aligned)
+    rewrite = _cor4_from_svd(u, sigma, np.eye(vh.shape[0]), np.full(d, 1.0 / d), aligned)
     e = _measurement_operator(rewrite.states_b, d)
     # Every branch ends on the unit target, so fidelity is measured against
     # the target normalized once here, not against its accepted norm.

@@ -100,10 +100,11 @@ def test_corollary4_equals_the_dense_frame_oracle():
         else:
             psi = rank_deficient_bipartite(dim_a, dim_b, int(rng.integers(1, min(dim_a, dim_b) + 1)), rng)
         q = _weights(schmidt(psi).coefficients, rng, CASES[(i // 2) % len(CASES)])
-        # The SVD of psi's own rows, with the identity on the padding coordinates.
-        u_a, sigma, vh, _ = bipartite._canonical_svd(psi.amplitudes)
+        # The SVD of psi's own rows, with the U columns the library asks for, and the identity
+        # on the padding coordinates.
+        u_a, sigma, vh, _ = bipartite._canonical_svd(psi.amplitudes, min(psi.dim_a, q.size))
         u = np.eye(max(psi.dim_a, q.size), dtype=np.complex128)
-        u[: psi.dim_a, : psi.dim_a] = u_a
+        u[: psi.dim_a, : u_a.shape[1]] = u_a
         frame, order, rank, n_pos = _oracle_frame(sigma**2, q)
         states_b = _oracle_states(frame, order, rank, n_pos, sigma, vh, q.size)
         n = frame.shape[0]
@@ -182,3 +183,32 @@ def test_corollary4_holds_one_m_by_m_array():
         tracemalloc.stop()
     assert peak < 90 * 2**20, peak
     assert np.linalg.norm(dec.reconstruct() - embed_state(bell, 2000, 2).amplitudes) <= 1e-8
+
+
+def test_tall_and_wide_states_take_thin_factors(monkeypatch, rng):
+    # A rank-2 state's Schmidt decomposition, its Corollary 4 with len(q) = 2 and its protocol
+    # at d = 2 read two singular vectors a side; a full SVD of a 4000 x 2 or 2 x 4000 state forms
+    # a 4000 x 4000 factor, 244-489 MiB.
+    svd, full = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        full.append(kwargs.get("full_matrices", args[0] if args else True))
+        return svd(a, *args, **kwargs)
+
+    states = [random_bipartite(*shape, rng) for shape in ((4000, 2), (2, 4000))]
+    weights = [mix_down(np.linalg.svd(psi.amplitudes, compute_uv=False) ** 2, rng) for psi in states]
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for psi, q in zip(states, weights):
+        calls = {"schmidt": lambda: schmidt(psi),
+                 "corollary4_decompose": lambda: corollary4_decompose(psi, q),
+                 "run_protocol": lambda: run_protocol(psi, 2, seed=5)}
+        for name, call in calls.items():
+            full.clear()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert full == [False], (psi.amplitudes.shape, name, full)
+            assert peak < 10 * 2**20, (psi.amplitudes.shape, name, peak)

@@ -20,7 +20,13 @@ from hypothesis import example, given, strategies as st
 
 import qmajor
 from qmajor import bipartite, majorize, numkernel
-from qmajor.bipartite import BipartiteState, corollary4_decompose, schmidt
+from qmajor.bipartite import (
+    BipartiteState,
+    corollary4_decompose,
+    reduced_density,
+    relate_purifications,
+    schmidt,
+)
 from qmajor.ensembles import Ensemble, synthesize_ensemble
 from qmajor.majorize import horn_orthogonal, unitary_to_stochastic
 from qmajor.numkernel import (
@@ -172,6 +178,73 @@ def test_injected_nan_raises_at_the_check_that_sees_it(case, monkeypatch):
     # The NaN's own arithmetic warnings are not what is tested here.
     with np.errstate(all="ignore"), pytest.raises(ValidationError, match=f"^{check} nan exceeds"):
         call()
+
+
+def _first_rotated_row_stretched(rotate):
+    """The lift's first Givens rotation leaves its first row 1 + 2.5e-10 long: Gram defect 5e-10."""
+    done = []
+
+    def patched(ri, rk, c, s):
+        rotate(ri, rk, c, s)
+        if not done:
+            done.append(True)
+            ri *= 1.0 + 2.5e-10
+
+    return patched
+
+
+def _left_column_stretched(svd):
+    """Column 0 of the left factor 1 + 2.5e-9 long, so W Z^H is 5e-9 off unitary."""
+    def patched(a, *args, **kwargs):
+        w, sigma, zh = svd(a, *args, **kwargs)
+        w[:, 0] *= 1.0 + 2.5e-9
+        return w, sigma, zh
+
+    return patched
+
+
+def _singular_values_stretched(svd):
+    """Singular values 1 + 2.5e-8 too large, so F F^H is rebuilt 5e-8 off, relative to its norm."""
+    def patched(a, *args, **kwargs):
+        u, sigma, vh = svd(a, *args, **kwargs)
+        return u, sigma * (1.0 + 2.5e-8), vh
+
+    return patched
+
+
+def _copurifications():
+    phi = random_bipartite(3, 3, np.random.default_rng(1))
+    return phi, BipartiteState(amplitudes=random_unitary(3, 2) @ phi.amplitudes)
+
+
+# (module, attribute, replacement factory, call, name of the check): each injected defect is
+# finite and lies between the check's bound and ten times it, so a bound loosened past 10x passes it.
+JUST_PAST_THE_BOUND = {
+    "horn_orthogonal": (
+        majorize, "_rotate_rows", _first_rotated_row_stretched,
+        lambda: horn_orthogonal([0.5, 0.3, 0.2], [0.7, 0.2, 0.1]),
+        "orthogonality defect of constructed witness",
+    ),
+    "relate_purifications": (
+        np.linalg, "svd", _left_column_stretched,
+        lambda: relate_purifications(*_copurifications()), "constructed map unitarity defect",
+    ),
+    "reduced_density": (
+        np.linalg, "svd", _singular_values_stretched,
+        lambda: reduced_density(random_bipartite(3, 3, np.random.default_rng(1)), "A"),
+        "eigendecomposition reconstruction defect",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JUST_PAST_THE_BOUND))
+def test_injected_defect_just_past_its_bound_raises(case, monkeypatch):
+    module, attr, factory, call, check = JUST_PAST_THE_BOUND[case]
+    monkeypatch.setattr(module, attr, factory(getattr(module, attr)))
+    with pytest.raises(ValidationError, match=f"^{check} ") as raised:
+        call()
+    defect, bound = map(float, re.fullmatch(rf"{check} (\S+) exceeds (\S+)", str(raised.value)).groups())
+    assert bound < defect < 10 * bound, (defect, bound)
 
 
 def _raises_validation_error(node):

@@ -6,8 +6,9 @@
 ``record`` runs twenty public library paths (the table in ``_library_paths``) and nine CLI
 jobs (the eight commands, ``protocol-run`` both sampled and ``--exhaustive``, through click's
 ``CliRunner``) on seeded fixture families, and writes one ``DIR/<path>.npz`` per path.  The
-families are square, rectangular, rank-deficient, zero-padded and embedded targets, maximally
-entangled and product targets, states at norms 1 +- 9e-10, degenerate spectra, weights in
+families are square, rectangular (wide), tall, rank-deficient, zero-padded and embedded
+targets, maximally entangled and product targets, tall and wide targets up to 8:1 such as 16 x 2
+and 2 x 16 (library paths only), states at norms 1 +- 9e-10, degenerate spectra, weights in
 (0, 1e-12] (subnormal ones included), zero weights, weights equal to the eigenvalues,
 ensembles built from a density's factor and ones that do not realize it, T-chains applied to
 a vector past their dimension, numpy-integer sizes, domain rejections and invalid input.
@@ -24,14 +25,15 @@ Each fixture keeps three things, so two records share a digest only if their bit
 
 ``--compare A B`` prints, per path: fixtures, byte-equal fixtures, the largest absolute
 difference of a float leaf, and whether every decision is equal.  Under the table, a ``moved:``
-line names each float leaf that moved, a ``decision:`` line a fixture whose decisions differ,
-and a ``bytes:`` line one whose digest alone differs, such as a CLI report's whitespace (the
-last two for at most three fixtures per path).  It exits 1 when a decision differs or a path
-is missing on one side; with ``--strict`` also when any fixture is not byte-equal, so a
-byte-determinism check needs only the exit code.  Inputs are built from the seed with numpy
-alone, so every tree sees the same bytes.  Record each tree in its own process, the parent
-from ``git archive`` of its commit.  ``tests/test_identity_tool.py`` and ``tests/test_determinism.py``
-pin within-build determinism on this one table: two records of one tree made in one process,
+line names each float leaf that moved and counts its fixtures by family, the first part of a
+fixture's label, so that "only wide targets moved" can be read off it; a ``decision:`` line
+names a fixture whose decisions differ, and a ``bytes:`` line one whose digest alone differs,
+such as a CLI report's whitespace (the last two for at most three fixtures per path).  It
+exits 1 when a decision differs or a path is missing on one side; with ``--strict`` also when
+any fixture is not byte-equal, so a byte-determinism check needs only the exit code.  Inputs
+are built from the seed with numpy alone, so every tree sees the same bytes.  Record each tree
+in its own process, the parent from ``git archive`` of its commit.
+``tests/test_identity_tool.py`` and ``tests/test_determinism.py`` pin within-build determinism on this one table: two records of one tree made in one process,
 and each path's fixtures run twice in a row, must be byte-identical on every path.
 Each CLI job writes its input files to a temporary directory; where creating a file is slow,
 point ``TMPDIR`` at a memory file system such as ``/dev/shm``.
@@ -46,12 +48,13 @@ import json
 import re
 import sys
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 SEED = 13  # every fixture's generator is seeded by (SEED, crc32 of its path name, its index)
-FAMILY_TARGETS = ("square", "rectangular", "rank-deficient", "zero-padded", "embedded",
+FAMILY_TARGETS = ("square", "rectangular", "tall", "rank-deficient", "zero-padded", "embedded",
                   "maximally-entangled", "product", "numpy-int", "rejected", "invalid")
 FAMILY_DENSITIES = ("full", "rank-deficient", "degenerate", "pure", "tiny", "invalid")
 FAMILY_WEIGHTS = ("mixed", "eigenvalues", "tiny", "zeros", "rejected", "invalid")
@@ -243,14 +246,23 @@ def _pair(rng, family):
     return _mix_down(y, rng), y
 
 
-def _target(rng, family, max_d=8, min_d=1):
+def _target(rng, family, max_d=8, min_d=1, skew=False):
     """Target amplitudes and a source rank d; the rejected family has rank d + 1, the invalid d = 0.
 
     The target has about n rows and columns, n drawn from min_d..max_d (half that in the
-    zero-padded and embedded families)."""
+    zero-padded and embedded families).  The tall family is the rectangular one transposed; with
+    ``skew``, half its draws are instead k x s or s x k for s = 1, 2 and k = 2s..8s, such as
+    16 x 2 and 2 x 16, past max_d: a tall one is factored QR first by LAPACK, and ``_label``
+    names a wide one."""
     n = int(rng.integers(min_d, max_d + 1))
     if family == "rectangular":
         amps = _unit(rng, n, n + int(rng.integers(1, 3)))
+    elif family == "tall" and skew and rng.random() < 0.5:
+        short = int(rng.integers(1, 3))
+        amps = _unit(rng, short * int(rng.integers(2, 9)), short)
+        amps = amps.T.copy() if rng.random() < 0.5 else amps
+    elif family == "tall":
+        amps = _unit(rng, n + int(rng.integers(1, 3)), n)
     elif family == "rank-deficient":
         r = max(1, n // 2)
         amps = _unit(rng, n, r) @ _unit(rng, r, n + 1)
@@ -275,6 +287,11 @@ def _family(families, i):
     return families[i % len(families)]
 
 
+def _label(family, amps):
+    """The family of a target for its fixture's label: a wide draw of the tall family is "wide"."""
+    return "wide" if family == "tall" and amps.shape[0] < amps.shape[1] else family
+
+
 # ---------------------------------------------------------------- library paths
 
 def _library_paths(q):
@@ -293,10 +310,10 @@ def _library_paths(q):
         fam = _family(FAMILY_PAIRS, i)
         return (fam, *_pair(rng, fam))
 
-    def target(rng, i, max_d=8, min_d=1):
+    def target(rng, i, max_d=8, min_d=1, skew=True):
         fam = _family(FAMILY_TARGETS, i)
-        amps, d = _target(rng, fam, max_d, min_d)
-        return fam, amps, d
+        amps, d = _target(rng, fam, max_d, min_d, skew)
+        return _label(fam, amps), amps, d
 
     def synth_path(rng, i):
         label, rho, p = synthesis(rng, i)
@@ -322,8 +339,8 @@ def _library_paths(q):
                                                                  q_weights)
 
     def run_path(rng, i):
-        large = i % 7 == 6  # 7 is prime to the 10 target families, so each gets some large targets
-        fam, amps, d = target(rng, i, 70, 24) if large else target(rng, i, 12)
+        large = i % 7 == 6  # 7 is prime to the 11 target families, so each gets some large targets
+        fam, amps, d = target(rng, i, 70, 24, skew=False) if large else target(rng, i, 12)
         seed = int(rng.integers(0, 2**31))
         label = f"{fam}/large" if large else fam
         return label, lambda: q.run_protocol(q.BipartiteState(amplitudes=amps), d, seed)
@@ -370,7 +387,8 @@ def _library_paths(q):
     def reduced_path(rng, i):
         families = FAMILY_TARGETS[:-2] + ("norm-off", "invalid-side")
         fam = _family(families, i)
-        amps, _ = _target(rng, fam)  # a square target for the last two families
+        amps, _ = _target(rng, fam, skew=True)  # a square target for the last two families
+        fam = _label(fam, amps)
         if fam == "norm-off":  # a norm the state's constructor accepts: 1 +- 9e-10
             amps = amps * (1.0 + (9e-10 if i // len(families) % 4 < 2 else -9e-10))
         side = "C" if fam == "invalid-side" else "AB"[i // len(families) % 2]
@@ -614,17 +632,20 @@ def compare(a_dir: Path, b_dir: Path, strict: bool = False) -> int:
                 for pattern, i, j in _segments(ea["decisions"]):
                     if va[i:j].tobytes() != vb[i:j].tobytes():
                         leaves.setdefault(pattern, []).append(_max_diff(va[i:j], vb[i:j]))
+                family = ea["label"].split(":", 1)[1].split("/")[0]
                 for pattern, leaf_diffs in leaves.items():  # one entry per fixture and leaf key
                     diffs.append(float(np.max(leaf_diffs)))
-                    moved.setdefault((name, pattern), []).append(diffs[-1])
+                    moved.setdefault((name, pattern), []).append((diffs[-1], family))
                 if not leaves and sum(line.startswith(f"{name} fixture ") for line in unexplained) < 3:
                     unexplained.append(f"{name} fixture {ea['label']}")  # only a report's bytes moved
         worst = float(np.max(diffs, initial=0.0))  # a NaN, if any, propagates
         failed |= not decisions_equal or (strict and equal_bytes != len(fa))
         print(f"{name:42s} {len(fa):8d} {equal_bytes:10d} {worst:11.3g}  "
               f"{'equal' if decisions_equal else 'DIFFER'}")
-    for (name, pattern), leaf_diffs in sorted(moved.items()):
-        print(f"  moved: {name} {pattern} in {len(leaf_diffs)} fixtures, "
+    for (name, pattern), entries in sorted(moved.items()):
+        leaf_diffs, families = zip(*entries)
+        counts = ", ".join(f"{f} {c}" for f, c in Counter(families).most_common())
+        print(f"  moved: {name} {pattern} in {len(entries)} fixtures ({counts}), "
               f"max |diff| {np.max(leaf_diffs):.3g}")
     for line in examples:
         print(f"  decision: {line}")
