@@ -93,21 +93,35 @@ class SchmidtDecomposition:
         return (self.basis_a * np.sqrt(self.coefficients)) @ self.basis_b.T
 
 
-def _canonical_svd(m: np.ndarray, cols: int = 0):
-    """SVD m = u diag(sigma) vh with canonical column phases, and the rank.
+def _canonical_svd(m: np.ndarray):
+    """Thin SVD m = u diag(sigma) vh with canonical column phases, and the rank.
 
-    Thin factors, unless the caller reads ``cols`` singular vectors on one
-    side, more than min(m.shape): then full.  Each column of ``u`` is
-    multiplied by the unit phase that makes its first component above 1e-12
-    real positive (the eigenvector convention of ``hermitian_eig``); the
-    matching rows of ``vh`` take the conjugate phase, so the product is
-    unchanged.  The rank counts sigma**2 above the cutoff.
+    Each column of ``u`` is multiplied by the unit phase that makes its first
+    component above 1e-12 real positive (the eigenvector convention of
+    ``hermitian_eig``); the matching rows of ``vh`` take the conjugate phase,
+    so the product is unchanged.  The rank counts sigma**2 above the cutoff.
     """
-    u, sigma, vh = np.linalg.svd(m, full_matrices=cols > min(m.shape))
+    u, sigma, vh = np.linalg.svd(m, full_matrices=False)
     phases = _canonical_phases(u)
-    u = u * phases
-    vh[: sigma.size] *= phases[: sigma.size, None].conj()
+    u, vh = u * phases, vh * phases[:, None].conj()
     return u, sigma, vh, int(np.sum(sigma**2 > _RANK_FLOOR))
+
+
+def _completed(u: np.ndarray, cols: int) -> np.ndarray:
+    """u's k orthonormal columns, then columns k..cols-1 of the Q of u's Householder QR: H_1 ... H_k
+    applied to e_k... in compact WY blocks I - V T V^H (LAPACK's zlarft, zlarfb), O(n k cols)."""
+    n, k = u.shape
+    if cols <= k:
+        return u
+    h, tau = np.linalg.qr(u, mode="raw")
+    v, out = np.tril(h.T, -1) + np.eye(n, k), np.concatenate([u, np.eye(n, cols - k, -k)], axis=1)
+    for j in reversed(range(0, k, 64)):  # reflectors j..j+63, which act on rows j...
+        b, t = v[j:, j : j + 64], np.diag(tau[j : j + 64])
+        gram = b.conj().T @ b
+        for i in range(1, len(t)):
+            t[:i, i] = -t[i, i] * (t[:i, :i] @ gram[:i, i])
+        out[j:, k:] -= b @ (t @ (b.conj().T @ out[j:, k:]))
+    return out
 
 
 def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
@@ -182,7 +196,7 @@ def relate_purifications(phi: BipartiteState, psi: BipartiteState, tol: float = 
             f"not co-purifications: B-side reduced densities differ by {gap:.3e} (Frobenius)"
         )
 
-    w, lam, zh = np.linalg.svd(g @ f.conj().T)
+    w, lam, zh = np.linalg.svd(g @ f.conj().T, full_matrices=False)  # square: thin is full
     u = w @ zh
 
     _check_defect(_gram_defect(u.conj().T), 1e-9, "constructed map unitarity defect")
@@ -241,15 +255,16 @@ def corollary4_decompose(psi: BipartiteState, q) -> Cor4Decomposition:
     Possible exactly when q is majorized by the Schmidt coefficients of psi;
     a violation raises with the failing partial sum.  When q has more entries
     than psi's A dimension, the A space is enlarged to len(q) and the returned
-    basis vectors live in the enlarged space; only psi's own rows are
-    factored, so the basis is the one len(q) x len(q) array formed.
+    basis vectors live in the enlarged space.  Only psi's own rows are factored, thin, with U
+    completed to the min(dim_a, len(q)) columns the mixing core reads: one len(q)^2 array formed.
     """
     weights = as_prob_vector(q, name="weights")
-    u, sigma, vh, rank = _canonical_svd(psi.amplitudes, min(psi.dim_a, weights.size))
+    u, sigma, vh, rank = _canonical_svd(psi.amplitudes)
     live = sigma[:rank] ** 2
     # The coefficients sum to the squared norm, within about 2e-9 of 1, so
     # they are compared at the total of q, as the mixing core mixes them.
     _majorized_pair(weights, live * (weights.sum() / live.sum()), TOL_PROB)
+    u = _completed(u, min(psi.dim_a, weights.size))
     target = embed_state(psi, max(psi.dim_a, weights.size), psi.dim_b).amplitudes
     return _cor4_from_svd(u, sigma, vh, weights, target)
 

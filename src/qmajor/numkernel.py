@@ -361,16 +361,16 @@ def _density(lam: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
 def _density_from_factor(f: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix:
     """F F^dagger for a factor F the library holds, from one SVD of F and no eigensolve, so small
     eigenvalues keep the relative accuracy that forming F F^dagger would square away.  The trace
-    ||F||_F^2 must be 1 within ``tol``; the eigenvalues, sigma**2 padded with exact zeros, and the
-    left singular vectors must rebuild F F^dagger within TOL_RECON relative to its norm."""
+    ||F||_F^2 must be 1 within ``tol``; the eigenvalues are sigma**2 padded with exact zeros, and
+    their first sigma.size pairs must rebuild F F^dagger within TOL_RECON relative to its norm."""
     _check_unit(_norm(f) ** 2, _as_tol(tol), "trace")
     u, sigma, _ = np.linalg.svd(f, full_matrices=f.shape[1] < f.shape[0])  # u square, vh never wider
     lam = np.zeros(f.shape[0])
     lam[: sigma.size] = sigma**2
     spect = _canonical_spectrum(lam, u)
-    gram = f @ f.conj().T
-    _check_defect(_norm(spect.reconstruct() - gram), TOL_RECON * _norm(gram),
-                  "eigendecomposition reconstruction defect")
+    gram, live = f @ f.conj().T, spect.eigenvectors[:, : sigma.size]
+    _check_defect(_norm((live * spect.eigenvalues[: sigma.size]) @ live.conj().T - gram),
+                  TOL_RECON * _norm(gram), "eigendecomposition reconstruction defect")
     return _density(spect.eigenvalues, spect.eigenvectors)
 
 

@@ -25,7 +25,7 @@ from .numkernel import (
     _trusted,
     as_complex_matrix,
 )
-from .bipartite import BipartiteState, _canonical_svd, _cor4_from_svd, embed_state
+from .bipartite import BipartiteState, _canonical_svd, _completed, _cor4_from_svd, embed_state
 
 
 def shift_op(d: int) -> np.ndarray:
@@ -221,24 +221,24 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     d = _as_dim(d, "dimension", 1)
     target = embed_state(phi_target, max(phi_target.dim_a, d), max(phi_target.dim_b, d))
     # Only Bob is padded for the SVD; Alice's padding coordinates get the identity in _mix.
-    u, sigma, vh, rank = _canonical_svd(target.amplitudes[: phi_target.dim_a], d)
+    u, sigma, vh, rank = _canonical_svd(target.amplitudes[: phi_target.dim_a])
     if rank > d:
         raise DomainError(
             f"target Schmidt rank {rank} exceeds source rank {d}; "
             "more entanglement is required"
         )
 
-    # Rotate Bob onto the right singular vectors so the target support sits
-    # on the source's Schmidt support (the first d coordinates); the rotation
-    # is undone at the end of every branch as a free local operation.  In
-    # that frame the target is u diag(sigma), so Corollary 4 reuses the SVD.
-    aligned = target.amplitudes @ vh.conj().T
-    rewrite = _cor4_from_svd(u, sigma, np.eye(vh.shape[0]), np.full(d, 1.0 / d), aligned)
+    # Rotate Bob onto the right singular vectors, completed to d, so the target support sits on the
+    # source's Schmidt support, the first d coordinates; the rotation is undone at the end of every
+    # branch, a free local operation.  There the target is u diag(sigma): Corollary 4 reuses the SVD.
+    bob = _completed(vh.T, d)
+    aligned = target.amplitudes @ bob.conj()
+    rewrite = _cor4_from_svd(u, sigma, np.eye(bob.shape[1]), np.full(d, 1.0 / d), aligned)
     e = _measurement_operator(rewrite.states_b, d)
     # Every branch ends on the unit target, so fidelity is measured against
     # the target normalized once here, not against its accepted norm.
     unit = _trusted(BipartiteState, amplitudes=target.amplitudes / target.norm())
-    return _ProtocolSetup(operator=e, alice_basis=rewrite.basis_a, bob_basis=vh.T, target=unit,
+    return _ProtocolSetup(operator=e, alice_basis=rewrite.basis_a, bob_basis=bob, target=unit,
                           d=d, bits=comm_cost(d).bits, root_d=math.sqrt(d))
 
 

@@ -8,16 +8,26 @@ splits of the weights at or below the rank floor.  States must match it byte
 for byte, and the A-side basis must match U F^T to roundoff.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from qmajor import bipartite
-from qmajor.bipartite import BipartiteState, corollary4_decompose, embed_state, schmidt
+from qmajor.bipartite import (
+    BipartiteState,
+    corollary4_decompose,
+    embed_state,
+    purify,
+    reduced_density,
+    relate_purifications,
+    schmidt,
+)
 from qmajor.ensembles import synthesize_ensemble, uniform_ensemble
 from qmajor.majorize import TTransform, horn_orthogonal
-from qmajor.numkernel import DensityMatrix, random_density
-from qmajor.protocol import enumerate_protocol, run_protocol
+from qmajor.numkernel import DensityMatrix, random_density, random_unitary
+from qmajor.protocol import build_measurement, enumerate_protocol, outcome_distribution, run_protocol
 
 from conftest import mix_down, random_bipartite, rank_deficient_bipartite
 
@@ -102,7 +112,8 @@ def test_corollary4_equals_the_dense_frame_oracle():
         q = _weights(schmidt(psi).coefficients, rng, CASES[(i // 2) % len(CASES)])
         # The SVD of psi's own rows, with the U columns the library asks for, and the identity
         # on the padding coordinates.
-        u_a, sigma, vh, _ = bipartite._canonical_svd(psi.amplitudes, min(psi.dim_a, q.size))
+        u_a, sigma, vh, _ = bipartite._canonical_svd(psi.amplitudes)
+        u_a = bipartite._completed(u_a, min(psi.dim_a, q.size))
         u = np.eye(max(psi.dim_a, q.size), dtype=np.complex128)
         u[: psi.dim_a, : u_a.shape[1]] = u_a
         frame, order, rank, n_pos = _oracle_frame(sigma**2, q)
@@ -186,29 +197,91 @@ def test_corollary4_holds_one_m_by_m_array():
 
 
 def test_tall_and_wide_states_take_thin_factors(monkeypatch, rng):
-    # A rank-2 state's Schmidt decomposition, its Corollary 4 with len(q) = 2 and its protocol
-    # at d = 2 read two singular vectors a side; a full SVD of a 4000 x 2 or 2 x 4000 state forms
-    # a 4000 x 4000 factor, 244-489 MiB.
+    # A rank-2 state's Schmidt decomposition, its Corollary 4 and its protocol read a few
+    # singular vectors a side; a full SVD of a 4000 x 2 or 2 x 4000 state forms a 4000 x 4000
+    # factor, 244-489 MiB.  Corollary 4 with len(q) > dim_b on the tall state and the protocol
+    # at d > dim_a on the wide one read more columns than a thin factor holds, and complete it.
     svd, full = np.linalg.svd, []
 
     def spy(a, *args, **kwargs):
         full.append(kwargs.get("full_matrices", args[0] if args else True))
         return svd(a, *args, **kwargs)
 
-    states = [random_bipartite(*shape, rng) for shape in ((4000, 2), (2, 4000))]
-    weights = [mix_down(np.linalg.svd(psi.amplitudes, compute_uv=False) ** 2, rng) for psi in states]
+    tall, wide = (random_bipartite(*shape, rng) for shape in ((4000, 2), (2, 4000)))
+    coeffs = [np.linalg.svd(psi.amplitudes, compute_uv=False) ** 2 for psi in (tall, wide)]
+    calls = []
+    for psi, lam in zip((tall, wide), coeffs):
+        q = mix_down(lam, rng)
+        calls += [(psi, "schmidt", lambda psi=psi: schmidt(psi)),
+                  (psi, "corollary4_decompose", lambda psi=psi, q=q: corollary4_decompose(psi, q)),
+                  (psi, "run_protocol", lambda psi=psi: run_protocol(psi, 2, seed=5))]
+    for m in (3, 40):
+        q = mix_down(np.concatenate([coeffs[0], np.zeros(m - 2)]), rng)
+        calls.append((tall, f"corollary4_decompose, len(q) = {m}", lambda q=q: corollary4_decompose(tall, q)))
+    calls += [(wide, "run_protocol, d = 3", lambda: run_protocol(wide, 3, seed=5)),
+              (wide, "enumerate_protocol, d = 3", lambda: enumerate_protocol(wide, 3))]
     monkeypatch.setattr(np.linalg, "svd", spy)
-    for psi, q in zip(states, weights):
-        calls = {"schmidt": lambda: schmidt(psi),
-                 "corollary4_decompose": lambda: corollary4_decompose(psi, q),
-                 "run_protocol": lambda: run_protocol(psi, 2, seed=5)}
-        for name, call in calls.items():
-            full.clear()
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert full == [False], (psi.amplitudes.shape, name, full)
-            assert peak < 10 * 2**20, (psi.amplitudes.shape, name, peak)
+    for psi, name, call in calls:
+        full.clear()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full == [False], (psi.amplitudes.shape, name, full)
+        assert peak < 10 * 2**20, (psi.amplitudes.shape, name, peak)
+
+
+@pytest.mark.parametrize("case", ["random", "product", "one column", "square"])
+def test_completion_is_orthonormal_and_keeps_u(case):
+    rng = np.random.default_rng(808)
+    n, k, cols = {"random": (9, 3, 7), "product": (6, 2, 5), "one column": (5, 1, 5),
+                  "square": (8, 3, 8)}[case]
+    if case == "product":
+        # The columns of a product state's U are standard basis vectors: every reflector is the
+        # identity, tau = 0.
+        u = np.eye(n, k, dtype=np.complex128)
+        assert not np.linalg.qr(u, mode="raw")[1].any()
+    else:
+        u = np.linalg.svd(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)), full_matrices=False)[0]
+    c = bipartite._completed(u, cols)
+    assert c.shape == (n, cols)
+    assert c[:, :k].tobytes() == u.tobytes()
+    assert np.max(np.abs(c.conj().T @ c - np.eye(cols))) <= 1e-13
+    assert np.max(np.abs(u.conj().T @ c[:, k:])) <= 1e-13
+    assert bipartite._completed(u, k) is u
+
+
+def test_only_a_density_from_a_tall_factor_asks_for_a_full_svd(monkeypatch, rng):
+    # Every SVD on the bipartite and protocol paths is thin, but the one whose n x n left
+    # factor becomes the public eigenbasis of reduced_density on a tall side.
+    svd, askers = np.linalg.svd, set()
+
+    def spy(a, full_matrices=True, compute_uv=True, **kwargs):
+        if compute_uv and full_matrices:
+            askers.add(sys._getframe(1).f_code.co_name)
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    states = [random_bipartite(*shape, rng) for shape in ((5, 2), (2, 5), (3, 3))]
+    states.append(BipartiteState(amplitudes=np.outer([0.6, 0.8j, 0.0], [1.0, 0.0])))
+    others = [BipartiteState(amplitudes=random_unitary(psi.dim_a, seed=4) @ psi.amplitudes)
+              for psi in states]
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for psi, other in zip(states, others):
+        r, n = min(psi.amplitudes.shape), max(psi.amplitudes.shape) + 2
+        schmidt(psi)
+        rho = reduced_density(psi, "B")
+        reduced_density(psi, "A")
+        ens = uniform_ensemble(rho, 3)
+        purify(rho, ens.weights, ens.states)
+        relate_purifications(psi, other)
+        embed_state(psi, n, n)
+        for m in (r, psi.dim_b + 1, n):
+            corollary4_decompose(psi, np.full(m, 1.0 / m))
+        for d in (r, psi.dim_a + 1, n):
+            run_protocol(psi, d, seed=5)
+            enumerate_protocol(psi, d)
+    meas = build_measurement(np.eye(3, 4, dtype=complex), 3)
+    outcome_distribution(meas, BipartiteState(amplitudes=np.eye(3, 4) / np.sqrt(3)))
+    assert askers == {"_density_from_factor"}
