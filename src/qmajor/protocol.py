@@ -205,10 +205,12 @@ class _ProtocolSetup:
     """One protocol instance; outcome (s, t) applies E X^s Z^t + tail to the source.
 
     The source is sum_{j<d} |j>|j> / sqrt(d), so the tail never contributes
-    and the measurement is kept as the single operator E.
+    and the measurement is kept as the single operator E.  Bob's alignment, a local
+    unitary that commutes with all Alice does, is applied to it once: ``rows`` is E^T B^T.
     """
 
     operator: np.ndarray
+    rows: np.ndarray
     alice_basis: np.ndarray
     bob_basis: np.ndarray
     target: BipartiteState
@@ -229,8 +231,8 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
         )
 
     # Rotate Bob onto the right singular vectors, completed to d, so the target support sits on the
-    # source's Schmidt support, the first d coordinates; the rotation is undone at the end of every
-    # branch, a free local operation.  There the target is u diag(sigma): Corollary 4 reuses the SVD.
+    # source's Schmidt support, the first d coordinates; the rotation, a free local operation, is
+    # undone once, in ``rows``.  There the target is u diag(sigma): Corollary 4 reuses the SVD.
     bob = _completed(vh.T, d)
     aligned = target.amplitudes @ bob.conj()
     rewrite = _cor4_from_svd(u, sigma, np.eye(bob.shape[1]), np.full(d, 1.0 / d), aligned)
@@ -238,37 +240,33 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     # Every branch ends on the unit target, so fidelity is measured against
     # the target normalized once here, not against its accepted norm.
     unit = _trusted(BipartiteState, amplitudes=target.amplitudes / target.norm())
-    return _ProtocolSetup(operator=e, alice_basis=rewrite.basis_a, bob_basis=bob, target=unit,
-                          d=d, bits=comm_cost(d).bits, root_d=math.sqrt(d))
+    return _ProtocolSetup(operator=e, rows=e.T @ bob.T, alice_basis=rewrite.basis_a, bob_basis=bob,
+                          target=unit, d=d, bits=comm_cost(d).bits, root_d=math.sqrt(d))
 
 
 def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndarray,
              inverse: np.ndarray) -> list[ProtocolTranscript]:
     """Branches (s, t) for t in ``ts``, from their rows _phases(d, ts) and _phases(d, -ts).
 
-    Each step that cannot move a branch's bits runs once on the (len(ts), ...) stack: the
-    elementwise steps, the basis product, the pivot search (also the finiteness check) and
-    the unit phase and its product.  The probability's norm and the fidelity's inner product
-    are stacked ``np.vecdot`` calls, which run one BLAS dot per branch: the ddot of the real
-    and of the imaginary parts that ``np.linalg.norm`` takes, and the zdotc of ``np.vdot``,
-    on the same operands in the same order.  Squares stay Python ``** 2`` on each branch's
-    float, libm's pow as on a numpy scalar; numpy's array square rounds differently.
+    After Alice's X^s Z^-t, row i of branch t is rows[i] omega^(k t) omega^(-k t) / sqrt(d p)
+    with k = (i - s) mod d: X^s and its undo cancel as row moves, so both are the relabeling k
+    of the phase tables.  Each step that cannot move a branch's bits runs once on the
+    (len(ts), ...) stack: the two scales, the one basis product, the pivot search (also the
+    finiteness check) and the unit phase and its product.  The probability's norm and the
+    fidelity's inner product are stacked ``np.vecdot`` calls, which run one BLAS dot per branch:
+    the ddot of the real and of the imaginary parts that ``np.linalg.norm`` takes, and the zdotc
+    of ``np.vdot``, on the same operands in the same order.  Squares stay Python ``** 2`` on each
+    branch's float, libm's pow as on a numpy scalar; numpy's array square rounds differently.
     A finite final state has unit norm, so its pivot is at least 1/sqrt(n_a n_b), far above
     the 1e-12 phase floor.
     """
-    # Row j of branch t's post-measurement amplitudes is column j of E X^s Z^t over sqrt(d).
-    post = _shifted(setup.operator, setup.d, s) * phase[:, :, None]
-    post /= setup.root_d
+    k = (np.arange(setup.d) - s) % setup.d
+    post = setup.rows * (phase[:, k] / setup.root_d)[:, :, None]
     f = post.reshape(len(post), -1)
     probs = [r ** 2 for r in np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag)).tolist()]
-    post /= np.sqrt(probs)[:, None, None]
-
-    # Alice undoes the outcome twirl with X^s Z^-t on her Schmidt support (Z^-t
-    # scales row j by omega^(-j t); X^s moves row j to j+s, so row i takes row i-s
-    # mod d), then rotates into the target's A basis; Bob undoes his alignment.
-    post *= inverse[:, :, None]
-    corrected = post[:, (np.arange(setup.d) - s) % setup.d]
-    finals = setup.alice_basis @ corrected @ setup.bob_basis.T
+    # Alice's Z^-t and the branch's normalization, then her rotation into the target's A basis.
+    post *= (inverse[:, k] / np.sqrt(probs)[:, None])[:, :, None]
+    finals = setup.alice_basis @ post
     # The global-phase pivot; argmax takes NaN as largest, so it is finite only if its branch is.
     flat = finals.reshape(len(finals), -1)
     pivots = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]

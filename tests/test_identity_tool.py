@@ -2,8 +2,9 @@
 
 Two records of one tree, made in one process, must be byte-identical; ``--compare`` must pass
 equal records, and tell a moved value from a changed decision and from a missing path;
-``--compare --strict`` must fail on anything that is not byte-equal.  Each
-path run twice in a row is ``tests/test_determinism.py``, on the same table.
+``--compare --strict`` must fail on anything that is not byte-equal, and ``--atol X`` on a leaf
+that moved by more than X.  Each path run twice in a row is ``tests/test_determinism.py``, on
+the same table.
 """
 
 import hashlib
@@ -120,6 +121,51 @@ def test_compare_reports_a_moved_last_bit_and_passes(records, capsys):
     assert 0 < float(diff) < 1e-15
     assert any(line.startswith("  moved: hermitian_eig ") and "in 1 fixtures" in line
                for line in out.splitlines())
+
+
+def _moved_by(delta):
+    """An edit that moves the real part of fixture 0's first float leaf by ``delta``."""
+    def edit(fixtures, values):
+        values[0][0] = complex(values[0][0].real + delta, values[0][0].imag)
+        return [0]
+    return edit
+
+
+def test_atol_fails_a_leaf_moved_past_it_and_names_the_path(records, capsys):
+    tool, a, b = records
+    with np.load(a / "hermitian_eig.npz") as z:
+        before = z["values0"][0].real
+    _edit(b / "hermitian_eig.npz", _moved_by(1e-12))
+    with np.load(b / "hermitian_eig.npz") as z:
+        assert 1e-13 < abs(z["values0"][0].real - before) < 1e-11
+    capsys.readouterr()
+    assert tool.main(["--compare", str(a), str(b), "--atol", "1e-13"]) == 1
+    out = capsys.readouterr().out
+    assert _rows(out)["hermitian_eig"][3] == "equal"
+    atol_lines = [line for line in out.splitlines() if line.startswith("  atol:")]
+    assert len(atol_lines) == 1 and atol_lines[0].startswith("  atol: hermitian_eig ")
+    assert tool.main(["--compare", str(a), str(b), "--atol", "1e-11"]) == 0
+    assert not any(line.startswith("  atol:") for line in capsys.readouterr().out.splitlines())
+
+
+def test_atol_fails_a_nan_leaf_at_any_tolerance(records, capsys):
+    tool, a, b = records
+    _edit(b / "hermitian_eig.npz", _moved_by(np.nan))
+    for atol in ("1e-13", "1", "1e300", "inf"):
+        capsys.readouterr()
+        assert tool.main(["--compare", str(a), str(b), "--atol", atol]) == 1, atol
+        assert any(line.startswith("  atol: hermitian_eig ")
+                   for line in capsys.readouterr().out.splitlines()), atol
+    assert tool.main(["--compare", str(a), str(b)]) == 0  # without --atol, decisions alone decide
+
+
+def test_atol_with_record_is_a_usage_error(tmp_path, capsys):
+    """As ``--strict`` is: the option is known, and ``record`` does not take it."""
+    with pytest.raises(SystemExit) as exc:
+        _tool().main(["record", str(tmp_path / "A"), "--atol", "1e-14"])
+    assert exc.value.code == 2
+    assert "give either 'record DIR' or '--compare A B [--strict] [--atol X]'" in capsys.readouterr().err
+    assert not (tmp_path / "A").exists()
 
 
 def test_strict_compare_passes_equal_records(records):

@@ -404,21 +404,20 @@ class TestStructuredMeasurement:
 class TestBranchOracle:
     """Sharing the outcome-invariant rows among branches changes no transcript byte.
 
-    The reference is the per-branch formula that forms every row itself:
-    twirl, scale, normalise, correct, rotate, fix the global phase.
+    The reference is the per-branch formula that forms every row itself: twirl Bob's
+    aligned rows at Alice's corrected positions, scale, normalise, undo the phase,
+    rotate, fix the global phase.
     """
 
     @staticmethod
     def reference(setup, s, t):
         d = setup.d
-        j = np.arange(d)
+        k = (np.arange(d) - s) % d
         omega = np.exp(2j * np.pi / d)
-        post = setup.operator.T[(j + s) % d] * (omega ** (j * t))[:, None] / np.sqrt(d)
+        post = setup.rows * (omega ** (k * t) / np.sqrt(d))[:, None]
         prob = float(np.linalg.norm(post) ** 2)
-        post = post / np.sqrt(prob)
-        corrected = np.empty_like(post)
-        corrected[(j + s) % d] = post * (omega ** (-t * j))[:, None]
-        final = setup.alice_basis @ corrected @ setup.bob_basis.T
+        post *= (omega ** (-t * k) / np.sqrt(prob))[:, None]
+        final = setup.alice_basis @ post
         fidelity = min(1.0, float(abs(np.vdot(setup.target.amplitudes, final)) ** 2))
         flat = final.reshape(-1)
         pivot = flat[int(np.argmax(np.abs(flat)))]

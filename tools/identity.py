@@ -1,7 +1,7 @@
 """Identity harness: record what every public path returns on seeded fixtures, and compare trees.
 
     PYTHONPATH=TREE/src python3 tools/identity.py record DIR [--fixtures N] [--cli-fixtures N]
-    python3 tools/identity.py --compare A B [--strict]
+    python3 tools/identity.py --compare A B [--strict] [--atol X]
 
 ``record`` runs twenty public library paths (the table in ``_library_paths``) and nine CLI
 jobs (the eight commands, ``protocol-run`` both sampled and ``--exhaustive``, through click's
@@ -30,7 +30,9 @@ fixture's label, so that "only wide targets moved" can be read off it; a ``decis
 names a fixture whose decisions differ, and a ``bytes:`` line one whose digest alone differs,
 such as a CLI report's whitespace (the last two for at most three fixtures per path).  It
 exits 1 when a decision differs or a path is missing on one side; with ``--strict`` also when
-any fixture is not byte-equal, so a byte-determinism check needs only the exit code.  Inputs
+any fixture is not byte-equal, so a byte-determinism check needs only the exit code; with
+``--atol X`` also when a float leaf moved by more than X, a NaN against a number counting as
+more, and an ``atol:`` line names each such path and leaf.  Inputs
 are built from the seed with numpy alone, so every tree sees the same bytes.  Record each tree
 in its own process, the parent from ``git archive`` of its commit.
 ``tests/test_identity_tool.py`` and ``tests/test_determinism.py`` pin within-build determinism on this one table: two records of one tree made in one process,
@@ -601,16 +603,16 @@ def _segments(decisions):
             start = stop
 
 
-def compare(a_dir: Path, b_dir: Path, strict: bool = False) -> int:
+def compare(a_dir: Path, b_dir: Path, strict: bool = False, atol: float | None = None) -> int:
     """Print the per-path table, then the leaves that moved and the first differing decisions.
 
-    Returns 1 on a differing decision or a missing path and, if ``strict``, on any fixture
-    that is not byte-equal; 0 otherwise.
+    Returns 1 on a differing decision or a missing path, if ``strict`` on any fixture that is
+    not byte-equal, and if ``atol`` is given on any leaf that moved by more than it; 0 otherwise.
     """
     a, b = _load(a_dir), _load(b_dir)
     print(f"A: {a_dir}\nB: {b_dir}")
     print(f"{'path':42s} {'fixtures':>8s} {'byte-equal':>10s} {'max |diff|':>11s}  decisions")
-    failed, moved, examples, unexplained = False, {}, [], []
+    failed, moved, examples, unexplained, over = False, {}, [], [], []
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             print(f"{name:42s} missing in {'A' if name not in a else 'B'}")
@@ -645,13 +647,18 @@ def compare(a_dir: Path, b_dir: Path, strict: bool = False) -> int:
     for (name, pattern), entries in sorted(moved.items()):
         leaf_diffs, families = zip(*entries)
         counts = ", ".join(f"{f} {c}" for f, c in Counter(families).most_common())
+        leaf_worst = np.max(leaf_diffs)
         print(f"  moved: {name} {pattern} in {len(entries)} fixtures ({counts}), "
-              f"max |diff| {np.max(leaf_diffs):.3g}")
+              f"max |diff| {leaf_worst:.3g}")
+        if atol is not None and not leaf_worst <= atol:  # a NaN is never within atol
+            over.append(f"{name} {pattern}: max |diff| {leaf_worst:.3g} > {atol:.3g}")
     for line in examples:
         print(f"  decision: {line}")
     for line in unexplained:
         print(f"  bytes: {line}: decisions and float leaves equal")
-    return 1 if failed else 0
+    for line in over:
+        print(f"  atol: {line}")
+    return 1 if failed or over else 0
 
 
 def main(argv=None) -> int:
@@ -662,15 +669,18 @@ def main(argv=None) -> int:
                     help="compare two record directories")
     ap.add_argument("--strict", action="store_true",
                     help="with --compare, also exit 1 when any fixture is not byte-equal")
+    ap.add_argument("--atol", type=float, metavar="X",
+                    help="with --compare, also exit 1 when a float leaf moved by more than X")
     ap.add_argument("--fixtures", type=int, default=240, help="fixtures per library path")
     ap.add_argument("--cli-fixtures", type=int, default=120, help="fixtures per CLI job")
     args = ap.parse_args(argv)
     if args.compare and not args.command:
-        return compare(*args.compare, strict=args.strict)
-    if len(args.command) == 2 and args.command[0] == "record" and not (args.compare or args.strict):
+        return compare(*args.compare, strict=args.strict, atol=args.atol)
+    if len(args.command) == 2 and args.command[0] == "record" and not (
+            args.compare or args.strict or args.atol is not None):
         record(Path(args.command[1]), args.fixtures, args.cli_fixtures)
         return 0
-    ap.error("give either 'record DIR' or '--compare A B [--strict]'")
+    ap.error("give either 'record DIR' or '--compare A B [--strict] [--atol X]'")
 
 
 if __name__ == "__main__":
