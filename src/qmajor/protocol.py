@@ -244,50 +244,70 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
                           target=unit, d=d, bits=comm_cost(d).bits, root_d=math.sqrt(d))
 
 
-def _run_row(setup: _ProtocolSetup, s: int, ts, seed: int | None, phase: np.ndarray,
-             inverse: np.ndarray) -> list[ProtocolTranscript]:
-    """Branches (s, t) for t in ``ts``, from their rows _phases(d, ts) and _phases(d, -ts).
+def _run_rows(setup: _ProtocolSetup, ss, ts, seed: int | None) -> list[ProtocolTranscript]:
+    """Branches (s, t) for s in ``ss`` and t in ``ts``, s-major, written into one output array.
+
+    The final states of one call are the disjoint slices ``finals[i, j]`` of one (len(ss),
+    len(ts), n_a, n_b) array, so keeping any one transcript keeps all len(ss) len(ts) n_a n_b 16 B
+    alive.  The post-measurement stack, the basis product and the pivot search's moduli are
+    scratch allocated once per call and rewritten row by row with ``out=``, rather than a fresh
+    stack per row that the allocator hands back on free and the next call faults back in.
 
     After Alice's X^s Z^-t, row i of branch t is rows[i] omega^(k t) omega^(-k t) / sqrt(d p)
     with k = (i - s) mod d: X^s and its undo cancel as row moves, so both are the relabeling k
-    of the phase tables.  Each step that cannot move a branch's bits runs once on the
-    (len(ts), ...) stack: the two scales, the one basis product, the pivot search (also the
-    finiteness check) and the unit phase and its product.  The probability's norm and the
-    fidelity's inner product are stacked ``np.vecdot`` calls, which run one BLAS dot per branch:
-    the ddot of the real and of the imaginary parts that ``np.linalg.norm`` takes, and the zdotc
-    of ``np.vdot``, on the same operands in the same order.  Squares stay Python ``** 2`` on each
-    branch's float, libm's pow as on a numpy scalar; numpy's array square rounds differently.
-    A finite final state has unit norm, so its pivot is at least 1/sqrt(n_a n_b), far above
-    the 1e-12 phase floor.
+    of the phase tables omega^(j t) and omega^(-j t), formed by one ``_phases`` call.  Each step
+    that cannot move a branch's bits runs once on a row's (len(ts), ...) stack: the two scales,
+    the one basis product, the pivot search (also the finiteness check) and the unit phase and
+    its product.
+    The probability's norm and the fidelity's inner product are stacked ``np.vecdot`` calls,
+    which run one BLAS dot per branch: the ddot of the real and of the imaginary parts that
+    ``np.linalg.norm`` takes, and the zdotc of ``np.vdot``, on the same operands in the same
+    order.  Squares stay Python ``** 2`` on each branch's float, libm's pow as on a numpy
+    scalar; numpy's array square rounds differently.  The overlaps are read from the basis
+    product before the phase fix, and the fix writes out of place into the output slice:
+    numpy's in-place complex ``*=`` by a broadcast operand can round apart from ``a * b``.  A
+    finite final state has unit norm, so its pivot is at least 1/sqrt(n_a n_b), far above the
+    1e-12 phase floor.
     """
-    k = (np.arange(setup.d) - s) % setup.d
-    post = setup.rows * (phase[:, k] / setup.root_d)[:, :, None]
-    f = post.reshape(len(post), -1)
-    probs = [r ** 2 for r in np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag)).tolist()]
-    # Alice's Z^-t and the branch's normalization, then her rotation into the target's A basis.
-    post *= (inverse[:, k] / np.sqrt(probs)[:, None])[:, :, None]
-    finals = setup.alice_basis @ post
-    # The global-phase pivot; argmax takes NaN as largest, so it is finite only if its branch is.
-    flat = finals.reshape(len(finals), -1)
-    pivots = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
-    finite = np.isfinite(pivots)
-    if not finite.all():
-        raise ValidationError(
-            f"final state of branch ({s}, {ts[int(finite.argmin())]}) contains non-finite entries")
-    # np.hypot is the scalar abs() bit for bit; numpy's vectorised complex absolute is not.
-    size = np.hypot(pivots.real, pivots.imag)
-    fixed = finals * (pivots.conj() / size)[:, None, None]
-    overlaps = np.vecdot(setup.target.amplitudes.ravel(), flat).tolist()
-    return [_trusted(
-        ProtocolTranscript,
-        outcome=_trusted(WeylPair, d=setup.d, s=s, t=t),
-        outcome_probability=prob,
-        bits_sent=setup.bits,
-        correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
-        final_state=_trusted(BipartiteState, amplitudes=amplitudes),
-        fidelity=min(1.0, abs(z) ** 2),
-        seed=seed,
-    ) for t, prob, z, amplitudes in zip(ts, probs, overlaps, fixed)]
+    d, ts = setup.d, list(ts)
+    tables = _phases(d, ts + [-t for t in ts])
+    phase, inverse = tables[:len(ts)], tables[len(ts):]
+    n_a, n_b = setup.alice_basis.shape[0], setup.rows.shape[1]
+    finals = np.empty((len(ss), len(ts), n_a, n_b), dtype=np.complex128)
+    post = np.empty((len(ts), d, n_b), dtype=np.complex128)
+    raw = np.empty((len(ts), n_a, n_b), dtype=np.complex128)
+    moduli = np.empty((len(ts), n_a * n_b))
+    f, flat, branches = post.reshape(len(ts), -1), raw.reshape(len(ts), -1), np.arange(len(ts))
+    target = setup.target.amplitudes.ravel()
+    transcripts = []
+    for i, s in enumerate(ss):
+        k = (np.arange(d) - s) % d
+        np.multiply(setup.rows, (phase[:, k] / setup.root_d)[:, :, None], out=post)
+        probs = [r ** 2 for r in np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag)).tolist()]
+        # Alice's Z^-t and the branch's normalization, then her rotation into the target's A basis.
+        post *= (inverse[:, k] / np.sqrt(probs)[:, None])[:, :, None]
+        np.matmul(setup.alice_basis, post, out=raw)
+        # The global-phase pivot; argmax takes NaN as largest, so it is finite only if its branch is.
+        pivots = flat[branches, np.abs(flat, out=moduli).argmax(axis=1)]
+        finite = np.isfinite(pivots)
+        if not finite.all():
+            raise ValidationError(
+                f"final state of branch ({s}, {ts[int(finite.argmin())]}) contains non-finite entries")
+        # np.hypot is the scalar abs() bit for bit; numpy's vectorised complex absolute is not.
+        size = np.hypot(pivots.real, pivots.imag)
+        overlaps = np.vecdot(target, flat).tolist()
+        row = np.multiply(raw, (pivots.conj() / size)[:, None, None], out=finals[i])
+        transcripts += [_trusted(
+            ProtocolTranscript,
+            outcome=_trusted(WeylPair, d=d, s=s, t=t),
+            outcome_probability=prob,
+            bits_sent=setup.bits,
+            correction=f"X^{s} Z^-{t} on Alice's Schmidt support, then fixed local basis alignment",
+            final_state=_trusted(BipartiteState, amplitudes=amplitudes),
+            fidelity=min(1.0, abs(z) ** 2),
+            seed=seed,
+        ) for t, prob, z, amplitudes in zip(ts, probs, overlaps, row)]
+    return transcripts
 
 
 def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTranscript:
@@ -304,11 +324,10 @@ def run_protocol(phi_target: BipartiteState, d: int, seed: int) -> ProtocolTrans
     u = np.random.default_rng(_as_dim(seed, "seed", 0, None)).random()
     d = setup.d
     s, t = divmod(min(int(u * d * d), d * d - 1), d)
-    return _run_row(setup, s, [t], seed, _phases(d, [t]), _phases(d, [-t]))[0]
+    return _run_rows(setup, [s], [t], seed)[0]
 
 
 def enumerate_protocol(phi_target: BipartiteState, d: int) -> tuple[ProtocolTranscript, ...]:
     """Deterministically walk all d^2 outcome branches, one outcome row s at a time."""
     setup = _prepare(phi_target, d)
-    phase, inverse = _phases(d, np.arange(d)), _phases(d, -np.arange(d))
-    return tuple(tr for s in range(d) for tr in _run_row(setup, s, range(d), None, phase, inverse))
+    return tuple(_run_rows(setup, range(setup.d), range(setup.d), None))

@@ -110,6 +110,15 @@ def test_compare_fails_on_a_missing_path(records, capsys):
                                   if line.startswith("schmidt "))
 
 
+def test_compare_fails_on_a_directory_without_a_record(records, capsys):
+    """A mistyped directory holds no path, so nothing in it could be called missing."""
+    tool, a, b = records
+    for x, y in ((a, a.parent / "none"), (a.parent / "none", b)):
+        capsys.readouterr()
+        assert tool.main(["--compare", str(x), str(y), "--strict"]) == 1
+        assert "no record in " in capsys.readouterr().out
+
+
 def test_compare_reports_a_moved_last_bit_and_passes(records, capsys):
     tool, a, b = records
     _edit(b / "hermitian_eig.npz", _one_ulp)

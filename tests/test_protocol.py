@@ -1,4 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +27,7 @@ from qmajor.protocol import (
     _measurement_operator,
     _phases,
     _prepare,
-    _run_row,
+    _run_rows,
     _shifted,
     _twirled,
     build_measurement,
@@ -45,9 +51,8 @@ SKEW2 = BipartiteState(amplitudes=np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(c
 
 
 def branch(setup, s, t):
-    """One branch of a prepared instance, run as a row that holds it alone."""
-    d = setup.d
-    return _run_row(setup, s, [t], None, _phases(d, [t]), _phases(d, [-t]))[0]
+    """One branch of a prepared instance, run as a call that holds it alone."""
+    return _run_rows(setup, [s], [t], None)[0]
 
 
 class TestShiftClock:
@@ -486,12 +491,45 @@ class TestBranchOracle:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_final_states_share_no_memory(self, rng, kind):
-        """Branches may be slices of one row stack, but no two overlap, nor any the target."""
-        target = self.target(kind, 6, rng)
-        amps = [tr.final_state.amplitudes for tr in enumerate_protocol(target, 6)]
+        """A call's d^2 final states are slices of one array, but no two overlap, nor any the target."""
+        d = 6
+        target = self.target(kind, d, rng)
+        amps = [tr.final_state.amplitudes for tr in enumerate_protocol(target, d)]
+        (base,) = {id(a.base): a.base for a in amps}.values()
+        n_a, n_b = amps[0].shape
+        assert base.dtype == np.complex128 and base.size == d * d * n_a * n_b
         for i, a in enumerate(amps):
             assert not np.shares_memory(a, target.amplitudes)
             assert not any(np.shares_memory(a, b) for b in amps[i + 1:])
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="counts minor page faults of glibc's heap on Linux")
+    def test_repeated_call_faults_in_few_pages(self):
+        """A fresh process's third d = 24 call faults in under a quarter of its 1,296 output pages.
+
+        Freeing a fresh stack per row let glibc trim the heap, and each call faulted its whole
+        output back in; it must be a fresh process, as a heap an earlier test grew hides that.
+        """
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from qmajor import BipartiteState, enumerate_protocol
+            rng = np.random.default_rng(24)
+            m = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+            target = BipartiteState(amplitudes=m / np.linalg.norm(m))
+            for _ in range(2):
+                enumerate_protocol(target, 24)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            enumerate_protocol(target, 24)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        # The allocator's defaults are what is measured, so no tuning of it is passed on.
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        src = str(Path(qmajor.protocol.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             check=True)
+        assert int(run.stdout) < 324, run.stdout
 
 
 class TestIntegerArguments:

@@ -14,7 +14,8 @@ ensembles built from a density's factor and ones that do not realize it, T-chain
 a vector past their dimension, numpy-integer sizes, domain rejections and invalid input.
 Pairs reach d = 256 as the witness-sweep benchmark draws them (library paths only), some end
 in -0.0 entries, and some are majorized only within the tolerance, so that a Schur-convex
-comparison fails on them; a seventh of the ``run_protocol`` targets are drawn at n = 24..70.
+comparison fails on them; a seventh of the ``run_protocol`` targets are drawn at n = 24..70,
+and a seventh of the ``enumerate_protocol`` ones at n = 9..16.
 
 Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
@@ -29,10 +30,10 @@ line names each float leaf that moved and counts its fixtures by family, the fir
 fixture's label, so that "only wide targets moved" can be read off it; a ``decision:`` line
 names a fixture whose decisions differ, and a ``bytes:`` line one whose digest alone differs,
 such as a CLI report's whitespace (the last two for at most three fixtures per path).  It
-exits 1 when a decision differs or a path is missing on one side; with ``--strict`` also when
-any fixture is not byte-equal, so a byte-determinism check needs only the exit code; with
-``--atol X`` also when a float leaf moved by more than X, a NaN against a number counting as
-more, and an ``atol:`` line names each such path and leaf.  Inputs
+exits 1 when a decision differs, a path is missing on one side or a directory holds no record;
+with ``--strict`` also when any fixture is not byte-equal, so a byte-determinism check needs
+only the exit code; with ``--atol X`` also when a float leaf moved by more than X, a NaN
+against a number counting as more, and an ``atol:`` line names each such path and leaf.  Inputs
 are built from the seed with numpy alone, so every tree sees the same bytes.  Record each tree
 in its own process, the parent from ``git archive`` of its commit.
 ``tests/test_identity_tool.py`` and ``tests/test_determinism.py`` pin within-build determinism on this one table: two records of one tree made in one process,
@@ -348,8 +349,10 @@ def _library_paths(q):
         return label, lambda: q.run_protocol(q.BipartiteState(amplitudes=amps), d, seed)
 
     def enumerate_path(rng, i):
-        fam, amps, d = target(rng, i)
-        return fam, lambda: q.enumerate_protocol(q.BipartiteState(amplitudes=amps), d)
+        large = i % 7 == 6  # as in run_path: rows past 8, at the sizes the benchmark enumerates
+        fam, amps, d = target(rng, i, 16, 9, skew=False) if large else target(rng, i)
+        label = f"{fam}/large" if large else fam
+        return label, lambda: q.enumerate_protocol(q.BipartiteState(amplitudes=amps), d)
 
     def purification_path(rng, i):
         fam, amps, _ = target(rng, i)
@@ -606,11 +609,16 @@ def _segments(decisions):
 def compare(a_dir: Path, b_dir: Path, strict: bool = False, atol: float | None = None) -> int:
     """Print the per-path table, then the leaves that moved and the first differing decisions.
 
-    Returns 1 on a differing decision or a missing path, if ``strict`` on any fixture that is
-    not byte-equal, and if ``atol`` is given on any leaf that moved by more than it; 0 otherwise.
+    Returns 1 on a differing decision, a missing path or a directory without a record, if
+    ``strict`` on any fixture that is not byte-equal, and if ``atol`` is given on any leaf that
+    moved by more than it; 0 otherwise.
     """
     a, b = _load(a_dir), _load(b_dir)
     print(f"A: {a_dir}\nB: {b_dir}")
+    empty = [side for side, paths in (("A", a), ("B", b)) if not paths]
+    if empty:  # a mistyped directory would otherwise compare equal to any other
+        print(f"no record in {' or '.join(empty)}")
+        return 1
     print(f"{'path':42s} {'fixtures':>8s} {'byte-equal':>10s} {'max |diff|':>11s}  decisions")
     failed, moved, examples, unexplained, over = False, {}, [], [], []
     for name in sorted(set(a) | set(b)):
