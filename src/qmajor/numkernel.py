@@ -197,18 +197,10 @@ class Spectrum:
 
 def _canonical_spectrum(eigvals: np.ndarray, v: np.ndarray) -> Spectrum:
     """The one canonical form of a spectrum, whichever route found it: ``_canonical_phases``,
-    eigenvalues decreasing, exact ties in decreasing lexicographic order of the phase-fixed
-    eigenvectors, which must be orthonormal within TOL_ORTH."""
-    n = eigvals.size
-    # Canonical phases before tie-breaking so the sort key is well-defined.
-    v = v * _canonical_phases(v)
-    # Primary key (last for np.lexsort): -eigenvalue; then -re, -im per component.
-    keys = np.empty((2 * n + 1, n))
-    keys[0:-1:2] = -v.imag[::-1]
-    keys[1:-1:2] = -v.real[::-1]
-    keys[-1] = -eigvals
-    order = np.lexsort(keys)
-    vecs = v[:, order]
+    eigenvalues in decreasing order with exact ties in the solver's order, and eigenvectors
+    that must be orthonormal within TOL_ORTH."""
+    order = np.argsort(-eigvals, kind="stable")
+    vecs = (v * _canonical_phases(v))[:, order]
     _check_defect(_gram_defect(vecs), TOL_ORTH, "eigenvector orthonormality defect")
     return Spectrum(eigenvalues=eigvals[order], eigenvectors=vecs)
 

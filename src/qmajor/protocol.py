@@ -204,15 +204,13 @@ class ProtocolTranscript:
 class _ProtocolSetup:
     """One protocol instance; outcome (s, t) applies E X^s Z^t + tail to the source.
 
-    The source is sum_{j<d} |j>|j> / sqrt(d), so the tail never contributes
-    and the measurement is kept as the single operator E.  Bob's alignment, a local
-    unitary that commutes with all Alice does, is applied to it once: ``rows`` is E^T B^T.
+    The source is sum_{j<d} |j>|j> / sqrt(d), so the tail never contributes and the
+    measurement enters only as ``rows``, E^T B^T: Bob's alignment B, a local unitary that
+    commutes with all Alice does, is applied to E once.
     """
 
-    operator: np.ndarray
     rows: np.ndarray
     alice_basis: np.ndarray
-    bob_basis: np.ndarray
     target: BipartiteState
     d: int
     bits: int
@@ -240,8 +238,8 @@ def _prepare(phi_target: BipartiteState, d: int) -> _ProtocolSetup:
     # Every branch ends on the unit target, so fidelity is measured against
     # the target normalized once here, not against its accepted norm.
     unit = _trusted(BipartiteState, amplitudes=target.amplitudes / target.norm())
-    return _ProtocolSetup(operator=e, rows=e.T @ bob.T, alice_basis=rewrite.basis_a, bob_basis=bob,
-                          target=unit, d=d, bits=comm_cost(d).bits, root_d=math.sqrt(d))
+    return _ProtocolSetup(rows=e.T @ bob.T, alice_basis=rewrite.basis_a, target=unit, d=d,
+                          bits=comm_cost(d).bits, root_d=math.sqrt(d))
 
 
 def _run_rows(setup: _ProtocolSetup, ss, ts, seed: int | None) -> list[ProtocolTranscript]:

@@ -92,11 +92,15 @@ class TestHermitianEig:
             hermitian_eig(np.diag([1e6, 0.0, 0.0]))
 
     def test_exact_tie_order(self):
-        # equal eigenvalues order their phase-fixed eigenvectors by decreasing
-        # (re, im) of each component in turn, so e0 comes before e2
+        # exact ties keep the solver's order: a diagonal input needs no rotation, and the
+        # stable sort of -eigenvalues keeps e0 before e2; reversing an ascending solver's
+        # output instead would give e1, e2, e0
         spect = hermitian_eig(np.diag([0.25, 0.5, 0.25]))
         assert spect.eigenvalues.tolist() == [0.5, 0.25, 0.25]
         assert np.array_equal(spect.eigenvectors, np.eye(3)[:, [1, 0, 2]])
+        # interleaved ties at n = 8, which numpy's default, unstable argsort reorders
+        spect = hermitian_eig(np.diag([0.25, 0.5] * 4))
+        assert np.array_equal(spect.eigenvectors, np.eye(8)[:, [1, 3, 5, 7, 0, 2, 4, 6]])
 
 
 def _refuse_eigensolve(*args, **kwargs):
@@ -302,6 +306,17 @@ class TestRandomDensity:
         for seed in range(5):
             rho = random_density(6, 3, seed=seed)
             assert rho.eigenvalues().sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dim, rank", [(5, 2), (6, 1), (4, 3)])
+    def test_eigenvectors_are_the_phase_fixed_svd_in_its_order(self, dim, rank):
+        # The rank-deficient eigenvalues tie at exactly 0; their eigenvectors keep LAPACK's
+        # completion in its own order, each column phase-fixed, and nothing else.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+            u = np.linalg.svd(g / np.linalg.norm(g), full_matrices=True)[0]
+            vecs = random_density(dim, rank, seed).spectrum().eigenvectors
+            assert vecs.tobytes() == (u * numkernel._canonical_phases(u)).tobytes(), seed
 
 
 class TestHelpers:

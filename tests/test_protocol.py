@@ -12,7 +12,7 @@ import pytest
 import qmajor.bipartite
 import qmajor.numkernel
 import qmajor.protocol
-from qmajor.bipartite import BipartiteState, embed_state, schmidt
+from qmajor.bipartite import BipartiteState, _canonical_svd, _completed, _cor4_from_svd, embed_state, schmidt
 from qmajor.ensembles import uniform_ensemble
 from qmajor.numkernel import (
     DomainError,
@@ -53,6 +53,20 @@ SKEW2 = BipartiteState(amplitudes=np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(c
 def branch(setup, s, t):
     """One branch of a prepared instance, run as a call that holds it alone."""
     return _run_rows(setup, [s], [t], None)[0]
+
+
+def operator_and_bob_frame(phi_target, d):
+    """The measurement operator E and Bob's frame that ``_prepare(phi_target, d)`` folds into its
+    rows, rebuilt by the same calls."""
+    target = embed_state(phi_target, max(phi_target.dim_a, d), max(phi_target.dim_b, d))
+    u, sigma, vh, _ = _canonical_svd(target.amplitudes[: phi_target.dim_a])
+    bob = _completed(vh.T, d)
+    rewrite = _cor4_from_svd(u, sigma, np.eye(bob.shape[1]), np.full(d, 1.0 / d),
+                             target.amplitudes @ bob.conj())
+    e = _measurement_operator(rewrite.states_b, d)
+    # The rebuild must stay the one _prepare folds, bit for bit.
+    assert np.array_equal(e.T @ bob.T, _prepare(phi_target, d).rows)
+    return e, bob
 
 
 class TestShiftClock:
@@ -292,7 +306,7 @@ class TestRunProtocol:
         # Reference rule: search the draw in the cumulative sum of the d^2
         # equal outcome probabilities ||E_d||^2 / d, clipped to the last outcome.
         target = random_bipartite(d, d, rng)
-        p = np.linalg.norm(_prepare(target, d).operator[:, :d]) ** 2 / d
+        p = np.linalg.norm(operator_and_bob_frame(target, d)[0][:, :d]) ** 2 / d
         cumulative = np.cumsum(np.full(d * d, p))
         for seed in range(2000):
             u = np.random.default_rng(seed).random()
@@ -343,9 +357,11 @@ class TestStructuredMeasurement:
     def test_branches_match_dense_operators(self, rng):
         for d in (1, 2, 3, 4):
             for dim_a, dim_b in ((d, d), (d, d + 2), (d + 2, d), (1, d + 1)):
-                setup = _prepare(random_bipartite(dim_a, dim_b, rng), d)
+                target = random_bipartite(dim_a, dim_b, rng)
+                setup = _prepare(target, d)
+                e, bob = operator_and_bob_frame(target, d)
                 # E = F / d for unit target states, so E * d recovers them
-                meas = build_measurement(setup.operator.T * d, d)
+                meas = build_measurement(e.T * d, d)
                 source = np.zeros((setup.alice_basis.shape[0], meas.dim_b), dtype=complex)
                 j = np.arange(d)
                 source[j, j] = 1 / np.sqrt(d)
@@ -354,13 +370,13 @@ class TestStructuredMeasurement:
                 for s in range(d):
                     for t in range(d):
                         post = source @ meas.operators[s, t].T
-                        rows = _twirled(_shifted(setup.operator, d, s), _phases(d, t)).T / np.sqrt(d)
+                        rows = _twirled(_shifted(e, d, s), _phases(d, t)).T / np.sqrt(d)
                         assert np.linalg.norm(post[:d] - rows) <= 1e-14
                         assert not np.any(post[d:])
                         # Alice's dense correction X^s Z^-t reaches the same final state
                         fix = weyl_op(WeylPair(d=d, s=s, t=0)) @ np.diag(omega ** (-t * j))
                         prob = np.linalg.norm(post) ** 2
-                        final = setup.alice_basis @ fix @ post[:d] @ setup.bob_basis.T
+                        final = setup.alice_basis @ fix @ post[:d] @ bob.T
                         final = fix_global_phase(final / np.sqrt(prob))
                         tr = branch(setup, s, t)
                         assert tr.outcome_probability == pytest.approx(prob, abs=1e-15)
