@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives and validated domain values.
 
-Everything downstream (majorization witnesses, ensemble synthesis, Schmidt
-machinery, the conversion protocol) is built on the validators and the
-deterministic Hermitian eigensolver defined here.  All functions are pure;
-returned arrays are fresh and never alias their inputs.
+Everything downstream is built on the validators defined here.  The deterministic Hermitian
+eigensolver serves ``validate_density`` alone, so the ``DensityMatrix`` constructor and every
+density the CLI reads; a density built from a factor, the Schmidt machinery and the protocol take
+one SVD instead.  All functions are pure; returned arrays are fresh and never alias their inputs.
 """
 
 from __future__ import annotations
@@ -294,10 +294,10 @@ def hermitian_eig(h, tol: float = TOL_HERM) -> Spectrum:
 class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-1 matrix, with its spectrum.
 
-    The constructor is :func:`validate_density` at the default tolerance: it
-    stores the canonical matrix and the spectrum of that one eigensolve, so
-    every instance is a validated density.  One the library builds from a
-    factor F of F F^dagger takes one SVD of F instead (``_density_from_factor``).
+    The constructor is :func:`validate_density` at the default tolerance: it stores the
+    canonical matrix and the spectrum of that one eigensolve, so every instance is a validated
+    density.  One the library builds from a factor F stores F F^dagger over its trace and the
+    spectrum of one SVD of F instead (``_density_from_factor``).
     """
 
     matrix: np.ndarray
@@ -336,13 +336,8 @@ def validate_density(m, tol: float = TOL_HERM) -> DensityMatrix:
     lam = spect.eigenvalues
     if lam[-1] < -tol:
         raise ValidationError(f"eigenvalue {float(lam[-1])!r} < -{tol}: matrix is not positive semidefinite")
-    return _density(np.where(lam < 0.0, 0.0, lam), spect.eigenvectors)
-
-
-def _density(lam: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
-    """The density of a canonical spectrum: ``lam``, non-negative, renormalized to sum 1, and the
-    Hermitian part of its reconstruction, which must be finite."""
-    spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=vecs)
+    lam = np.where(lam < 0.0, 0.0, lam)
+    spect = Spectrum(eigenvalues=lam / lam.sum(), eigenvectors=spect.eigenvectors)
     clean = spect.reconstruct()
     matrix = (clean + clean.conj().T) / 2.0
     if not np.isfinite(matrix).all():  # a spectrum clipped to all zeros renormalizes to NaN
@@ -351,10 +346,11 @@ def _density(lam: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
 
 
 def _density_from_factor(f: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix:
-    """F F^dagger for a factor F the library holds, from one SVD of F and no eigensolve, so small
-    eigenvalues keep the relative accuracy that forming F F^dagger would square away.  The trace
-    ||F||_F^2 must be 1 within ``tol``; the eigenvalues are sigma**2 padded with exact zeros, and
-    their first sigma.size pairs must rebuild F F^dagger within TOL_RECON relative to its norm."""
+    """G = F F^dagger for a factor F the library holds: the Hermitian part of G over its trace,
+    with the spectrum of one SVD of F and no eigensolve, so small eigenvalues keep the relative
+    accuracy that eigensolving G would square away.  The trace ||F||_F^2 must be 1 within ``tol``;
+    the eigenvalues are sigma**2 padded with exact zeros, and their first sigma.size pairs must
+    rebuild G, which the matrix is made from, within TOL_RECON relative to its norm."""
     _check_unit(_norm(f) ** 2, _as_tol(tol), "trace")
     u, sigma, _ = np.linalg.svd(f, full_matrices=f.shape[1] < f.shape[0])  # u square, vh never wider
     lam = np.zeros(f.shape[0])
@@ -363,7 +359,9 @@ def _density_from_factor(f: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix:
     gram, live = f @ f.conj().T, spect.eigenvectors[:, : sigma.size]
     _check_defect(_norm((live * spect.eigenvalues[: sigma.size]) @ live.conj().T - gram),
                   TOL_RECON * _norm(gram), "eigendecomposition reconstruction defect")
-    return _density(spect.eigenvalues, spect.eigenvectors)
+    total = spect.eigenvalues.sum()
+    return _trusted(DensityMatrix, matrix=(gram + gram.conj().T) / (2.0 * total),
+                    _spectrum=Spectrum(spect.eigenvalues / total, spect.eigenvectors))
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:

@@ -232,8 +232,9 @@ def test_a_zero_s_sign_is_a_moved_bit():
 
 def test_fixtures_reach_the_sizes_the_benchmark_runs():
     """Large pairs sit at the witness-sweep's d, negative-zero pairs end in -0.0 past y's length,
-    within-tol pairs are accepted yet fail a Schur-convex comparison, and every seventh
-    ``run_protocol`` fixture draws its target at n = 24..70."""
+    within-tol pairs are accepted yet fail a Schur-convex comparison, every seventh
+    ``run_protocol`` fixture draws its target at n = 24..70, and every seventh ``random_density``
+    fixture its dimension at 24..64."""
     import qmajor
 
     tool = _tool()
@@ -249,6 +250,13 @@ def test_fixtures_reach_the_sizes_the_benchmark_runs():
     run = tool._library_paths(qmajor)["run_protocol"]
     labels = [run(np.random.default_rng([tool.SEED, i]), i)[0] for i in range(14)]
     assert [i for i, label in enumerate(labels) if label.endswith("/large")] == [6, 13]
+    dens = tool._library_paths(qmajor)["random_density"]
+    for i in (6, 13, 20):  # numpy-int, full-rank and random: one dim of 24..64, a rank of 1..3
+        label, thunk = dens(np.random.default_rng([tool.SEED, i]), i)
+        rho = thunk()
+        assert label.endswith("/large") and 24 <= rho.dim <= 64
+        live = np.count_nonzero(rho.eigenvalues())
+        assert live == rho.dim if "full-rank" in label else 1 <= live <= 3
     for fam in tool.FAMILY_TARGETS:
         amps, _ = tool._target(rng, fam, 70, 24)
         assert 12 <= max(amps.shape) <= 72, fam

@@ -234,6 +234,11 @@ JUST_PAST_THE_BOUND = {
         lambda: reduced_density(random_bipartite(3, 3, np.random.default_rng(1)), "A"),
         "eigendecomposition reconstruction defect",
     ),
+    "reduced_density-tall": (
+        np.linalg, "svd", _singular_values_stretched,
+        lambda: reduced_density(random_bipartite(6, 2, np.random.default_rng(1)), "A"),
+        "eigendecomposition reconstruction defect",
+    ),
 }
 
 

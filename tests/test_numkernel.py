@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmajor import numkernel
-from qmajor.bipartite import reduced_density
+from qmajor.bipartite import BipartiteState, reduced_density
 from qmajor.ensembles import Ensemble, density_from_ensemble
 from qmajor.numkernel import (
     DensityMatrix,
@@ -132,6 +132,53 @@ class TestDensityFromFactor:
             assert np.linalg.norm(rho.matrix - want / np.trace(want).real) <= 1e-14
             assert np.all(rho.eigenvalues()[:rank] > 0.0)
             assert np.all(rho.eigenvalues()[rank:] == 0.0)
+
+
+def _state(dim_a, dim_b, seed, norm=1.0):
+    amps = random_bipartite(dim_a, dim_b, np.random.default_rng(seed)).amplitudes
+    return BipartiteState(amplitudes=amps * norm)
+
+
+FACTOR_DENSITIES = {
+    "tall-40x3": lambda: reduced_density(_state(40, 3, 1), "A"),
+    "wide-3x40": lambda: reduced_density(_state(3, 40, 2), "A"),
+    "square": lambda: random_density(7, 7, seed=3),
+    "d1-random": lambda: random_density(1, 1, seed=4),
+    "d1-reduced": lambda: reduced_density(_state(1, 5, 5), "A"),
+    "product": lambda: reduced_density(
+        BipartiteState(amplitudes=np.outer([0.6, 0.0, 0.8j], [0.0, 1.0])), "A"),
+    "ensemble-zeros": lambda: density_from_ensemble(Ensemble.from_members(
+        [(0.5, [1, 0]), (0.0, [0.6, 0.8j]), (0.3, [0, 1]), (0.0, [1, 0]), (0.2, [0.8, -0.6])])),
+    "norm-above": lambda: reduced_density(_state(6, 2, 6, 1.0 + 9e-10), "A"),
+    "norm-below": lambda: reduced_density(_state(2, 6, 7, 1.0 - 9e-10), "B"),
+}
+
+
+class TestFactorDensity:
+    """A density built from a factor F stores F F^dagger over its trace, not the rebuild of its
+    spectrum, so the two are checked to agree."""
+
+    @pytest.mark.parametrize("case", sorted(FACTOR_DENSITIES))
+    def test_matrix_is_hermitian_unit_trace_and_its_spectrum(self, case):
+        rho = FACTOR_DENSITIES[case]()
+        m = rho.matrix
+        assert np.array_equal(m, m.conj().T)
+        assert abs(np.trace(m) - 1.0) <= 1e-15
+        assert np.linalg.norm(m - rho.spectrum().reconstruct()) <= 1e-13
+
+    def test_only_validate_density_rebuilds_the_matrix_from_its_spectrum(self, monkeypatch):
+        reconstruct, callers = numkernel.Spectrum.reconstruct, []
+
+        def spy(self):
+            callers.append(True)
+            return reconstruct(self)
+
+        monkeypatch.setattr(numkernel.Spectrum, "reconstruct", spy)
+        for build in FACTOR_DENSITIES.values():
+            build()
+        assert not callers
+        validate_density(np.eye(2) / 2)
+        assert callers
 
 
 class TestValidateDensity:

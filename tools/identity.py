@@ -15,7 +15,8 @@ a vector past their dimension, numpy-integer sizes, domain rejections and invali
 Pairs reach d = 256 as the witness-sweep benchmark draws them (library paths only), some end
 in -0.0 entries, and some are majorized only within the tolerance, so that a Schur-convex
 comparison fails on them; a seventh of the ``run_protocol`` targets are drawn at n = 24..70,
-and a seventh of the ``enumerate_protocol`` ones at n = 9..16.
+a seventh of the ``enumerate_protocol`` ones at n = 9..16, and a seventh of the
+``random_density`` fixtures at dimension 24..64 with a drawn rank of 1..3.
 
 Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
@@ -378,16 +379,17 @@ def _library_paths(q):
         return fam, run
 
     def random_density_path(rng, i):
+        large = i % 7 == 6  # as in run_path: a tall factor, n >> rank, where the rank is drawn
         fam = ("random", "full-rank", "numpy-int", "invalid")[i % 4]
-        dim = int(rng.integers(1, 9))
-        rank, seed = int(rng.integers(1, dim + 1)), int(rng.integers(0, 2**31))
+        dim = int(rng.integers(24, 65) if large else rng.integers(1, 9))
+        rank, seed = int(rng.integers(1, 4 if large else dim + 1)), int(rng.integers(0, 2**31))
         if fam == "full-rank":
             rank = dim
         elif fam == "numpy-int":
             dim, rank = np.int64(dim), np.int32(rank)
         elif fam == "invalid":
             rank = (0, dim + 1, True)[i // 4 % 3]
-        return fam, lambda: q.random_density(dim, rank, seed)
+        return f"{fam}/large" if large else fam, lambda: q.random_density(dim, rank, seed)
 
     def reduced_path(rng, i):
         families = FAMILY_TARGETS[:-2] + ("norm-off", "invalid-side")
