@@ -11,6 +11,7 @@ transform.  The product of the lifts is then an orthogonal matrix W with
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .numkernel import TOL_PROB, DomainError, ValidationError, as_complex_matrix
-from .numkernel import _as_array, _as_dim, _as_tol, _check_defect, _check_unit, _gram_defect, _trusted
+from .numkernel import _CHECKS, _as_array, _as_dim, _as_tol, _check_defect, _check_unit, _gram_defect, _trusted
 
 
 class MajorizationError(DomainError):
@@ -128,8 +129,10 @@ class TTransform:
         """Plane rotation whose entrywise square is the transform matrix.
 
         This is the dense reference form, kept for tests and callers that
-        want the matrix; no library path calls it (``_lift`` applies the same
-        rotation to two rows of a stack in place).
+        want the matrix; no library path calls it.  ``_lift`` is the library
+        path: it applies the same rotation to two rows of a stack in place,
+        and ``horn_orthogonal`` reads the product of the rotations off the
+        chain's merge tree where that is faster (``_merge_lift``).
         """
         g = np.eye(dim)
         c = float(np.sqrt(self.t))
@@ -288,9 +291,11 @@ class HornWitness:
 def horn_orthogonal(x, y, tol: float = TOL_PROB) -> HornWitness:
     """Build an ortho-stochastic witness D = W o W with D y = x.
 
-    The transform chain for (x, y) is lifted rotation by rotation; because
+    The transform chain for (x, y) is lifted to plane rotations; because
     each step retires the coordinate it fixes, the product of the lifts
-    squares entrywise to the product of the transforms.  The chain's source
+    squares entrywise to the product of the transforms.  The product is read
+    off the chain's merge tree in one pass, or applied rotation by rotation
+    where that is faster, with the same bits either way.  The chain's source
     and target permutations are column and row permutations, which commute
     with the entrywise square.
     """
@@ -306,6 +311,11 @@ def _rotate_rows(ri: np.ndarray, rk: np.ndarray, c: float, s: float) -> None:
     rk += s_ri
 
 
+def _check_witness(w: np.ndarray) -> None:
+    """The one check of a constructed witness, on either lift: orthonormal columns."""
+    _check_defect(_gram_defect(w), *_CHECKS["witness"])
+
+
 def _lift(chain: TChain, rows: np.ndarray, home: np.ndarray, cols: int) -> None:
     """Apply the chain's witness W in place to a stack whose coordinate c sits in row home[c].
 
@@ -314,18 +324,144 @@ def _lift(chain: TChain, rows: np.ndarray, home: np.ndarray, cols: int) -> None:
     rotations and a row permutation only relabels rows, so the lift of transform
     (i, k) rotates the rows of coordinates source_permutation[i] and [k], and the
     row of source_permutation[target_permutation[j]] ends as row j of W times the stack.
+    Synthesis and Corollary 4 mix their stacks here, one Givens rotation at a time;
+    ``_witness_from_chain`` lifts the identity here only where the merge tree is slower.
     """
     rows[home[:cols], np.arange(cols)] = 1.0
     at = home[chain.source_permutation].tolist()  # Python ints index a row fastest
     for tr in chain.transforms:
         _rotate_rows(rows[at[tr.i]], rows[at[tr.k]], math.sqrt(tr.t), math.sqrt(1.0 - tr.t))
-    _check_defect(_gram_defect(rows[:, :cols]), 1e-10, "orthogonality defect of constructed witness")
+    _check_witness(rows[:, :cols])
+
+
+# The merge tree writes each nonzero of W by fancy indexing, at tens of ns apiece, while a
+# rotation costs a few us per call and well under a ns per element of its two rows, and the
+# tree's temporaries hold a few words per nonzero.  So it lifts a chain of at least
+# _MERGE_MIN_STEPS transforms whose W has at most _MERGE_RUN nonzeros per transform and at most
+# a quarter of its d * d entries nonzero, and rotations lift the rest (the sweep in
+# BENCH_merge_tree.json).  Below 32 transforms the quarter admits few chains, and counting the
+# nonzeros would cost more than the few it admits save.
+_MERGE_MIN_STEPS = 32
+_MERGE_RUN = 48
+
+
+def _merge_tree(chain: TChain):
+    """The merge tree of a walk-built chain, or None where ``_lift``'s rotations are faster.
+
+    The walk's transform (i, k, t) retires coordinate i and keeps k in play, so the rows
+    of coordinates in play have disjoint supports, and each step merges i's group of leaves
+    (W's columns) into k's.  Linking i's leaves ahead of k's makes every group one contiguous
+    run of the final leaf order.  Returns ``(pos, size, retired, start, left, run, up, t)``:
+    each coordinate's leaf position and final group size (0 once retired), and for each
+    step its retired coordinate, run start, the lengths of i's run and of the merged run,
+    the number of steps whose runs hold its run, itself included, and its parameter t.
+    """
+    d, transforms = chain.dim, chain.transforms
+    n = len(transforms)
+    if n < _MERGE_MIN_STEPS:
+        return None
+    size = [1] * d  # a retired coordinate's size is never read again
+    left, run = [0] * n, [0] * n
+    for m, tr in enumerate(transforms):
+        i, k = tr.i, tr.k
+        left[m] = a = size[i]
+        run[m] = size[k] = size[k] + a
+    nonzeros = sum(run) + d
+    if nonzeros > _MERGE_RUN * n or 4 * nonzeros > d * d:
+        return None
+    retired = [tr.i for tr in transforms]
+    for i in retired:
+        size[i] = 0
+    # Backwards from the final groups, laid out in coordinate order, each merged run splits
+    # into i's run and then k's; the steps above each step are counted on the way.
+    pos = list(itertools.accumulate(size, initial=0))
+    above = [0] * d
+    start, up = [0] * n, [0] * n
+    for m in range(n - 1, -1, -1):
+        i, k = retired[m], transforms[m].k
+        start[m] = pos[i] = pos[k]
+        pos[k] += left[m]
+        up[m] = above[i] = above[k] = above[k] + 1
+    t = np.array([tr.t for tr in transforms])
+    return pos[:d], size, retired, np.array(start), np.array(left), np.array(run), np.array(up), t
+
+
+def _merge_lift(chain: TChain, home: np.ndarray) -> np.ndarray | None:
+    """W written from the chain's merge tree, every nonzero at once, or None where
+    ``_merge_tree`` declines; coordinate c's row is home[source_permutation[c]], as in ``_lift``.
+
+    With c = sqrt(t) and s = sqrt(1 - t), step (i, k, t) leaves in i's row c r on i's run and
+    0.0 - s r on k's, and scales k's row by s on i's run and by c on k's, where r is each
+    leaf's running product, from 1.0: bit for bit what the rotations of ``_lift`` leave, as
+    the rows in play are nonnegative and zero off their runs.  The running products are one
+    segmented cumulative product, level by level: level l holds each leaf's r after its l-th
+    step, for the leaves at least l deep, deepest first.  Each temporary holds at most one
+    entry per nonzero of W, and W is allocated once only two of them are left: with at most
+    d * d / 4 nonzeros the peak stays below that of W and its Gram check.
+    """
+    tree = _merge_tree(chain)
+    if tree is None:
+        return None
+    pos, size, retired, start, left, run, up, t = tree
+    d, n = chain.dim, t.size
+    at = home[chain.source_permutation]
+    col = np.empty(d, dtype=np.intp)
+    col[pos] = chain.source_permutation
+    # One entry per leaf of each step's run, step by step.
+    step = np.repeat(np.arange(n), run)
+    leaf = np.repeat(start + run - np.cumsum(run), run)
+    leaf += np.arange(leaf.size)
+    flat = at[retired][step] * d + col[leaf]
+    # Entry of step m at m on k's run and at n + m on i's, in [c | s] and in [-s | c].
+    side = step + n * (leaf < (start + left)[step])
+    depth = np.bincount(leaf, minlength=d)  # the steps above each leaf
+    level = depth[leaf]
+    level -= up[step]  # the steps below each entry's step, on its leaf
+    del step
+    rank = np.empty(d, dtype=np.intp)
+    rank[np.argsort(-depth, kind="stable")] = np.arange(d)
+    count = np.cumsum(np.bincount(depth)[::-1])[::-1]  # leaves at least l deep
+    offset = np.cumsum(count) - count
+    before = offset[level] + rank[leaf]  # where each entry's r before its step is
+    del leaf
+    after = count[level]
+    after += before
+    del level
+    c, s = np.sqrt(t), np.sqrt(1.0 - t)
+    r = np.empty(offset[-1] + count[-1])
+    r[:d] = 1.0
+    r[after] = np.concatenate([c, s])[side]
+    del after
+    below = r[:d]
+    for a, m in zip(offset[1:].tolist(), count[1:].tolist()):
+        above = r[a: a + m]
+        above *= below[:m]
+        below = above
+    values = np.concatenate([-s, c])[side]
+    del side
+    values *= r[before]
+    values += 0.0  # -s r + 0.0 is 0.0 - s r, +0.0 where s r is +0.0
+    final = r[offset[depth] + rank]
+    del before, r
+    w = np.zeros((d, d))
+    np.put(w, flat, values)
+    size = np.array(size)
+    roots = size > 0  # the coordinates in play at the end, each row holding one final run
+    np.put(w, np.repeat(at[roots], size[roots]) * d + col, final)
+    return w
 
 
 def _witness_from_chain(chain: TChain) -> HornWitness:
-    """The witness of ``horn_orthogonal`` for a chain already built: the lift of the identity."""
-    w = np.zeros((chain.dim, chain.dim))
-    _lift(chain, w, np.argsort(chain.source_permutation[chain.target_permutation]), chain.dim)
+    """The witness of ``horn_orthogonal`` for a walk-built chain: the lift of the identity, from
+    the chain's merge tree, or rotation by rotation where ``_merge_tree`` says rotations are faster."""
+    d = chain.dim
+    home = np.argsort(chain.source_permutation[chain.target_permutation])
+    w = _merge_lift(chain, home)
+    if w is None:
+        w = np.zeros((d, d))
+        _lift(chain, w, home, d)
+    else:
+        _check_witness(w)
     return HornWitness(orthogonal=w, doubly_stochastic=w * w)
 
 

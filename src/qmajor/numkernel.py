@@ -25,6 +25,12 @@ TOL_RECON = 1e-8
 TOL_NORM = 1e-9
 TOL_PROB = 1e-9
 
+# Bound and message of each pinned check, declared once and read as
+# ``_check_defect(defect, *_CHECKS[name])``.
+_CHECKS = {
+    "witness": (1e-10, "orthogonality defect of constructed witness"),
+}
+
 # Jacobi sweep termination: off-diagonal Frobenius norm target and sweep cap.
 _JACOBI_OFF_TARGET = 1e-12
 _JACOBI_MAX_SWEEPS = 100

@@ -231,22 +231,31 @@ def test_a_zero_s_sign_is_a_moved_bit():
 
 
 def test_fixtures_reach_the_sizes_the_benchmark_runs():
-    """Large pairs sit at the witness-sweep's d, negative-zero pairs end in -0.0 past y's length,
-    within-tol pairs are accepted yet fail a Schur-convex comparison, every seventh
-    ``run_protocol`` fixture draws its target at n = 24..70, and every seventh ``random_density``
-    fixture its dimension at 24..64."""
+    """Large and dense pairs sit at the witness-sweep's d, and between them reach both lifts of
+    the witness, negative-zero pairs end in -0.0 past y's length, within-tol pairs are accepted
+    yet fail a Schur-convex comparison, every seventh ``run_protocol`` fixture draws its target
+    at n = 24..70, and every seventh ``random_density`` fixture its dimension at 24..64."""
     import qmajor
+    from qmajor import majorize
 
     tool = _tool()
     rng = np.random.default_rng(0)
+    lifts = set()
     for _ in range(12):
-        x, y = tool._pair(rng, "large")
+        large = x, y = tool._pair(rng, "large")
         assert max(x.size, y.size) in (32, 64, 128, 256) and qmajor.is_majorized_by(x, y)
+        dense = x, y = tool._pair(rng, "dense")
+        assert x.size == y.size in (32, 64, 128, 256) and np.all(x == 1 / x.size)
+        assert qmajor.is_majorized_by(x, y) and y[0] >= 0.5 / 3
+        for pair in large, dense:  # (d >= 128, rotated rather than read off the merge tree)
+            chain = qmajor.t_transform_chain(*pair)
+            lifts.add((chain.dim >= 128, majorize._merge_tree(chain) is None))
         x, y = tool._pair(rng, "negative-zero")
         tail = x[y.size:]
         assert tail.size and not tail.any() and np.signbit(tail).all() and qmajor.is_majorized_by(x, y)
         x, y = tool._pair(rng, "within-tol")
         assert qmajor.is_majorized_by(x, y) and not qmajor.check_schur_inequalities(x, y).passed
+    assert lifts == {(False, False), (False, True), (True, False), (True, True)}
     run = tool._library_paths(qmajor)["run_protocol"]
     labels = [run(np.random.default_rng([tool.SEED, i]), i)[0] for i in range(14)]
     assert [i for i, label in enumerate(labels) if label.endswith("/large")] == [6, 13]

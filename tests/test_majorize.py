@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qmajor import majorize
 from qmajor.bipartite import corollary4_decompose, schmidt
 from qmajor.ensembles import entropy_report, synthesize_ensemble
 from qmajor.majorize import (
@@ -322,7 +323,10 @@ class TestHornOrthogonal:
 
 def _dense_oracle_witness(x, y):
     """The witness as a dense product of d x d lifts, read back by the chain's permutations."""
-    chain = t_transform_chain(x, y)
+    return _dense_oracle_chain_witness(t_transform_chain(x, y))
+
+
+def _dense_oracle_chain_witness(chain):
     d = chain.dim
     w0 = np.eye(d)
     for tr in chain.transforms:
@@ -347,17 +351,48 @@ def _witness_pair(d, case, rng):
         y = rng.dirichlet(np.ones(d))
     if case == "uniform":
         return np.full(d, 1.0 / d), y
+    if case == "spike":
+        return np.full(d, 1.0 / d), np.eye(d)[0]
     if case == "permutation":
         return rng.permutation(y), y
     return mix_down(y, rng), y
 
 
 class TestHornWitnessStructure:
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 64])
-    @pytest.mark.parametrize("case", ["uniform", "degenerate", "zero-padded", "permutation", "mixed"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 64, 128, 256])
+    @pytest.mark.parametrize("case", ["uniform", "degenerate", "zero-padded", "permutation", "mixed",
+                                      "spike"])
     def test_equals_dense_lift_product(self, d, case, rng):
+        # Bytes, not values: the sign of every zero is part of the witness.
         x, y = _witness_pair(d, case, rng)
-        assert np.array_equal(horn_orthogonal(x, y).orthogonal, _dense_oracle_witness(x, y))
+        assert horn_orthogonal(x, y).orthogonal.tobytes() == _dense_oracle_witness(x, y).tobytes()
+
+    def test_a_zero_parameter_keeps_the_sign_of_its_zeros(self):
+        # t = 0 leaves +0.0 on k's run of the row in play; merging that run again writes
+        # 0.0 - s * 0.0 = +0.0 into the retired row, as the rotation does, where -s * 0.0 is -0.0.
+        steps = [TTransform(0, 1, 0.0), TTransform(2, 1, 0.5)]
+        steps += [TTransform(i, i + 1, 0.3) for i in range(3, 63, 2)]
+        chain = TChain.plain(steps, 64)
+        assert majorize._merge_tree(chain) is not None
+        w = majorize._witness_from_chain(chain).orthogonal
+        assert w[2, 1] == 0.0 and not np.signbit(w[2, 1])
+        assert w.tobytes() == _dense_oracle_chain_witness(chain).tobytes()
+
+    def test_dense_merge_trees_take_the_rotations(self, monkeypatch, rng):
+        # x uniform from y = e_1 merges one leaf at a time, d(d + 3)/2 - 1 nonzeros in all;
+        # a Dirichlet y at d = 256 merges about 25 per transform.
+        taken = []
+        merge_lift = majorize._merge_lift
+
+        def spy(chain, home):
+            w = merge_lift(chain, home)
+            taken.append("rotations" if w is None else "merge tree")
+            return w
+
+        monkeypatch.setattr(majorize, "_merge_lift", spy)
+        horn_orthogonal(*_witness_pair(256, "spike", rng))
+        horn_orthogonal(*_witness_pair(256, "uniform", rng))
+        assert taken == ["rotations", "merge tree"]
 
     def test_library_paths_use_no_dense_lift(self, monkeypatch, rng):
         def forbidden(*args, **kwargs):

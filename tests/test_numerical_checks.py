@@ -133,6 +133,21 @@ def _nan_sqrt(x):
     return math.nan
 
 
+def _nan_first_parameter(merge_tree):
+    """The merge tree's first transform parameter t is NaN, so its c and s are NaN."""
+    def patched(chain):
+        tree = merge_tree(chain)
+        tree[-1][0] = np.nan
+        return tree
+
+    return patched
+
+
+def _merge_pair():
+    """A d = 64 Dirichlet pair, x uniform: its witness is read off the merge tree, not rotated."""
+    return np.full(64, 1 / 64), np.random.default_rng(1).dirichlet(np.ones(64))
+
+
 # (module, attribute, replacement factory, call, name of the check that sees the NaN)
 INJECTIONS = {
     "hermitian_eig": (
@@ -163,6 +178,11 @@ INJECTIONS = {
         lambda: horn_orthogonal([0.5, 0.3, 0.2], [0.7, 0.2, 0.1]),
         "orthogonality defect of constructed witness",
     ),
+    "horn_orthogonal-merge": (
+        majorize, "_merge_tree", _nan_first_parameter,
+        lambda: horn_orthogonal(*_merge_pair()),
+        "orthogonality defect of constructed witness",
+    ),
     "synthesize_ensemble": (
         majorize.math, "sqrt", lambda sqrt: _nan_sqrt,
         lambda: synthesize_ensemble(random_density(3, 3, 1), [0.4, 0.3, 0.3]),
@@ -189,6 +209,16 @@ def _first_rotated_row_stretched(rotate):
         if not done:
             done.append(True)
             ri *= 1.0 + 2.5e-10
+
+    return patched
+
+
+def _merged_row_stretched(merge_lift):
+    """Row 0 of the witness read off the merge tree 1 + 2.5e-10 long: Gram defect 5e-10."""
+    def patched(chain, home):
+        w = merge_lift(chain, home)
+        w[0] *= 1.0 + 2.5e-10
+        return w
 
     return patched
 
@@ -223,6 +253,11 @@ JUST_PAST_THE_BOUND = {
     "horn_orthogonal": (
         majorize, "_rotate_rows", _first_rotated_row_stretched,
         lambda: horn_orthogonal([0.5, 0.3, 0.2], [0.7, 0.2, 0.1]),
+        "orthogonality defect of constructed witness",
+    ),
+    "horn_orthogonal-merge": (
+        majorize, "_merge_lift", _merged_row_stretched,
+        lambda: horn_orthogonal(*_merge_pair()),
         "orthogonality defect of constructed witness",
     ),
     "relate_purifications": (

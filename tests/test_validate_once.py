@@ -104,8 +104,9 @@ def test_density_matrix_coerces_its_input_once_before_the_eigensolve(coerced):
 
 def test_only_horn_orthogonal_and_the_cli_build_the_dense_witness():
     # Synthesis and Corollary 4 rotate only the columns they use
-    # (majorize._lift); the d x d witness is built for horn_orthogonal and the
-    # CLI's majorize-decompose report alone.
+    # (majorize._lift); the d x d witness, read off the chain's merge tree or
+    # rotated where that is faster, is built for horn_orthogonal and the CLI's
+    # majorize-decompose report alone.
     callers = set()
     for path in sorted(Path(qmajor.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(), str(path))):

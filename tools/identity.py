@@ -12,11 +12,13 @@ and 2 x 16 (library paths only), states at norms 1 +- 9e-10, degenerate spectra,
 (0, 1e-12] (subnormal ones included), zero weights, weights equal to the eigenvalues,
 ensembles built from a density's factor and ones that do not realize it, T-chains applied to
 a vector past their dimension, numpy-integer sizes, domain rejections and invalid input.
-Pairs reach d = 256 as the witness-sweep benchmark draws them (library paths only), some end
-in -0.0 entries, and some are majorized only within the tolerance, so that a Schur-convex
-comparison fails on them; a seventh of the ``run_protocol`` targets are drawn at n = 24..70,
-a seventh of the ``enumerate_protocol`` ones at n = 9..16, and a seventh of the
-``random_density`` fixtures at dimension 24..64 with a drawn rank of 1..3.
+Pairs reach d = 256 as the witness-sweep benchmark draws them (library paths only), and so do
+dense pairs, x uniform from y = e_1 or from two levels, whose witness is mostly rotated where
+the others' is read off the chain's merge tree; some pairs end in -0.0 entries, and some are
+majorized only within the tolerance, so that a Schur-convex comparison fails on them; a
+seventh of the ``run_protocol`` targets are drawn at n = 24..70, a seventh of the
+``enumerate_protocol`` ones at n = 9..16, and a seventh of the ``random_density`` fixtures at
+dimension 24..64 with a drawn rank of 1..3.
 
 Each fixture keeps three things, so two records share a digest only if their bits agree:
 - its decisions: exit code, verdict, failing k, rank, sampled outcome, the type and message
@@ -62,8 +64,8 @@ FAMILY_TARGETS = ("square", "rectangular", "tall", "rank-deficient", "zero-padde
                   "maximally-entangled", "product", "numpy-int", "rejected", "invalid")
 FAMILY_DENSITIES = ("full", "rank-deficient", "degenerate", "pure", "tiny", "invalid")
 FAMILY_WEIGHTS = ("mixed", "eigenvalues", "tiny", "zeros", "rejected", "invalid")
-FAMILY_PAIRS = ("mixed", "ties", "tiny", "zero-padded", "large", "negative-zero", "within-tol",
-                "rejected", "invalid")
+FAMILY_PAIRS = ("mixed", "ties", "tiny", "zero-padded", "large", "dense", "negative-zero",
+                "within-tol", "rejected", "invalid")
 FAMILY_ENSEMBLES = ("eigen", "rotated", "padded", "perturbed", "dimension", "invalid")
 
 
@@ -225,10 +227,25 @@ def _large_pair(rng):
     return (np.full(d, 1.0 / d) if case == 2 else _mix_down(y, rng)), y
 
 
+def _dense_pair(rng):
+    """(x, y) at d in {32, 64, 128, 256}, x uniform and y either e_1 or two levels, its first 2 or
+    3 coordinates holding 50-95 % of the mass: walks that merge a few large groups, so W's merge
+    tree is dense and the witness is mostly rotated, where the large family's is mostly read off
+    the tree."""
+    d = int(rng.choice([32, 64, 128, 256]))
+    y = np.eye(d)[0]
+    if rng.random() < 0.5:
+        h, mass = int(rng.integers(2, 4)), rng.uniform(0.5, 0.95)
+        y = np.concatenate([np.full(h, mass / h), np.full(d - h, (1 - mass) / (d - h))])
+    return np.full(d, 1.0 / d), y
+
+
 def _pair(rng, family):
     """(x, y), x majorized by y (in within-tol, only within 1e-9) except in the last two families."""
     if family == "large":
         return _large_pair(rng)
+    if family == "dense":
+        return _dense_pair(rng)
     y = rng.dirichlet(np.ones(int(rng.integers(2, 9))))
     if family == "ties":
         y = np.repeat(rng.dirichlet(np.ones(2)), -(-y.size // 2))[: y.size]
@@ -471,8 +488,9 @@ def _cli_jobs():
         def job(rng, i):
             if i % 10 == 9:
                 return "malformed", [command], [malformed[i % 3], _probvec([1.0])]
-            # Not the large pairs: the CLI is run at d <= 8, and a d = 256 witness's report is ~5 MB.
-            fam = _family(tuple(f for f in FAMILY_PAIRS if f != "large"), i)
+            # Not the large or dense pairs: the CLI is run at d <= 8, and a d = 256 witness's
+            # report is ~5 MB.
+            fam = _family(tuple(f for f in FAMILY_PAIRS if f not in ("large", "dense")), i)
             x, y = _pair(rng, fam)
             # 5 is prime to the 8 families and to the 3 values, so every family gets each one.
             tol = ["--tol-major", ("0", "1e-12", "nan")[i % 3]] if i % 5 == 1 else []
